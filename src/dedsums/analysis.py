@@ -98,7 +98,7 @@ def image_scale(ctx: SumContext, j: int, pair: tuple[str, str] = ("", "")) -> Ta
     """Largest r with S-tilde(G_j(q1 q2)) inside r*Z."""
     if not ctx.quadratic:
         raise ValueError("the divisibility tables require a quadratic pair")
-    start = time.time()
+    start = time.perf_counter()
     pairs = list(iter_G_pairs(ctx.n, j))
     values = dk.sweep_S_tilde_rational(ctx, pairs)
     r = rational_gcd_set(values)
@@ -109,7 +109,7 @@ def image_scale(ctx: SumContext, j: int, pair: tuple[str, str] = ("", "")) -> Ta
         r=r,
         display=display_form(r, ctx.q1),
         count=len(pairs),
-        seconds=time.time() - start,
+        seconds=time.perf_counter() - start,
     )
 
 
@@ -205,8 +205,9 @@ def containment_m(
         if progress:
             progress(i + 1, len(generators))
     m = rational_gcd_set(multiples)
-    for _, h in polys:
-        assert poly_space_member(h, ctx.k, m, ctx.q1)
+    for gen, h in polys:
+        if not poly_space_member(h, ctx.k, m, ctx.q1):
+            raise dk.CertificateError(f"h at {gen} lies outside the polynomial space at m = {m}")
     return ContainmentReport(
         pair=pair,
         k=ctx.k,

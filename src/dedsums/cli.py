@@ -25,6 +25,7 @@ from .exactnum import rational_to_str
 from .modgroup import (
     Cusp,
     Mat2,
+    MatrixFormatError,
     Poly,
     g_witness,
     gamma1_generators,
@@ -83,13 +84,13 @@ def cmd_sum(args) -> int:
 
 def cmd_table(args) -> int:
     jobs = args.jobs or int(os.environ.get("DEDSUMS_JOBS", "1"))
-    t0 = time.time()
+    t0 = time.perf_counter()
     tables = analysis.divisibility_tables(
         args.j,
         jobs=jobs,
         progress=lambda i, total, spec: _progress(f"[{i}/{total}] {spec[0]} k={spec[1]}"),
     )
-    _progress(f"table sweep finished in {time.time() - t0:.1f}s")
+    _progress(f"table sweep finished in {time.perf_counter() - t0:.1f}s")
     if args.format == "json":
         payload = [
             {
@@ -390,11 +391,11 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     failed = 0
     for name in names:
-        t0 = time.time()
+        t0 = time.perf_counter()
         ok, detail = SUITES[name](args.seed, args.tol)
         status = "PASS" if ok else "FAIL"
         print(f"{status} {name}: {detail}")
-        _progress(f"{name} finished in {time.time() - t0:.1f}s")
+        _progress(f"{name} finished in {time.perf_counter() - t0:.1f}s")
         failed += not ok
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
@@ -476,6 +477,12 @@ def main(argv=None) -> int:
     except UnknownCharacterError as exc:
         print(f"unknown character: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MatrixFormatError as exc:
+        print(f"bad matrix: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except dk.CertificateError as exc:
+        print(f"certificate failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

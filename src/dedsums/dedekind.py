@@ -10,6 +10,7 @@ expanded into a cyclotomic number at the very end.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -28,12 +29,15 @@ from .modgroup import (
     cocycle_j,
     cusp_apply,
     in_gamma0,
-    iter_gamma1_cusp_pairs,
 )
 
 
 class ParityError(ValueError):
     """chi1 chi2(-1) != (-1)^k, so the sums are not defined."""
+
+
+class CertificateError(AssertionError):
+    """An exact certificate failed; raised explicitly, so ``python -O`` keeps it."""
 
 
 def classical_s(h: int, k: int) -> Fraction:
@@ -302,18 +306,44 @@ def h_eval(ctx: SumContext, gamma: Mat2, cusp: Cusp) -> CyclotomicElement:
 
 
 def interpolation_nodes(ctx: SumContext, gamma: Mat2, count: int) -> list[Cusp]:
-    """First ``count`` admissible cusps from the G_j(N) rings, skipping the
-    point gamma^-1(inf) where the slash expression degenerates."""
+    """The ``count`` cheapest nodes for h_gamma, the held-out check node last.
+
+    A node x = p/q costs q + |c p + d q| for gamma = (a b; c d): den x plus
+    den gamma x, to which the kernel work of the two sums in :func:`h_eval`
+    is proportional.  The candidates are the cusps p/q with N | q,
+    gcd(p, q) = 1 and p = 1 mod N, plus the pole gamma^-1(inf) = -d/c at cost
+    |c| (only S-hat at the node is summed there).  Ties go by (cost, q, p).
+    The check node is the dearest chosen node other than the pole, so the
+    check still runs through the slash term.
+    """
+    n = ctx.n
+    c, d = gamma.c, gamma.d
+    if c == 0:
+        # a translation: every node p/N costs 2N
+        return [Cusp(1 + i * n, n) for i in range(count)]
     pole = cusp_apply(gamma.inverse(), CUSP_INF)
-    nodes: list[Cusp] = []
-    for a, c in iter_gamma1_cusp_pairs(ctx.n):
-        node = Cusp(a, c)
-        if node == pole:
-            continue
-        nodes.append(node)
-        if len(nodes) == count:
-            return nodes
-    raise RuntimeError("unreachable: node supply is infinite")
+    best = [(abs(c), pole.q, pole.p)] if c % n == 0 else []
+    q = n
+    while len(best) < count or q <= best[-1][0]:
+        # p = 1 + n t on either side of the zero -d q / c of c p + d q; the
+        # cost grows along each walk, so it stops at the k-th best key
+        t_lo = (-d * q - c) // (c * n)
+        for t, step in ((t_lo, -1), (t_lo + 1, 1)):
+            while True:
+                p = 1 + n * t
+                t += step
+                slash = abs(c * p + d * q)
+                key = (q + slash, q, p)
+                if len(best) == count and key >= best[-1]:
+                    break
+                if slash and gcd(p, q) == 1:
+                    insort(best, key)
+                    del best[count:]
+        q += n
+    nodes = [Cusp(p, q) for _, q, p in best]
+    check = max(i for i, node in enumerate(nodes) if node != pole)
+    nodes.append(nodes.pop(check))
+    return nodes
 
 
 def _lagrange(xs: list[Fraction], ys: list) -> list:
@@ -359,7 +389,7 @@ def h_interpolate(ctx: SumContext, gamma: Mat2) -> Poly:
     if ctx.quadratic:
         expected = expected.rational_value()
     if not (got == expected):
-        raise AssertionError(
+        raise CertificateError(
             f"interpolated h disagrees with a held-out evaluation at {check_node}"
         )
     return poly

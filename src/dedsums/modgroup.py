@@ -16,6 +16,10 @@ from typing import Iterator, Sequence
 from .exactnum import CyclotomicElement
 
 
+class MatrixFormatError(ValueError):
+    """Matrix text that is not a 2x2 array of integers."""
+
+
 @dataclass(frozen=True)
 class Mat2:
     """Integer matrix (a b; c d) with det 1, enforced at construction."""
@@ -52,7 +56,18 @@ class Mat2:
 
     @classmethod
     def from_str(cls, s: str) -> "Mat2":
-        rows = json.loads(s)
+        """Parse ``[[a,b],[c,d]]``; anything but a 2x2 array of ints is a MatrixFormatError."""
+        try:
+            rows = json.loads(s)
+        except ValueError:
+            rows = None
+        if not (
+            isinstance(rows, list)
+            and len(rows) == 2
+            and all(isinstance(row, list) and len(row) == 2 for row in rows)
+            and all(type(x) is int for row in rows for x in row)
+        ):
+            raise MatrixFormatError(f"expected a 2x2 array of integers, got {s!r}")
         return cls(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
 
 

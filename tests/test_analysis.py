@@ -81,6 +81,13 @@ def test_containment_chi5_pair():
         assert poly_space_member(poly, 4, report.m, 5)
 
 
+def test_containment_membership_failure_raises_certificate_error(monkeypatch):
+    # the membership certificate is an explicit check, not an assert that -O strips
+    monkeypatch.setattr(analysis, "poly_space_member", lambda *args: False)
+    with pytest.raises(dk.CertificateError):
+        containment_m(context_for(("chi3", "chi3"), 2))
+
+
 def test_containment_generating_set_independent():
     ctx = context_for(("chi3", "chi3"), 2)
     m_st = containment_m(ctx, order="st").m

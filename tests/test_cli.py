@@ -3,6 +3,8 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from dedsums import cli
 
 
@@ -57,6 +59,14 @@ def test_hpoly_reference_value():
     assert out.strip() == "h_gamma(x) = -24/5*x^2 - 96/5*x - 96/5"
 
 
+@pytest.mark.parametrize("matrix", ["[[1,2]]", "[[1.5,0],[0,1]]", "[[1,0],[0,true]]", "not json"])
+def test_hpoly_malformed_matrix_is_usage_error(matrix):
+    code, out, err = run_cli("hpoly", "--pair", "chi5,chi5", "--k", "4", "--matrix", matrix)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "matrix" in err
+
+
 def test_gens_output():
     code, out, _ = run_cli("gens", "--n", "9")
     assert code == cli.EXIT_OK
@@ -100,6 +110,15 @@ def test_contain_command():
     code, out, _ = run_cli("contain", "--pair", "chi3,chi3", "--k", "2")
     assert code == cli.EXIT_OK
     assert "m = " in out and "contained in" in out
+
+
+def test_contain_failed_certificate_exit_code(monkeypatch):
+    from dedsums import analysis
+
+    monkeypatch.setattr(analysis, "poly_space_member", lambda *args: False)
+    code, _, err = run_cli("contain", "--pair", "chi3,chi3", "--k", "2")
+    assert code == cli.EXIT_CHECK_FAILED
+    assert "certificate" in err
 
 
 def test_bounds_command():

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dedsums import dedekind as dk
 from dedsums.bernoulli import periodic_bernoulli
@@ -12,6 +14,7 @@ from dedsums.modgroup import (
     CUSP_INF,
     Cusp,
     Mat2,
+    Poly,
     cusp_apply,
     iter_G_pairs,
     random_gamma0,
@@ -245,6 +248,112 @@ def test_h_eval_at_pole_is_polynomial_value():
     assert v == Fraction(-24, 5) * pole.to_fraction() ** 2
 
 
+def ring_order_nodes(ctx: SumContext, gamma: Mat2, count: int) -> list[Cusp]:
+    """Reference node choice: the first admissible cusps of the G_j(N) rings in
+    ring order, skipping the pole gamma^-1(inf)."""
+    pole = cusp_apply(gamma.inverse(), CUSP_INF)
+    seen: set = set()
+    nodes: list[Cusp] = []
+    j = 1
+    while True:
+        j += 1
+        for pair in iter_G_pairs(ctx.n, j):
+            if pair in seen:
+                continue
+            seen.add(pair)
+            node = Cusp(*pair)
+            if node == pole:
+                continue
+            nodes.append(node)
+            if len(nodes) == count:
+                return nodes
+
+
+def ring_order_fit(ctx: SumContext, gamma: Mat2) -> Poly:
+    """Lagrange fit of h_gamma through the k-1 reference nodes."""
+    nodes = ring_order_nodes(ctx, gamma, ctx.k - 1)
+    xs = [node.to_fraction() for node in nodes]
+    ys = [dk.h_eval(ctx, gamma, node).rational_value() for node in nodes]
+    return Poly.from_ascending(ctx.k, dk._lagrange(xs, ys))
+
+
+@pytest.mark.parametrize(
+    "tag1,tag2,k", [("chi5", "chi5", 4), ("chi3", "chi5", 3), ("chi3", "chi4", 2)]
+)
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 4))
+def test_h_eval_at_pole_matches_interpolant(tag1, tag2, k, seed, size):
+    # the pole is a cheap node only because the slash term drops there and the
+    # value is still the polynomial's; the reference fit never uses the pole
+    ctx = ctx_for(tag1, tag2, k)
+    gamma = random_gamma1(random.Random(seed), ctx.n, size)
+    pole = cusp_apply(gamma.inverse(), CUSP_INF)
+    poly = ring_order_fit(ctx, gamma)
+    assert dk.h_eval(ctx, gamma, pole).rational_value() == poly.eval(pole.to_fraction())
+    assert dk.h_interpolate(ctx, gamma) == poly
+
+
+@pytest.mark.parametrize(
+    "tag1,tag2,k",
+    [
+        ("chi3", "chi3", 2),
+        ("chi3", "chi5", 3),
+        ("chi3", "chi4", 4),
+        ("chi4", "chi5", 5),
+        ("chi3", "chi3", 6),
+    ],
+)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_h_interpolate_matches_ring_order_fit(tag1, tag2, k, seed):
+    ctx = ctx_for(tag1, tag2, k)
+    rng = random.Random(seed)
+    gamma = random_gamma0(rng, ctx.n, 4)
+    while not ctx.psi_is_one(gamma):
+        gamma = random_gamma0(rng, ctx.n, 4)
+    assert dk.h_interpolate(ctx, gamma) == ring_order_fit(ctx, gamma)
+
+
+@pytest.mark.parametrize(
+    "gamma", [Mat2(51, -4, 625, -49), Mat2(-74, 7, -275, 26), Mat2(-24, 1, -25, 1)]
+)
+def test_interpolation_nodes_are_cheapest(gamma):
+    # brute force over a box that holds every node of cost <= the k-th best
+    ctx = ctx_for("chi5", "chi5", 4)
+    nodes = dk.interpolation_nodes(ctx, gamma, 4)
+    pole = cusp_apply(gamma.inverse(), CUSP_INF)
+
+    def cost(x):
+        return x.q + abs(gamma.c * x.p + gamma.d * x.q)
+
+    assert nodes[-1] != pole and pole in nodes
+    worst = max(cost(x) for x in nodes)
+    box = [
+        Cusp(p, q)
+        for q in range(25, worst + 1, 25)
+        for p in range(1 - 25 * (worst // 25 + 2), 25 * (worst // 25 + 2), 25)
+        if gcd(p, q) == 1
+    ]
+    cheapest = sorted({pole, *box}, key=lambda x: (cost(x), x.q, x.p))[:4]
+    assert sorted(nodes, key=lambda x: (cost(x), x.q, x.p)) == cheapest
+    assert [x.q for x in dk.interpolation_nodes(ctx, translation(3), 3)] == [25, 25, 25]
+
+
+def test_h_interpolate_check_failure_raises_certificate_error(monkeypatch):
+    ctx = ctx_for("chi5", "chi5", 4)
+    gamma = Mat2(51, 104, 25, 51)
+    real_h_eval = dk.h_eval
+    check_node = dk.interpolation_nodes(ctx, gamma, ctx.k)[-1]
+
+    def corrupted(ctx_, gamma_, cusp):
+        value = real_h_eval(ctx_, gamma_, cusp)
+        return value + 1 if cusp == check_node else value
+
+    monkeypatch.setattr(dk, "h_eval", corrupted)
+    with pytest.raises(dk.CertificateError):
+        dk.h_interpolate(ctx, gamma)
+
+
 def test_h_weight2_is_constant_minus_S():
     # for k = 2 and gamma in Gamma_1, h is the constant -S(gamma) (the
     # crossed-homomorphism identity); in particular degree <= 0
@@ -290,8 +399,6 @@ REFERENCE_H_TABLE = [
 @pytest.mark.parametrize("gamma,coeffs", REFERENCE_H_TABLE)
 def test_h_interpolate_published_values(gamma, coeffs):
     ctx = ctx_for("chi5", "chi5", 4)
-    from dedsums.modgroup import Poly
-
     assert dk.h_interpolate(ctx, gamma) == Poly(4, coeffs)
 
 
