@@ -12,7 +12,6 @@ from fractions import Fraction
 from math import gcd
 
 from . import dedekind as dk
-from .bernoulli import lehmer_bound
 from .characters import named_character
 from .dedekind import SumContext
 from .exactnum import rational_gcd_set, rational_to_str
@@ -250,7 +249,13 @@ class BoundReport:
     trivial_bound_ok: bool
 
     def exceptional_count(self, alpha: Fraction) -> int:
-        """L(alpha, C): sweep entries with |S| > alpha log^3 C, exact comparison."""
+        """L(alpha, C): sweep entries with |S| > alpha log^3 C.
+
+        log C is the rounded float ``math.log(C)``, so the threshold is that
+        float's exact rational value cubed times alpha; the comparison of each
+        exact |S| against it is exact, but the threshold is not the real
+        alpha log^3 C.
+        """
         threshold = Fraction(alpha) * Fraction(math.log(self.c_max)) ** 3
         return sum(1 for row in self.rows if row.s_abs > threshold)
 
@@ -295,15 +300,3 @@ def bound_statistics(ctx: SumContext, c_max: int) -> BoundReport:
         max_ratio=max_ratio,
         trivial_bound_ok=trivial_ok,
     )
-
-
-def exceptional_count(ctx: SumContext, alpha, c_max: int) -> int:
-    return bound_statistics(ctx, c_max).exceptional_count(Fraction(alpha))
-
-
-def unified_lehmer_ok(k: int, samples) -> bool:
-    """Spot check |B_k({x})| <= (pi^2/3) k!/(2 pi)^k on the given x values."""
-    from .bernoulli import periodic_bernoulli
-
-    bound = lehmer_bound(k) * (1 + 1e-12)
-    return all(float(abs(periodic_bernoulli(k, x))) <= bound for x in samples)

@@ -12,23 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .exactnum import CyclotomicElement, euler_phi, lcm
-
-
-def factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
+from .exactnum import CertificateError, CyclotomicElement, euler_phi, factorize, lcm
 
 
 def _multiplicative_order(a: int, m: int) -> int:
@@ -105,7 +89,8 @@ class UnitGroup:
             exps[i] = 0
 
         rec(0, 1 % q)
-        assert len(table) == total
+        if len(table) != total:
+            raise CertificateError(f"dlog table mod {q} has {len(table)} units, expected {total}")
         self.dlog = table
 
 
@@ -153,7 +138,8 @@ class DirichletCharacter:
         for e, t, d in zip(self.exponents, exps, group.orders):
             big += e * t * (L // d)
         big %= L
-        assert big * o % L == 0
+        if big * o % L:
+            raise CertificateError(f"chi({n}) is not an {o}-th root of unity")
         return big * o // L % o
 
     def __call__(self, n: int) -> CyclotomicElement:
@@ -183,10 +169,6 @@ class DirichletCharacter:
         }
 
 
-def char_value(chi: DirichletCharacter, n: int) -> CyclotomicElement:
-    return chi(n)
-
-
 def characters_mod(q: int) -> list[DirichletCharacter]:
     """All phi(q) characters mod q in deterministic lexicographic order."""
     group = unit_group(q)
@@ -204,6 +186,8 @@ def characters_mod(q: int) -> list[DirichletCharacter]:
 
 
 def character_by_index(q: int, index: int) -> DirichletCharacter:
+    if q < 1:
+        raise UnknownCharacterError(f"modulus {q} is not positive")
     chars = characters_mod(q)
     if not 0 <= index < len(chars):
         raise UnknownCharacterError(f"character index {index} out of range for modulus {q}")
@@ -237,17 +221,6 @@ def is_quadratic(chi: DirichletCharacter) -> bool:
     return chi.order == 2
 
 
-def quadratic_sign_table(chi: DirichletCharacter) -> list[int]:
-    """Values of a quadratic (or trivial) character as ints, indexed mod q."""
-    if chi.order > 2:
-        raise ValueError("character is not quadratic")
-    out = []
-    for n in range(chi.modulus):
-        r = chi.value_exponent(n)
-        out.append(0 if r is None else (1 if r == 0 else -1))
-    return out
-
-
 def gauss_sum(chi: DirichletCharacter) -> CyclotomicElement:
     """tau(chi) = sum of chi(n) zeta_q^n, exact in Q(zeta_lcm(order, q))."""
     q = chi.modulus
@@ -272,20 +245,11 @@ def central_character(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma)
     return chi1(gamma.d).embed(m) * chi2(gamma.d).conj().embed(m)
 
 
-def psi_exponent_pair(chi1: DirichletCharacter, chi2: DirichletCharacter, d: int):
-    """Exponents (r1, r2) of chi1(d) and conj(chi2)(d), or None when either vanishes."""
-    r1 = chi1.value_exponent(d)
-    r2 = chi2.value_exponent(d)
-    if r1 is None or r2 is None:
-        return None
-    return r1, (-r2) % chi2.order
-
-
 _NAMED_BASE = {"chi3": 3, "chi4": 4, "chi5": 5, "chi7": 7, "chi8a": 8, "chi8b": 8}
 
 
 class UnknownCharacterError(ValueError):
-    """A character tag or q:index spec that names nothing."""
+    """A character tag, q:index spec or character pair spec that names nothing."""
 
 
 def named_character(tag: str) -> DirichletCharacter:
@@ -298,14 +262,15 @@ def named_character(tag: str) -> DirichletCharacter:
         chi for chi in characters_mod(q) if is_quadratic(chi) and is_primitive(chi)
     ]
     if q != 8:
-        assert len(candidates) == 1
+        if len(candidates) != 1:
+            raise CertificateError(f"{len(candidates)} quadratic primitive characters mod {q}")
         return candidates[0]
     want = 1 if tag == "chi8a" else -1
     for chi in candidates:
         v = chi(7)
         if v.rational_value() == want:
             return chi
-    raise AssertionError("no quadratic primitive character mod 8 with the requested sign at 7")
+    raise CertificateError("no quadratic primitive character mod 8 with the requested sign at 7")
 
 
 def parse_character(spec: str) -> DirichletCharacter:
@@ -313,5 +278,9 @@ def parse_character(spec: str) -> DirichletCharacter:
     spec = spec.strip()
     if ":" in spec:
         q_str, idx_str = spec.split(":", 1)
-        return character_by_index(int(q_str), int(idx_str))
+        try:
+            q, idx = int(q_str), int(idx_str)
+        except ValueError:
+            raise UnknownCharacterError(f"expected q:index with integers, got {spec!r}") from None
+        return character_by_index(q, idx)
     return named_character(spec)

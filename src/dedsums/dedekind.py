@@ -20,7 +20,7 @@ from typing import Sequence
 from . import characters as chars
 from .bernoulli import periodic_bernoulli, scaled_int_poly
 from .characters import DirichletCharacter
-from .exactnum import CyclotomicElement, lcm
+from .exactnum import CertificateError, CyclotomicElement, lcm
 from .modgroup import (
     CUSP_INF,
     Cusp,
@@ -34,10 +34,6 @@ from .modgroup import (
 
 class ParityError(ValueError):
     """chi1 chi2(-1) != (-1)^k, so the sums are not defined."""
-
-
-class CertificateError(AssertionError):
-    """An exact certificate failed; raised explicitly, so ``python -O`` keeps it."""
 
 
 def classical_s(h: int, k: int) -> Fraction:
@@ -219,22 +215,15 @@ def _combine(ctx: SumContext, acc, denom: int) -> CyclotomicElement:
 
 
 def sum_S(ctx: SumContext, a: int, c: int) -> CyclotomicElement:
-    """The finite double sum at the cusp data (a, c), c > 0 divisible by q1 q2."""
+    """The finite double sum at the cusp data (a, c), c > 0 divisible by q1 q2.
+
+    For a quadratic pair the value is rational; ``rational_value()`` gives it
+    as a Fraction.
+    """
     a = _validate_pair(ctx, a, c)
     scale = scaled_int_poly(ctx.k - 1, c * ctx.q1)[1]
     acc = _accumulate(ctx, a, c)
     return _combine(ctx, acc, 2 * c * scale)
-
-
-def sum_S_rational(ctx: SumContext, a: int, c: int) -> Fraction:
-    """Fast path for quadratic pairs: the sum as a plain Fraction."""
-    if not ctx.quadratic:
-        raise ValueError("rational path requires a quadratic pair of characters")
-    a = _validate_pair(ctx, a, c)
-    scale = scaled_int_poly(ctx.k - 1, c * ctx.q1)[1]
-    acc = _accumulate(ctx, a, c)
-    total = acc[0][0] - acc[0][1] - acc[1][0] + acc[1][1]
-    return Fraction(total, 2 * c * scale)
 
 
 def sum_S_tilde(ctx: SumContext, a: int, c: int) -> CyclotomicElement:
@@ -242,12 +231,13 @@ def sum_S_tilde(ctx: SumContext, a: int, c: int) -> CyclotomicElement:
     return sum_S(ctx, a, c) * Fraction(c) ** (ctx.k - 2)
 
 
-def sum_S_tilde_rational(ctx: SumContext, a: int, c: int) -> Fraction:
-    return sum_S_rational(ctx, a, c) * Fraction(c) ** (ctx.k - 2)
-
-
 def sweep_S_tilde_rational(ctx: SumContext, pairs: Sequence[tuple[int, int]]) -> list[Fraction]:
-    """S-tilde over many (a, c) pairs, sharing one P table per distinct c."""
+    """S-tilde over many (a, c) pairs of a quadratic pair, one P table per distinct c.
+
+    The batched form of ``sum_S_tilde(...).rational_value()``: with both
+    characters of order 2, the exponent-class matrix projects onto Q as
+    acc[0][0] - acc[0][1] - acc[1][0] + acc[1][1].
+    """
     if not ctx.quadratic:
         raise ValueError("sweeps are defined for quadratic pairs only")
     by_c: dict[int, list[int]] = {}
@@ -361,7 +351,7 @@ def _lagrange(xs: list[Fraction], ys: list) -> list:
             for t in range(len(basis) - 1):
                 basis[t] -= xs[j] * basis[t + 1]
             denom *= xs[i] - xs[j]
-        scale = ys[i] / denom if not isinstance(ys[i], CyclotomicElement) else ys[i] * (1 / denom)
+        scale = ys[i] / denom
         for t in range(n):
             coeffs[t] = coeffs[t] + scale * basis[t]
     return coeffs

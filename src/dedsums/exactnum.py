@@ -12,27 +12,38 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 Rational = Fraction
 
-Scalar = Union[int, Fraction, "CyclotomicElement"]
+
+class CertificateError(AssertionError):
+    """An exact certificate failed; raised explicitly, so ``python -O`` keeps it."""
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1 as ascending (p, e) pairs, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi needs n >= 1")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p, _ in factorize(n):
+        result -= result // p
     return result
 
 
@@ -62,8 +73,10 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     for d in range(1, m):
         if m % d == 0:
             num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
-            assert not any(rem)
-    assert all(c.denominator == 1 for c in num)
+            if any(rem):
+                raise CertificateError(f"Phi_{d} does not divide x^{m} - 1 exactly")
+    if any(c.denominator != 1 for c in num):
+        raise CertificateError(f"Phi_{m} has a non-integer coefficient")
     return tuple(int(c) for c in num)
 
 
@@ -71,7 +84,7 @@ class CyclotomicElement:
     """An element of Q(zeta_m) as sum(coeffs[i] * zeta_m^i, i < phi(m)).
 
     Immutable.  Addition and multiplication require both operands to live in
-    the same order m; use :func:`embed_order` / :func:`common_order` to lift
+    the same order m; use :meth:`embed` / :func:`common_order` to lift
     first.  Plain ints and Fractions mix freely as constants.
     """
 
@@ -149,7 +162,7 @@ class CyclotomicElement:
             if other.order != self.order:
                 raise ValueError(
                     f"mixed cyclotomic orders {self.order} and {other.order}; "
-                    "lift with embed_order first"
+                    "lift with embed first"
                 )
             return other
         if isinstance(other, (int, Fraction)):
@@ -272,36 +285,9 @@ def common_order(x: CyclotomicElement, y: CyclotomicElement) -> tuple[Cyclotomic
     return x.embed(m), y.embed(m)
 
 
-def cyclotomic_arith(x: CyclotomicElement, y, op: str) -> CyclotomicElement:
-    """Dispatcher form of the ring operations (add, mul, neg, conj)."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "neg":
-        return -x
-    if op == "conj":
-        return x.conj()
-    raise ValueError(f"unknown op {op!r}")
-
-
-def embed_order(x: CyclotomicElement, new_order: int) -> CyclotomicElement:
-    return x.embed(new_order)
-
-
-def to_complex(x) -> complex:
-    if isinstance(x, CyclotomicElement):
-        return x.to_complex()
-    return complex(x)
-
-
 def rational_to_str(x: Fraction) -> str:
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
-def rational_from_str(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def rational_gcd_set(values) -> Fraction:

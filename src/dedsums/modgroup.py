@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Sequence
 
-from .exactnum import CyclotomicElement
+from .exactnum import CertificateError, CyclotomicElement, factorize
 
 
 class MatrixFormatError(ValueError):
@@ -137,7 +137,6 @@ class Cusp:
 
 
 CUSP_INF = Cusp.infinity()
-CUSP_ZERO = Cusp(0, 1)
 
 
 def cusp_apply(gamma: Mat2, cusp: Cusp) -> Cusp:
@@ -176,12 +175,6 @@ def g_witness(a: int, c: int, n: int) -> Mat2:
     return Mat2(a, b, c, d)
 
 
-def enumerate_G(n: int, j: int) -> list[Mat2]:
-    if n < 3 or j < 1:
-        raise ValueError("need N >= 3 and j >= 1")
-    return [g_witness(a, c, n) for a, c in iter_G_pairs(n, j)]
-
-
 def iter_gamma1_cusp_pairs(n: int) -> Iterator[tuple[int, int]]:
     """(a, c) pairs of G_j(N) in rings of growing j; a fixed deterministic order."""
     j = 1
@@ -198,22 +191,11 @@ def iter_gamma1_cusp_pairs(n: int) -> Iterator[tuple[int, int]]:
 
 
 def gamma1_index(n: int) -> int:
-    """[SL2(Z) : Gamma_1(N)] = N^2 prod (1 - 1/p^2) for N >= 5."""
-    num, den = n * n, 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            num *= p * p - 1
-            den *= p * p
-        p += 1
-    if m > 1:
-        num *= m * m - 1
-        den *= m * m
-    assert num % den == 0
-    return num // den
+    """[SL2(Z) : Gamma_1(N)] = prod p^(2e-2) (p^2 - 1) over p^e || N, for N >= 5."""
+    index = 1
+    for p, e in factorize(n):
+        index *= p ** (2 * e - 2) * (p * p - 1)
+    return index
 
 
 def _coset_key(g: Mat2, n: int) -> tuple[int, int]:
@@ -240,7 +222,8 @@ def gamma1_coset_table(n: int, order: str = "st") -> dict[tuple[int, int], Mat2]
             if key not in reps:
                 reps[key] = g
                 queue.append(g)
-    assert len(reps) == gamma1_index(n)
+    if len(reps) != gamma1_index(n):
+        raise CertificateError(f"coset BFS found {len(reps)} cosets of Gamma_1({n}), not the index")
     return reps
 
 
@@ -254,7 +237,8 @@ def gamma1_generators(n: int, order: str = "st") -> list[Mat2]:
             g = r * x
             u = g * reps[_coset_key(g, n)].inverse()
             if u != MAT_I and u not in seen:
-                assert in_gamma1(u, n)
+                if not in_gamma1(u, n):
+                    raise CertificateError(f"Schreier generator {u} is not in Gamma_1({n})")
                 seen.add(u)
                 gens.append(u)
     return gens
@@ -288,7 +272,8 @@ def word_in_ST(m: Mat2) -> list[Mat2]:
     check = MAT_I
     for w in letters:
         check = check * w
-    assert check == m
+    if check != m:
+        raise CertificateError(f"S/T word multiplies to {check}, not {m}")
     return letters
 
 
@@ -297,8 +282,8 @@ def express_in_gamma1_generators(m: Mat2, n: int, order: str = "st") -> list[Mat
 
     Standard Reidemeister rewriting through the coset table: each emitted
     factor is a Schreier generator (letters S, T) or the inverse of one
-    (letters T^-1).  The word multiplies back to m exactly (asserted),
-    certifying membership in the generated subgroup.
+    (letters T^-1).  The word multiplies back to m exactly (checked, else
+    CertificateError), certifying membership in the generated subgroup.
     """
     if not in_gamma1(m, n):
         raise ValueError(f"matrix is not in Gamma_1({n})")
@@ -312,14 +297,17 @@ def express_in_gamma1_generators(m: Mat2, n: int, order: str = "st") -> list[Mat
         rep = reps[_coset_key(g, n)]
         u = g * rep.inverse()
         if u != MAT_I:
-            assert u in gens or u.inverse() in gens
+            if u not in gens and u.inverse() not in gens:
+                raise CertificateError(f"{u} is not a Schreier generator of Gamma_1({n}) or an inverse")
             used.append(u)
         r = rep
-    assert r == MAT_I
+    if r != MAT_I:
+        raise CertificateError(f"coset walk for {m} ends at {r}, not the identity coset")
     prod = MAT_I
     for u in used:
         prod = prod * u
-    assert prod == m
+    if prod != m:
+        raise CertificateError(f"generator word multiplies to {prod}, not {m}")
     return used
 
 
@@ -330,7 +318,7 @@ class Poly:
     """Polynomial sum(coeffs[n] x^(k-n-2)) of degree <= k-2.
 
     coeffs[0] multiplies the top power x^(k-2).  Entries are Fractions or
-    CyclotomicElements.
+    CyclotomicElements (both compare equal to 0 when they vanish).
     """
 
     __slots__ = ("weight", "coeffs")
@@ -379,7 +367,7 @@ class Poly:
         )
 
     def is_zero(self) -> bool:
-        return all(c == 0 or (isinstance(c, CyclotomicElement) and c.is_zero()) for c in self.coeffs)
+        return all(c == 0 for c in self.coeffs)
 
     def slash(self, gamma: Mat2) -> "Poly":
         """Weight (2-k) action: sum a_n (c x + d)^n (a x + b)^(k-n-2)."""
@@ -388,7 +376,7 @@ class Poly:
         # powers[(i)] of the two linear forms as ascending coefficient lists
         out = [Fraction(0)] * (k - 1)
         for n, coeff in enumerate(self.coeffs):
-            if coeff == 0 or (isinstance(coeff, CyclotomicElement) and coeff.is_zero()):
+            if coeff == 0:
                 continue
             term = _linear_power(c, d, n)
             term = _poly_mul(term, _linear_power(a, b, k - n - 2))
@@ -403,7 +391,7 @@ class Poly:
         out = ""
         k = self.weight
         for n, c in enumerate(self.coeffs):
-            if c == 0 or (isinstance(c, CyclotomicElement) and c.is_zero()):
+            if c == 0:
                 continue
             power = k - n - 2
             if isinstance(c, CyclotomicElement):
@@ -437,12 +425,6 @@ def _poly_mul(p: list[int], q: list[int]) -> list[int]:
                 if qj:
                     out[i + j] += pi * qj
     return out
-
-
-def slash_poly(p: Poly, gamma: Mat2, k: int | None = None) -> Poly:
-    if k is not None and k != p.weight:
-        raise ValueError("weight mismatch")
-    return p.slash(gamma)
 
 
 # -- continued fractions -----------------------------------------------------
@@ -500,5 +482,6 @@ def random_gamma1(rng, n: int, size: int = 6) -> Mat2:
         a = pow(d, -1, c)
         b = (a * d - 1) // c
         m = Mat2(a, b, c, d)
-        assert in_gamma1(m, n)
+        if not in_gamma1(m, n):
+            raise CertificateError(f"random_gamma1 drew {m}, which is not in Gamma_1({n})")
         return m

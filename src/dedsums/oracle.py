@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from .characters import gauss_sum
 from .dedekind import SumContext
-from .modgroup import Cusp, Mat2
+from .exactnum import CertificateError
+from .modgroup import Cusp, Mat2, g_witness
 
 TWO_PI_I = 2j * math.pi
 
@@ -280,14 +281,6 @@ def integral_to_zero(
     return upper + lower
 
 
-def _infinity_orbit_witness(cusp: Cusp) -> Mat2:
-    d = pow(cusp.p, -1, cusp.q)
-    if d == 0:
-        d = cusp.q
-    b = (cusp.p * d - 1) // cusp.q
-    return Mat2(cusp.p, b, cusp.q, d)
-
-
 def shat_numeric(
     nctx: NumericContext, cusp: Cusp, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> complex:
@@ -301,7 +294,7 @@ def shat_numeric(
     n_level = nctx.n_level
     scale = nctx.s_scale()
     if cusp.q % n_level == 0:
-        gamma = _infinity_orbit_witness(cusp)
+        gamma = g_witness(cusp.p, cusp.q, n_level)
         return scale * phi_numeric(nctx, gamma, 1.0, -cusp.p / cusp.q, policy)
     if math.gcd(cusp.q % n_level, n_level) != 1:
         raise ValueError(f"cusp {cusp} lies in neither the infinity nor the zero orbit")
@@ -309,11 +302,12 @@ def shat_numeric(
         return scale * integral_to_zero(nctx, 0.0, policy)
     # cusp = omega(b_cusp) with b_cusp on the infinity orbit
     b_cusp = Cusp(-cusp.q, n_level * cusp.p)
-    assert b_cusp.q % n_level == 0
+    if b_cusp.q % n_level:
+        raise CertificateError(f"omega({cusp}) = {b_cusp} is off the infinity orbit")
     b_val = b_cusp.p / b_cusp.q
     j_pow = (math.sqrt(n_level) * b_val) ** (2 - nctx.k)
     swap = nctx.swap()
-    gamma = _infinity_orbit_witness(b_cusp)
+    gamma = g_witness(b_cusp.p, b_cusp.q, n_level)
     inner = phi_numeric(swap, gamma, 1.0, -b_val, policy) - integral_to_zero(
         swap, -b_val, policy
     )

@@ -6,7 +6,6 @@ import pytest
 from dedsums.characters import (
     DirichletCharacter,
     central_character,
-    char_value,
     character_by_index,
     characters_mod,
     conductor,
@@ -16,13 +15,17 @@ from dedsums.characters import (
     named_character,
     parity,
     parse_character,
-    quadratic_sign_table,
     unit_group,
 )
 from dedsums.exactnum import CyclotomicElement, euler_phi, lcm
 from dedsums.modgroup import Mat2, random_gamma0
 
 Z = CyclotomicElement.root_of_unity
+
+
+def sign_table(chi):
+    """Values of a quadratic character as ints, indexed mod q."""
+    return [chi(n).rational_value() for n in range(chi.modulus)]
 
 
 def brute_force_multiplicative_check(chi):
@@ -53,7 +56,7 @@ def test_q5_has_one_primitive_quadratic():
     quad = [c for c in characters_mod(5) if is_quadratic(c) and is_primitive(c)]
     assert len(quad) == 1
     # and it is the Legendre symbol: residues 1, 4 -> +1; 2, 3 -> -1
-    assert quadratic_sign_table(quad[0]) == [0, 1, -1, -1, 1]
+    assert sign_table(quad[0]) == [0, 1, -1, -1, 1]
 
 
 def test_q8_has_two_primitive_quadratics():
@@ -168,7 +171,7 @@ def test_psi_multiplicative():
 
 def test_named_characters():
     chi5 = named_character("chi5")
-    assert quadratic_sign_table(chi5) == [0, 1, -1, -1, 1]
+    assert sign_table(chi5) == [0, 1, -1, -1, 1]
     assert named_character("chi8b")(7) == -1
     prod = named_character("chi3") * named_character("chi3")
     assert prod.is_trivial()

@@ -46,6 +46,14 @@ def test_unknown_pair_exit_code():
     assert "character" in err
 
 
+@pytest.mark.parametrize("pair", ["chi3", "chi3,chi4,chi5", "5:x,3:1", "0:1,3:1"])
+def test_malformed_pair_is_usage_error(pair):
+    code, out, err = run_cli("sum", "--pair", pair, "--k", "2", "--a", "1", "--c", "15")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_domain_error_exit_code():
     code, _, err = run_cli("gens", "--n", "4")
     assert code == cli.EXIT_DOMAIN

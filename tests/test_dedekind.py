@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dedsums import dedekind as dk
+from dedsums import analysis, dedekind as dk
 from dedsums.bernoulli import periodic_bernoulli
 from dedsums.characters import characters_mod, named_character
 from dedsums.dedekind import ParityError, SumContext
@@ -127,7 +127,7 @@ def test_quadratic_pair_values_are_rational():
         a = rng.choice([x for x in range(1, c) if Fraction(x, c).denominator == c])
         v = dk.sum_S(ctx, a, c)
         assert v.is_rational()
-        assert v.rational_value() == dk.sum_S_rational(ctx, a, c)
+        assert v.rational_value() == slow_sum_S(ctx, a, c).rational_value()
 
 
 def test_a_mod_c_invariance():
@@ -149,7 +149,7 @@ def test_gamma_infinity_invariance():
 def test_s_tilde_reference_anchor():
     # S-tilde at the inverse of (26 1; 25 1), normalized to (a, c) = (-1, 25)
     ctx = ctx_for("chi5", "chi5", 4)
-    assert dk.sum_S_tilde_rational(ctx, -1, 25) == Fraction(-24, 5)
+    assert dk.sum_S_tilde(ctx, -1, 25).rational_value() == Fraction(-24, 5)
     g_inv = Mat2(26, 1, 25, 1).inverse()
     v = dk.sum_S_matrix(ctx, g_inv)
     assert v.rational_value() * 25 ** 2 == Fraction(-24, 5)
@@ -170,12 +170,29 @@ def test_image_divisibility_chi4_chi4_k4_full_sweep():
     assert all((v / 6).denominator == 1 for v in values)
 
 
-def test_sweep_matches_single_calls():
-    ctx = ctx_for("chi3", "chi4", 4)
-    pairs = list(iter_G_pairs(12, 4))
+TABLE_CELLS = [
+    (pair, k)
+    for pairs, weights in (
+        (analysis.TABLE1_PAIRS + analysis.TABLE2_PAIRS, analysis.EVEN_WEIGHTS),
+        (analysis.TABLE3_PAIRS, analysis.ODD_WEIGHTS),
+    )
+    for pair in pairs
+    for k in weights
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(cell=st.sampled_from(TABLE_CELLS), t=st.integers(1, 30), data=st.data())
+def test_sweep_matches_single_calls(cell, t, data):
+    # the P-table lookup of the sweep against the Horner evaluation of sum_S,
+    # several a sharing one c (and so one table)
+    ctx = analysis.context_for(*cell)
+    c = ctx.n * t
+    unit = st.integers(-2 * c, 2 * c).filter(lambda a: gcd(a, c) == 1)
+    pairs = [(a, c) for a in data.draw(st.lists(unit, min_size=1, max_size=4))]
     values = dk.sweep_S_tilde_rational(ctx, pairs)
-    for (a, c), v in zip(pairs[:6], values[:6]):
-        assert v == dk.sum_S_tilde_rational(ctx, a, c)
+    for (a, _), v in zip(pairs, values):
+        assert v == dk.sum_S(ctx, a, c).rational_value() * c ** (ctx.k - 2)
 
 
 def test_weight2_crossed_homomorphism():

@@ -1,20 +1,22 @@
+import ast
 import cmath
 import random
 from fractions import Fraction
+from math import gcd, isqrt, prod
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dedsums
 from dedsums.exactnum import (
     CyclotomicElement,
     common_order,
-    cyclotomic_arith,
     cyclotomic_polynomial,
-    embed_order,
     euler_phi,
-    rational_from_str,
+    factorize,
     rational_gcd_set,
     rational_to_str,
-    to_complex,
 )
 
 Z = CyclotomicElement.root_of_unity
@@ -33,6 +35,26 @@ def test_euler_phi():
     assert [euler_phi(n) for n in range(1, 13)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 3000))
+def test_factorize_and_euler_phi(n):
+    factors = factorize(n)
+    primes = [p for p, _ in factors]
+    assert primes == sorted(set(primes))
+    assert all(p > 1 and all(p % d for d in range(2, isqrt(p) + 1)) for p in primes)
+    assert all(e >= 1 for _, e in factors)
+    assert prod(p**e for p, e in factors) == n
+    assert euler_phi(n) == sum(1 for u in range(n) if gcd(u, n) == 1)
+
+
+def test_no_assert_statements_in_the_package():
+    # certificates must survive python -O, which strips assert statements
+    for path in sorted(Path(dedsums.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
 def test_i_squared_is_minus_one():
     assert Z(4, 1) * Z(4, 1) == CyclotomicElement.from_rational(-1, 4)
 
@@ -47,14 +69,12 @@ def test_cube_roots_sum_to_zero():
     assert total.is_zero()
 
 
-def test_arith_dispatcher():
+def test_ring_operations():
     x, y = Z(4, 1), Z(4, 3)  # i and -i
-    assert cyclotomic_arith(x, y, "mul") == 1
-    assert cyclotomic_arith(x, y, "add").is_zero()
-    assert cyclotomic_arith(x, None, "neg") == y
-    assert cyclotomic_arith(x, None, "conj") == y
-    with pytest.raises(ValueError):
-        cyclotomic_arith(x, y, "div")
+    assert x * y == 1
+    assert (x + y).is_zero()
+    assert -x == y
+    assert x.conj() == y
 
 
 def test_mixed_orders_require_lifting():
@@ -65,7 +85,7 @@ def test_mixed_orders_require_lifting():
 
 
 def test_embed_zeta3_into_order_12():
-    assert embed_order(Z(3, 1), 12) == Z(12, 4)
+    assert Z(3, 1).embed(12) == Z(12, 4)
 
 
 def test_embed_rational_any_order():
@@ -89,7 +109,7 @@ def test_embed_then_add_matches_complex():
 
 def test_to_complex_examples():
     assert abs(Z(4, 1).to_complex() - 1j) < 1e-15
-    assert abs(to_complex(CyclotomicElement.from_rational(Fraction(3, 2))) - 1.5) < 1e-15
+    assert abs(CyclotomicElement.from_rational(Fraction(3, 2)).to_complex() - 1.5) < 1e-15
     assert abs((Z(3, 1) - Z(3, 2)).to_complex() - 1j * cmath.sqrt(3)) < 1e-12
 
 
@@ -123,7 +143,7 @@ def test_power_and_division():
 def test_serialization_round_trip():
     x = Z(12, 7) * Fraction(3, 5) + Fraction(1, 2)
     assert CyclotomicElement.from_json(x.to_json()) == x
-    assert rational_from_str(rational_to_str(Fraction(-22, 7))) == Fraction(-22, 7)
+    assert Fraction(rational_to_str(Fraction(-22, 7))) == Fraction(-22, 7)
     assert rational_to_str(Fraction(4)) == "4"
 
 

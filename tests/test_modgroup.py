@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import dedsums
 from dedsums.modgroup import (
     CUSP_INF,
     Cusp,
@@ -13,7 +17,6 @@ from dedsums.modgroup import (
     Poly,
     cocycle_j,
     cusp_apply,
-    enumerate_G,
     express_in_gamma1_generators,
     g_witness,
     gamma1_coset_table,
@@ -26,7 +29,6 @@ from dedsums.modgroup import (
     partial_quotients,
     random_gamma0,
     random_gamma1,
-    slash_poly,
     translation,
     word_in_ST,
 )
@@ -61,7 +63,7 @@ def test_cusp_canonicalization():
 
 
 def test_G1_of_9_is_empty():
-    assert enumerate_G(9, 1) == []
+    assert list(iter_G_pairs(9, 1)) == []
 
 
 def brute_force_G(n, j):
@@ -78,8 +80,8 @@ def test_G_pairs_match_brute_force(n, j):
     assert sorted(iter_G_pairs(n, j)) == sorted(brute_force_G(n, j))
 
 
-def test_enumerate_G_matrices_in_gamma1():
-    for m in enumerate_G(9, 5):
+def test_G_witnesses_in_gamma1():
+    for m in (g_witness(a, c, 9) for a, c in iter_G_pairs(9, 5)):
         assert in_gamma1(m, 9)
         assert 1 <= m.d <= m.c  # canonical least witness
 
@@ -122,6 +124,35 @@ def test_coset_counts_match_index_formula():
     for n in (9, 12, 15, 21, 24, 25):
         assert len(gamma1_coset_table(n)) == gamma1_index(n)
     assert gamma1_index(25) == 600
+
+
+def test_gamma1_index_counts_bottom_rows():
+    for n in range(3, 61):
+        rows = sum(1 for c in range(n) for d in range(n) if gcd(gcd(c, d), n) == 1)
+        assert gamma1_index(n) == rows, n
+
+
+def test_coset_certificate_survives_optimize_flag():
+    script = (
+        "import sys\n"
+        "from dedsums import modgroup\n"
+        "from dedsums.exactnum import CertificateError\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "modgroup.gamma1_index = lambda n: 601\n"
+        "try:\n"
+        "    modgroup.gamma1_coset_table(25)\n"
+        "except CertificateError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit('gamma1_coset_table accepted a wrong coset count')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dedsums.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONOPTIMIZE", None)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_gamma1_generators_live_in_gamma1():
@@ -178,7 +209,7 @@ def test_membership_certificate_random():
 
 def test_poly_slash_identity():
     p = Poly(4, [Fraction(2), Fraction(-1, 3), Fraction(5)])
-    assert slash_poly(p, Mat2.identity()) == p
+    assert p.slash(Mat2.identity()) == p
 
 
 def test_poly_slash_quadratic_expansion():

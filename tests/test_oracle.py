@@ -6,7 +6,7 @@ import pytest
 
 from dedsums import dedekind as dk, fricke as fr, oracle as oc
 from dedsums.characters import characters_mod, named_character
-from dedsums.modgroup import CUSP_INF, Cusp, Mat2, cusp_apply, random_gamma0
+from dedsums.modgroup import CUSP_INF, Cusp, Mat2, cusp_apply, g_witness, random_gamma0
 
 
 def ctx_for(t1, t2, k):
@@ -242,8 +242,6 @@ def _integral_to_cusp(nctx, cusp, y_val):
     b_cusp = fr.fricke_apply(n_level, cusp)
     x2 = y_val * _m.sqrt(n_level)
     y2 = -1 / _m.sqrt(n_level)
-    from dedsums.oracle import _infinity_orbit_witness
-
-    witness = _infinity_orbit_witness(b_cusp)
+    witness = g_witness(b_cusp.p, b_cusp.q, n_level)
     inner = oc.phi_numeric(swap, witness, x2, y2) - oc.antiderivative_at(swap, z_star, x2, y2)
     return upper + nctx.fricke_R() * inner
