@@ -2,10 +2,14 @@
 function, and the quantum-modular polynomials h_gamma.
 
 The double sum over (j mod c, n mod q1) is pushed entirely into integer
-arithmetic: every Bernoulli argument has denominator D = c*q1, so one scaled
-integer polynomial table P(t) = s * B_{k-1}(t/D) serves the whole matrix, and
-character values enter as root-of-unity exponent classes that are only
-expanded into a cyclotomic number at the very end.
+arithmetic.  Since q1 | c, every Bernoulli argument (j a + n c/q1)/c has
+denominator c, and the inner n-sum is one twisted Bernoulli value
+V_t(j a mod c) per power-basis coordinate t of conj(chi1): on each of q1
+intervals of r in [0, c) it is one integer polynomial, a piece of Berndt's
+character Bernoulli polynomial.  So each j costs one Horner evaluation (one
+table lookup in a sweep) per coordinate, and chi2 values enter as
+root-of-unity exponent classes that are only expanded into a cyclotomic
+number at the very end.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Sequence
 from . import characters as chars
 from .bernoulli import periodic_bernoulli, scaled_int_poly
 from .characters import DirichletCharacter
-from .exactnum import CertificateError, CyclotomicElement, lcm
+from .exactnum import CertificateError, CyclotomicElement, euler_phi, lcm
 from .modgroup import (
     CUSP_INF,
     Cusp,
@@ -107,6 +111,15 @@ class SumContext:
     def chi2_exps(self) -> tuple:
         return tuple(self.chi2.value_exponent(n) for n in range(self.q2))
 
+    @cached_property
+    def chi1_conj_coords(self) -> tuple:
+        """(n, power-basis coordinates of conj(chi1)(n) in Q(zeta_o1)) over the units n mod q1."""
+        return tuple(
+            (n, tuple(int(x) for x in CyclotomicElement.root_of_unity(self.o1, -e).coeffs))
+            for n, e in enumerate(self.chi1_exps)
+            if e is not None
+        )
+
     def swap(self) -> "SumContext":
         return SumContext(self.chi2, self.chi1, self.k)
 
@@ -127,80 +140,80 @@ def _validate_pair(ctx: SumContext, a: int, c: int) -> int:
     return a % c
 
 
-def _accumulate(ctx: SumContext, a: int, c: int, p_table=None):
-    """Exponent-class accumulation of the double sum.
+def _taylor_shift(coeffs: list[int], delta: int) -> list[int]:
+    """Descending coefficients of P(x + delta) from those of P(x)."""
+    p = list(coeffs)
+    for i in range(len(p) - 1):
+        for j in range(1, len(p) - i):
+            p[j] += delta * p[j - 1]
+    return p
 
-    Returns an o1 x o2 integer matrix acc with
-    S = sum(acc[u][v] zeta_o1^u zeta_o2^v) / (2 c s), s the scale of
-    :func:`bernoulli.scaled_int_poly` at denominator c*q1.
+
+def _twisted_pieces(ctx: SumContext, c: int) -> tuple[list, int]:
+    """The twisted Bernoulli values V_t(r), r in [0, c), as q1 polynomial pieces.
+
+    V_t(r) = sum over units n mod q1 of [conj(chi1)(n)]_t * s*B_{k-1}({(r + n m)/c}),
+    where m = c/q1, [x]_t is the coordinate of x at zeta_o1^t in the power
+    basis of Q(zeta_o1), and s is the scale of :func:`bernoulli.scaled_int_poly`
+    at denominator c (a piece of Berndt's B_{k-1, conj chi1}).  Returns
+    ``pieces`` and s: pieces[t][i] holds the descending integer coefficients of
+    V_t(i m + rho) in rho, exact for 0 < rho < m.  At a boundary r = i m the
+    term of n = -i mod q1 sits at an integer, where the periodic polynomial is
+    0 and the piece is not; the kernel never asks for those points, since q2 | m makes
+    such an r = j a mod c force q2 | j and so chi2(j) = 0.
+    """
+    q1 = ctx.q1
+    m = c // q1
+    ints, scale = scaled_int_poly(ctx.k - 1, c)
+    # the term of n on piece i is P(((i + n) mod q1) m + rho)
+    shifted = [_taylor_shift(ints[::-1], g * m) for g in range(q1)]
+    deg = len(ints)
+    pieces = [[[0] * deg for _ in range(q1)] for _ in range(euler_phi(ctx.o1))]
+    for i in range(q1):
+        for n, weights in ctx.chi1_conj_coords:
+            src = shifted[(i + n) % q1]
+            for pieces_t, wt in zip(pieces, weights):
+                if wt:
+                    pieces_t[i] = [x + wt * y for x, y in zip(pieces_t[i], src)]
+    return pieces, scale
+
+
+def _accumulate(ctx: SumContext, a: int, c: int, pieces: list) -> list[list[int]]:
+    """Coordinate-class accumulation of the double sum.
+
+    Returns a phi(o1) x o2 integer matrix acc with
+    S = sum(acc[t][v] zeta_o1^t zeta_o2^v) / (2 c s), s the scale that comes
+    with ``pieces`` from :func:`_twisted_pieces`: the inner n-sum at
+    r = j a mod c is one Horner evaluation of V_t per coordinate t.
 
     Only j up to c/2 is swept; the pairing j -> c-j contributes the same
     total (the three sign flips cancel against the parity constraint), so the
-    result is doubled.  With ``p_table`` the inner polynomial is a lookup
-    (worth it when many a share one c); otherwise each value is a Horner
-    evaluation at exactly the arguments that occur.
+    result is doubled.
     """
-    q1, q2 = ctx.q1, ctx.q2
-    o1, o2 = ctx.o1, ctx.o2
-    d_mod = c * q1
-    chi2_exps = ctx.chi2_exps
-    # offsets n*c and conjugated chi1 exponents, n over units mod q1
-    inner = [
-        (n * c, (-e) % o1)
-        for n, e in enumerate(ctx.chi1_exps)
-        if e is not None
-    ]
-    if p_table is None:
-        coeffs = list(reversed(scaled_int_poly(ctx.k - 1, d_mod)[0]))
-    acc = [[0] * o2 for _ in range(o1)]
-    step = (a * q1) % d_mod
-    t0 = 0
+    q2, o2 = ctx.q2, ctx.o2
+    m = c // ctx.q1
     half = (c - 1) // 2
-    for j in range(1, half + 1):
-        t0 += step
-        if t0 >= d_mod:
-            t0 -= d_mod
-        e2 = chi2_exps[j % q2]
+    step = a * q2 % c
+    acc = [[0] * o2 for _ in pieces]
+    # j runs class by class mod q2, so chi2(j) is fixed along each inner loop
+    for u, e2 in enumerate(ctx.chi2_exps):
         if e2 is None:
             continue
-        w = 2 * j - c
-        sums = [0] * o1
-        for off, u in inner:
-            t = t0 + off
-            if t >= d_mod:
-                t -= d_mod
-            if p_table is not None:
-                v = p_table[t]
-            elif t:
+        col = (-e2) % o2
+        for row, pieces_t in zip(acc, pieces):
+            total = 0
+            r = u * a % c
+            for j in range(u, half + 1, q2):
+                i, rho = divmod(r, m)
                 v = 0
-                for cf in coeffs:
-                    v = v * t + cf
-            else:
-                v = 0
-            if v:
-                sums[u] += v
-        row_v = (-e2) % o2
-        for u in range(o1):
-            if sums[u]:
-                acc[u][row_v] += w * sums[u]
-    for row in acc:
-        for v in range(o2):
-            row[v] *= 2
+                for cf in pieces_t[i]:
+                    v = v * rho + cf
+                total += (2 * j - c) * v
+                r += step
+                if r >= c:
+                    r -= c
+            row[col] += 2 * total
     return acc
-
-
-def _p_table(k: int, c: int, q1: int) -> tuple[list[int], int]:
-    """Table of s*B_{k-1}(t/(c q1)) for t in [0, c q1), plus the scale s."""
-    d_mod = c * q1
-    ints, scale = scaled_int_poly(k - 1, d_mod)
-    coeffs = list(reversed(ints))
-    table = [0] * d_mod
-    for t in range(1, d_mod):
-        acc = 0
-        for cf in coeffs:
-            acc = acc * t + cf
-        table[t] = acc
-    return table, scale
 
 
 def _combine(ctx: SumContext, acc, denom: int) -> CyclotomicElement:
@@ -221,8 +234,8 @@ def sum_S(ctx: SumContext, a: int, c: int) -> CyclotomicElement:
     as a Fraction.
     """
     a = _validate_pair(ctx, a, c)
-    scale = scaled_int_poly(ctx.k - 1, c * ctx.q1)[1]
-    acc = _accumulate(ctx, a, c)
+    pieces, scale = _twisted_pieces(ctx, c)
+    acc = _accumulate(ctx, a, c, pieces)
     return _combine(ctx, acc, 2 * c * scale)
 
 
@@ -232,11 +245,13 @@ def sum_S_tilde(ctx: SumContext, a: int, c: int) -> CyclotomicElement:
 
 
 def sweep_S_tilde_rational(ctx: SumContext, pairs: Sequence[tuple[int, int]]) -> list[Fraction]:
-    """S-tilde over many (a, c) pairs of a quadratic pair, one P table per distinct c.
+    """S-tilde over many (a, c) pairs of a quadratic pair, one table of V per distinct c.
 
     The batched form of ``sum_S_tilde(...).rational_value()``: with both
-    characters of order 2, the exponent-class matrix projects onto Q as
-    acc[0][0] - acc[0][1] - acc[1][0] + acc[1][1].
+    characters of order 2, V of :func:`_twisted_pieces` has the single
+    coordinate t = 0 and conj(chi2)(j) = chi2(j) = +-1, so
+    S = sum over j < c/2 of (2j - c) chi2(j) V(j a mod c) / (c s).  The table
+    of V over r in [0, c) and the signed weights (2j - c) chi2(j) serve every a.
     """
     if not ctx.quadratic:
         raise ValueError("sweeps are defined for quadratic pairs only")
@@ -244,14 +259,27 @@ def sweep_S_tilde_rational(ctx: SumContext, pairs: Sequence[tuple[int, int]]) ->
     for idx, (a, c) in enumerate(pairs):
         by_c.setdefault(c, []).append(idx)
     out: list[Fraction] = [Fraction(0)] * len(pairs)
+    chi2_exps, q2 = ctx.chi2_exps, ctx.q2
     for c, indices in by_c.items():
-        table, scale = _p_table(ctx.k, c, ctx.q1)
+        units = [_validate_pair(ctx, pairs[idx][0], c) for idx in indices]
+        pieces, scale = _twisted_pieces(ctx, c)
+        m = c // ctx.q1
+        table = []
+        for coeffs in pieces[0]:
+            for rho in range(m):
+                v = 0
+                for cf in coeffs:
+                    v = v * rho + cf
+                table.append(v)
+        weights = [
+            (j, (2 * j - c) * (-1) ** e2)
+            for j in range(1, (c - 1) // 2 + 1)
+            if (e2 := chi2_exps[j % q2]) is not None
+        ]
         ck = c ** (ctx.k - 2)
-        denom = 2 * c * scale
-        for idx in indices:
-            a = _validate_pair(ctx, pairs[idx][0], c)
-            acc = _accumulate(ctx, a, c, table)
-            total = acc[0][0] - acc[0][1] - acc[1][0] + acc[1][1]
+        denom = c * scale
+        for idx, a in zip(indices, units):
+            total = sum([w * table[j * a % c] for j, w in weights])
             out[idx] = Fraction(total * ck, denom)
     return out
 

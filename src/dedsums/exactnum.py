@@ -38,6 +38,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi needs n >= 1")

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dedsums import analysis, dedekind as dk
-from dedsums.bernoulli import periodic_bernoulli
-from dedsums.characters import characters_mod, named_character
+from dedsums.bernoulli import periodic_bernoulli, scaled_int_poly
+from dedsums.characters import characters_mod, is_primitive, named_character, parity
 from dedsums.dedekind import ParityError, SumContext
 from dedsums.exactnum import CyclotomicElement
 from dedsums.modgroup import (
@@ -184,8 +184,8 @@ TABLE_CELLS = [
 @settings(max_examples=60, deadline=None)
 @given(cell=st.sampled_from(TABLE_CELLS), t=st.integers(1, 30), data=st.data())
 def test_sweep_matches_single_calls(cell, t, data):
-    # the P-table lookup of the sweep against the Horner evaluation of sum_S,
-    # several a sharing one c (and so one table)
+    # the tabulated twisted values of the sweep against the per-j Horner
+    # evaluation of sum_S, several a sharing one c (and so one table)
     ctx = analysis.context_for(*cell)
     c = ctx.n * t
     unit = st.integers(-2 * c, 2 * c).filter(lambda a: gcd(a, c) == 1)
@@ -193,6 +193,133 @@ def test_sweep_matches_single_calls(cell, t, data):
     values = dk.sweep_S_tilde_rational(ctx, pairs)
     for (a, _), v in zip(pairs, values):
         assert v == dk.sum_S(ctx, a, c).rational_value() * c ** (ctx.k - 2)
+
+
+def old_accumulate(ctx: SumContext, a: int, c: int, p_table=None):
+    """The kernel before the twisted values: phi(q1) Bernoulli terms per j at
+    denominator c*q1, o1 x o2 exponent classes, Horner or ``p_table`` lookup."""
+    q1, q2 = ctx.q1, ctx.q2
+    o1, o2 = ctx.o1, ctx.o2
+    d_mod = c * q1
+    chi2_exps = ctx.chi2_exps
+    inner = [(n * c, (-e) % o1) for n, e in enumerate(ctx.chi1_exps) if e is not None]
+    if p_table is None:
+        coeffs = list(reversed(scaled_int_poly(ctx.k - 1, d_mod)[0]))
+    acc = [[0] * o2 for _ in range(o1)]
+    step = (a * q1) % d_mod
+    t0 = 0
+    half = (c - 1) // 2
+    for j in range(1, half + 1):
+        t0 += step
+        if t0 >= d_mod:
+            t0 -= d_mod
+        e2 = chi2_exps[j % q2]
+        if e2 is None:
+            continue
+        w = 2 * j - c
+        sums = [0] * o1
+        for off, u in inner:
+            t = t0 + off
+            if t >= d_mod:
+                t -= d_mod
+            if p_table is not None:
+                v = p_table[t]
+            elif t:
+                v = 0
+                for cf in coeffs:
+                    v = v * t + cf
+            else:
+                v = 0
+            if v:
+                sums[u] += v
+        row_v = (-e2) % o2
+        for u in range(o1):
+            if sums[u]:
+                acc[u][row_v] += w * sums[u]
+    for row in acc:
+        for v in range(o2):
+            row[v] *= 2
+    return acc
+
+
+def old_p_table(k: int, c: int, q1: int) -> list[int]:
+    """Table of s*B_{k-1}(t/(c q1)) for t in [0, c q1), the old sweep's lookup."""
+    d_mod = c * q1
+    coeffs = list(reversed(scaled_int_poly(k - 1, d_mod)[0]))
+    table = [0] * d_mod
+    for t in range(1, d_mod):
+        acc = 0
+        for cf in coeffs:
+            acc = acc * t + cf
+        table[t] = acc
+    return table
+
+
+def old_sum_S(ctx: SumContext, a: int, c: int, p_table=None) -> CyclotomicElement:
+    scale = scaled_int_poly(ctx.k - 1, c * ctx.q1)[1]
+    return dk._combine(ctx, old_accumulate(ctx, a % c, c, p_table), 2 * c * scale)
+
+
+def primitive_characters(moduli, orders):
+    return [
+        chi
+        for q in moduli
+        for chi in characters_mod(q)
+        if chi.order in orders and is_primitive(chi)
+    ]
+
+
+# chi1 of orders 2, 3, 4 and 6; chi2 any primitive nontrivial character of a
+# small modulus
+TWIST_CHI1 = primitive_characters((5, 7, 9, 13), (2, 3, 4, 6))
+TWIST_CHI2 = primitive_characters((3, 4, 5, 7, 8), range(2, 7))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    order=st.sampled_from((2, 3, 4, 6)),
+    chi2=st.sampled_from(TWIST_CHI2),
+    t=st.integers(1, 6),
+    data=st.data(),
+)
+def test_twisted_kernel_matches_old_kernel(order, chi2, t, data):
+    chi1 = data.draw(st.sampled_from([chi for chi in TWIST_CHI1 if chi.order == order]))
+    sign = parity(chi1) * parity(chi2)
+    k = data.draw(st.sampled_from([k for k in range(2, 10) if (-1) ** k == sign]))
+    ctx = SumContext(chi1, chi2, k)
+    c = ctx.n * t
+    a = data.draw(st.integers(-2 * c, 2 * c).filter(lambda a: gcd(a, c) == 1))
+    assert dk.sum_S(ctx, a, c) == old_sum_S(ctx, a, c)
+    if ctx.quadratic:
+        old = old_sum_S(ctx, a, c, old_p_table(k, c, ctx.q1)).rational_value()
+        assert dk.sweep_S_tilde_rational(ctx, [(a, c)]) == [old * c ** (k - 2)]
+
+
+@pytest.mark.parametrize(
+    "tag1,tag2,k,a,c",
+    [("chi5", "chi3", 3, 1, 15), ("chi5", "chi4", 5, 3, 40), ("chi3", "chi5", 7, -7, 45)],
+)
+def test_sum_at_interval_boundary_matches_slow_loop(tag1, tag2, k, a, c):
+    # k - 1 even, so B_{k-1}(0) != 0: at r = i c/q1 the term n = -i mod q1 is
+    # 0 in the double sum but the constant term in V's piece.  Such an r comes
+    # only from a j with q2 | j, where chi2(j) = 0, and the sum stays exact.
+    ctx = ctx_for(tag1, tag2, k)
+    m = c // ctx.q1
+    pieces, scale = dk._twisted_pieces(ctx, c)
+    hits = [j for j in range(1, (c - 1) // 2 + 1) if (j * a) % c % m == 0]
+    assert hits
+    for j in hits:
+        r = j * a % c
+        i = r // m
+        direct = sum(
+            ctx.chi1(n).rational_value()
+            * scale
+            * periodic_bernoulli(k - 1, Fraction(r + n * m, c))
+            for n in range(ctx.q1)
+        )
+        assert pieces[0][i][-1] != direct
+        assert ctx.chi2(j).is_zero()
+    assert dk.sum_S(ctx, a, c) == slow_sum_S(ctx, a, c)
 
 
 def test_weight2_crossed_homomorphism():
