@@ -241,7 +241,6 @@ class BoundSweepRow:
 
 @dataclass
 class BoundReport:
-    pair: tuple[str, str]
     k: int
     c_max: int
     rows: list[BoundSweepRow]
@@ -293,7 +292,6 @@ def bound_statistics(ctx: SumContext, c_max: int) -> BoundReport:
                 ratio = float("nan")
             rows.append(BoundSweepRow(a, c, s_abs, m_a, ratio, delta_ok))
     return BoundReport(
-        pair=("", ""),
         k=ctx.k,
         c_max=c_max,
         rows=rows,

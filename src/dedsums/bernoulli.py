@@ -85,9 +85,7 @@ def scaled_int_poly(k: int, denom: int) -> tuple[tuple[int, ...], int]:
     Lets the character double sums run entirely over Python ints.
     """
     coeffs = bernoulli_poly_coeffs(k)
-    L = 1
-    for c in coeffs:
-        L = lcm(L, c.denominator)
+    L = lcm(*(c.denominator for c in coeffs))
     scale = L * denom**k
     ints = tuple(
         int(coeffs[i] * L) * denom ** (k - i) for i in range(k + 1)
@@ -99,17 +97,10 @@ def char_bernoulli(k: int, chi: DirichletCharacter, x) -> CyclotomicElement:
     """Berndt's character Bernoulli polynomial as the finite sum
     m^(k-1) * sum over n mod m of conj(chi)(n) B_k((x + n)/m)."""
     m = chi.modulus
-    o = chi.order
     x = Fraction(x)
-    total = CyclotomicElement.zero(o)
-    for n in range(m):
-        r = chi.value_exponent(n)
-        if r is None:
-            continue
-        b = periodic_bernoulli(k, (x + n) / m)
-        if b:
-            total = total + CyclotomicElement.root_of_unity(o, (-r) % o) * b
-    return total * Fraction(m) ** (k - 1)
+    exps = ((n, chi.value_exponent(n)) for n in range(m))
+    terms = [(-r, periodic_bernoulli(k, (x + n) / m)) for n, r in exps if r is not None]
+    return CyclotomicElement.from_terms(chi.order, terms) * Fraction(m) ** (k - 1)
 
 
 def char_bernoulli_fourier(k: int, chi: DirichletCharacter, x, terms: int = 20000) -> complex:

@@ -115,10 +115,7 @@ class DirichletCharacter:
 
     @property
     def order(self) -> int:
-        o = 1
-        for e, d in zip(self.exponents, self.group.orders):
-            o = lcm(o, d // gcd(e, d))
-        return o
+        return lcm(*(d // gcd(e, d) for e, d in zip(self.exponents, self.group.orders)))
 
     def value_exponent(self, n: int):
         """r with chi(n) = zeta_order^r, or None when gcd(n, q) > 1."""
@@ -131,9 +128,7 @@ class DirichletCharacter:
         # chi(n) = prod zeta_d^(e*t); collect in zeta_L with L the group exponent,
         # then rescale to the character's own order.
         o = self.order
-        L = 1
-        for d in group.orders:
-            L = lcm(L, d)
+        L = lcm(*group.orders)
         big = 0
         for e, t, d in zip(self.exponents, exps, group.orders):
             big += e * t * (L // d)
@@ -225,24 +220,23 @@ def gauss_sum(chi: DirichletCharacter) -> CyclotomicElement:
     """tau(chi) = sum of chi(n) zeta_q^n, exact in Q(zeta_lcm(order, q))."""
     q = chi.modulus
     m = lcm(chi.order, q)
-    total = CyclotomicElement.zero(m)
     step_order = m // q
     step_chi = m // chi.order
-    for n in range(1, q + 1):
-        r = chi.value_exponent(n)
-        if r is None:
-            continue
-        total = total + CyclotomicElement.root_of_unity(m, r * step_chi + n * step_order)
-    return total
+    exps = ((n, chi.value_exponent(n)) for n in range(1, q + 1))
+    terms = [(r * step_chi + n * step_order, 1) for n, r in exps if r is not None]
+    return CyclotomicElement.from_terms(m, terms)
 
 
 def central_character(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma) -> CyclotomicElement:
-    """psi(gamma) = chi1(d) * conj(chi2(d)) for gamma in Gamma_0(q1 q2)."""
+    """psi(gamma) = chi1(d) * conj(chi2(d)) for gamma in Gamma_0(q1 q2): with
+    chi_i(d) = zeta_{o_i}^{e_i}, the one root zeta_m^(e1 m/o1 - e2 m/o2), m = lcm(o1, o2)."""
     n = chi1.modulus * chi2.modulus
     if gamma.c % n != 0:
         raise ValueError(f"matrix is not in Gamma_0({n})")
-    m = lcm(chi1.order, chi2.order)
-    return chi1(gamma.d).embed(m) * chi2(gamma.d).conj().embed(m)
+    o1, o2 = chi1.order, chi2.order
+    m = lcm(o1, o2)
+    e1, e2 = chi1.value_exponent(gamma.d), chi2.value_exponent(gamma.d)
+    return CyclotomicElement.root_of_unity(m, e1 * (m // o1) - e2 * (m // o2))
 
 
 _NAMED_BASE = {"chi3": 3, "chi4": 4, "chi5": 5, "chi7": 7, "chi8a": 8, "chi8b": 8}

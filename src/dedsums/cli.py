@@ -3,7 +3,8 @@ containment, bound sweeps, verification suites, and plot-data emission.
 
 Structured output (CSV/JSON) goes to stdout; progress chatter stays on
 stderr so piped output is clean.  Exit codes: 0 success, 1 failed checks,
-2 usage errors, 3 parity violations, 4 domain errors.
+2 usage errors, 3 parity violations, 4 domain errors (an oracle series that
+cannot reach its tolerance is one).
 """
 
 from __future__ import annotations
@@ -40,15 +41,29 @@ EXIT_PARITY = 3
 EXIT_DOMAIN = 4
 
 
+class OptionError(ValueError):
+    """A numeric option outside its domain; a usage error."""
+
+
 def _progress(msg: str):
     print(msg, file=sys.stderr, flush=True)
+
+
+def _check_options(args):
+    """Reject a non-finite or non-positive --tol and a non-finite --alpha before any work."""
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise OptionError(f"--tol must be a positive finite number, got {tol}")
+    for alpha in getattr(args, "alpha", None) or ():
+        if not math.isfinite(alpha):
+            raise OptionError(f"--alpha must be finite, got {alpha}")
 
 
 def _context(pair_spec: str, k: int) -> SumContext:
     tags = [t.strip() for t in pair_spec.split(",")]
     if len(tags) != 2:
         raise UnknownCharacterError(f"pair must be 'tag1,tag2', got {pair_spec!r}")
-    return SumContext(parse_character(tags[0]), parse_character(tags[1]), k, label=pair_spec)
+    return SumContext(parse_character(tags[0]), parse_character(tags[1]), k)
 
 
 def _value_str(v) -> str:
@@ -183,8 +198,7 @@ def cmd_plotdata(args) -> int:
     writer.writerow(["a_num", "a_den", "cusp", "value", "value_float"])
     for a, c in iter_G_pairs(ctx.n, args.j):
         v = dk.sum_S(ctx, a, c)
-        vs = rational_to_str(v.rational_value()) if v.is_rational() else _value_str(v)
-        writer.writerow([a, c, f"{a / c:.10f}", vs, f"{v.to_complex().real:.12g}"])
+        writer.writerow([a, c, f"{a / c:.10f}", _value_str(v), f"{v.to_complex().real:.12g}"])
     return EXIT_OK
 
 
@@ -465,6 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_options(args)
         return args.func(args)
     except ParityError as exc:
         print(f"parity violation: {exc}", file=sys.stderr)
@@ -475,6 +490,12 @@ def main(argv=None) -> int:
     except MatrixFormatError as exc:
         print(f"bad matrix: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OptionError as exc:
+        print(f"bad option: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except oc.TruncationError as exc:
+        print(f"oracle truncation: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     except dk.CertificateError as exc:
         print(f"certificate failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

@@ -15,7 +15,7 @@ number at the very end.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -59,7 +59,6 @@ class SumContext:
     chi1: DirichletCharacter
     chi2: DirichletCharacter
     k: int
-    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.k < 2:
@@ -219,12 +218,8 @@ def _accumulate(ctx: SumContext, a: int, c: int, pieces: list) -> list[list[int]
 def _combine(ctx: SumContext, acc, denom: int) -> CyclotomicElement:
     m = ctx.value_order
     s1, s2 = m // ctx.o1, m // ctx.o2
-    raw = [Fraction(0)] * m
-    for u, row in enumerate(acc):
-        for v, val in enumerate(row):
-            if val:
-                raw[(u * s1 + v * s2) % m] += Fraction(val, denom)
-    return CyclotomicElement._from_raw(m, raw)
+    terms = [(u * s1 + v * s2, val) for u, row in enumerate(acc) for v, val in enumerate(row)]
+    return CyclotomicElement.from_terms(m, terms, denom)
 
 
 def sum_S(ctx: SumContext, a: int, c: int) -> CyclotomicElement:

@@ -3,7 +3,9 @@
 Rationals are plain ``fractions.Fraction`` (always reduced, positive
 denominator), re-exported here as ``Rational``.  Cyclotomic numbers are kept
 in the power basis of Q(zeta_m) modulo the m-th cyclotomic polynomial, so
-equality of canonical forms is equality of field elements.
+equality of canonical forms is equality of field elements.  Every canonical
+form is reached one way: weights are summed per exponent mod m, and each
+nonzero exponent adds its cached row, the coordinates of zeta_m^e.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -81,6 +83,33 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(int(c) for c in num)
 
 
+@lru_cache(maxsize=None)
+def _zeta_rows(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Power-basis coordinates of zeta_m^e for e < m, as (index, value) pairs.
+
+    Row e + 1 is row e times zeta_m: shift up one place and subtract the
+    overflow times Phi_m, one shift-and-subtract per row.
+    """
+    phi = cyclotomic_polynomial(m)
+    row = [1] + [0] * (len(phi) - 2)
+    rows = []
+    for _ in range(m):
+        rows.append(tuple((i, x) for i, x in enumerate(row) if x))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [x - top * p for x, p in zip(row, phi)]
+    if row[0] != 1 or any(row[1:]):
+        raise CertificateError(f"the rows of Q(zeta_{m}) do not close: zeta^{m} != 1")
+    return tuple(rows)
+
+
+def _numerators(values) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` over their least common denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 class CyclotomicElement:
     """An element of Q(zeta_m) as sum(coeffs[i] * zeta_m^i, i < phi(m)).
 
@@ -120,20 +149,30 @@ class CyclotomicElement:
 
     @classmethod
     def root_of_unity(cls, order: int, exponent: int = 1) -> "CyclotomicElement":
-        """zeta_order^exponent in canonical form."""
-        exponent %= order
-        raw = [Fraction(0)] * order
-        raw[exponent] = Fraction(1)
-        return cls._from_raw(order, raw)
+        """zeta_order^exponent in canonical form: one row of the table."""
+        return cls.from_terms(order, [(exponent, 1)])
 
     @classmethod
-    def _from_raw(cls, order: int, raw: list[Fraction]) -> "CyclotomicElement":
-        """Reduce an arbitrary-degree coefficient list modulo Phi_order."""
-        deg = euler_phi(order)
-        if len(raw) > deg:
-            _, raw = _poly_divmod(raw, cyclotomic_polynomial(order))
-        raw = list(raw) + [Fraction(0)] * (deg - len(raw))
-        return cls(order, raw)
+    def from_terms(cls, order: int, terms, denom: int = 1) -> "CyclotomicElement":
+        """sum(w * zeta_order^e for (e, w) in terms) / denom in canonical form.
+
+        Weights (ints or Fractions) are summed per exponent mod order; each
+        nonzero sum adds its row of :func:`_zeta_rows` once, in integers.
+        """
+        sums: dict[int, Fraction] = {}
+        for e, w in terms:
+            if w:
+                e %= order
+                sums[e] = sums.get(e, 0) + w
+        nums, den = _numerators(sums.values())
+        rows = _zeta_rows(order)
+        acc = [0] * euler_phi(order)
+        for e, n in zip(sums, nums):
+            if n:
+                for i, x in rows[e]:
+                    acc[i] += x * n
+        den *= denom
+        return cls(order, [Fraction(x, den) for x in acc])
 
     # -- queries -----------------------------------------------------------
 
@@ -197,14 +236,10 @@ class CyclotomicElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        raw = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        raw[i + j] += ai * bj
-        return CyclotomicElement._from_raw(self.order, raw)
+        a, da = _numerators(self.coeffs)
+        b, db = _numerators(o.coeffs)
+        terms = [(i + j, x * y) for i, x in enumerate(a) if x for j, y in enumerate(b) if y]
+        return CyclotomicElement.from_terms(self.order, terms, da * db)
 
     __rmul__ = __mul__
 
@@ -230,23 +265,16 @@ class CyclotomicElement:
 
     def conj(self) -> "CyclotomicElement":
         """Complex conjugation, zeta_m -> zeta_m^(-1)."""
-        m = self.order
-        raw = [Fraction(0)] * m
-        for i, c in enumerate(self.coeffs):
-            if c:
-                raw[(m - i) % m] += c
-        return CyclotomicElement._from_raw(m, raw)
+        terms = ((-i, c) for i, c in enumerate(self.coeffs))
+        return CyclotomicElement.from_terms(self.order, terms)
 
     def embed(self, new_order: int) -> "CyclotomicElement":
         """The same number expressed in Q(zeta_new_order)."""
         if new_order % self.order != 0:
             raise ValueError(f"{new_order} is not a multiple of order {self.order}")
         step = new_order // self.order
-        raw = [Fraction(0)] * new_order
-        for i, c in enumerate(self.coeffs):
-            if c:
-                raw[i * step] += c
-        return CyclotomicElement._from_raw(new_order, raw)
+        terms = ((i * step, c) for i, c in enumerate(self.coeffs))
+        return CyclotomicElement.from_terms(new_order, terms)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -276,10 +304,6 @@ class CyclotomicElement:
         return cls(data["order"], [Fraction(c) for c in data["coefficients"]])
 
 
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 def common_order(x: CyclotomicElement, y: CyclotomicElement) -> tuple[CyclotomicElement, CyclotomicElement]:
     """Lift a pair into the smallest common cyclotomic field."""
     m = lcm(x.order, y.order)
@@ -297,16 +321,7 @@ def rational_gcd_set(values) -> Fraction:
     For reduced fractions a_i/b_i this is gcd of the numerators over a common
     denominator; equivalently the generator of the Z-module the values span.
     """
-    values = list(values)
-    if not values:
+    nums, den = _numerators([Fraction(v) for v in values])
+    if not nums:
         raise ValueError("rational_gcd_set of an empty set")
-    values = [Fraction(v) for v in values]
-    den = 1
-    for v in values:
-        den = lcm(den, v.denominator)
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v.numerator) * (den // v.denominator))
-        if g == 1 and den == 1:
-            break
-    return Fraction(g, den)
+    return Fraction(gcd(*nums), den)

@@ -2,6 +2,7 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dedsums.characters import (
     DirichletCharacter,
@@ -157,6 +158,22 @@ def test_central_character_same_pair_is_one_on_gamma0():
     for _ in range(10):
         gamma = random_gamma0(rng, 25)
         assert central_character(chi5, chi5, gamma) == 1
+
+
+NON_QUADRATIC = [chi for q in (5, 7, 9, 13) for chi in characters_mod(q) if chi.order > 2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    chi1=st.sampled_from(NON_QUADRATIC),
+    chi2=st.sampled_from(NON_QUADRATIC),
+    seed=st.integers(0, 2**32),
+)
+def test_central_character_is_the_product_of_values(chi1, chi2, seed):
+    gamma = random_gamma0(random.Random(seed), chi1.modulus * chi2.modulus)
+    m = lcm(chi1.order, chi2.order)
+    product = chi1(gamma.d).embed(m) * chi2(gamma.d).conj().embed(m)
+    assert central_character(chi1, chi2, gamma) == product
 
 
 def test_psi_multiplicative():

@@ -160,3 +160,42 @@ def test_verify_output_deterministic():
     _, out1, _ = run_cli("verify", "--suite", "poly-space", "--seed", "11")
     _, out2, _ = run_cli("verify", "--suite", "poly-space", "--seed", "11")
     assert out1 == out2
+
+
+def test_oracle_truncation_is_domain_error(monkeypatch):
+    from dedsums import oracle
+
+    def give_up(*args, **kwargs):
+        raise oracle.TruncationError("tail estimate above tolerance at the term cap")
+
+    monkeypatch.setattr(oracle, "shat_numeric", give_up)
+    code, out, err = run_cli("sum", "--pair", "chi3,chi3", "--k", "2", "--a", "1", "--c", "9", "--oracle")
+    assert code == cli.EXIT_DOMAIN
+    assert out.startswith("S = ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+SUM_ORACLE = ["sum", "--pair", "chi3,chi3", "--k", "2", "--a", "1", "--c", "9", "--oracle"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [SUM_ORACLE + ["--tol", t] for t in ("nan", "inf", "0", "-1")]
+    + [["verify", "--suite", "poly-space", "--tol", t] for t in ("nan", "inf", "0", "-1")]
+    + [["bounds", "--pair", "chi3,chi3", "--k", "2", "--alpha", "1", a] for a in ("inf", "nan")],
+)
+def test_bad_numeric_option_is_usage_error(argv, monkeypatch):
+    # rejected before any work: the sum, suite or sweep would raise here
+    from dedsums import analysis, dedekind
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the option check")
+
+    monkeypatch.setattr(dedekind, "sum_S", no_work)
+    monkeypatch.setattr(analysis, "bound_statistics", no_work)
+    monkeypatch.setitem(cli.SUITES, "poly-space", no_work)
+    code, out, err = run_cli(*argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1

@@ -6,11 +6,12 @@ from math import gcd, isqrt, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dedsums
 from dedsums.exactnum import (
     CyclotomicElement,
+    _poly_divmod,
     common_order,
     cyclotomic_polynomial,
     euler_phi,
@@ -53,6 +54,38 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+# every order up to 120 plus the largest fields of the crosscheck workload
+REDUCTION_ORDERS = list(range(1, 121)) + [156, 342]
+
+
+def dense_terms(m):
+    """One weight at every exponent 0..2m, the widest input a product feeds in."""
+    return [(e, Fraction(e % 7 - 3, e % 5 + 1)) for e in range(2 * m + 1)]
+
+
+@st.composite
+def cyclotomic_terms(draw):
+    m = draw(st.sampled_from(REDUCTION_ORDERS))
+    weight = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    terms = draw(st.lists(st.tuples(st.integers(0, 2 * m), weight), max_size=40))
+    return m, terms, draw(st.integers(1, 30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cyclotomic_terms())
+@example(case=(156, dense_terms(156), 1))
+@example(case=(342, dense_terms(342), 7))
+def test_from_terms_matches_long_division(case):
+    # reference: the dense raw vector reduced by long division modulo Phi_m
+    m, terms, denom = case
+    raw = [Fraction(0)] * (2 * m + 1)
+    for e, w in terms:
+        raw[e] += w
+    _, rem = _poly_divmod(raw, cyclotomic_polynomial(m))
+    rem = [c / denom for c in rem] + [Fraction(0)] * (euler_phi(m) - len(rem))
+    assert CyclotomicElement.from_terms(m, terms, denom).coeffs == tuple(rem)
 
 
 def test_i_squared_is_minus_one():
