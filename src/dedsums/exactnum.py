@@ -50,13 +50,16 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _poly_divmod(num: list[Fraction], den: Sequence[int]) -> tuple[list[Fraction], list[Fraction]]:
-    """Divide by a monic integer polynomial; coefficients ascending."""
+def _poly_divmod(num: Sequence, den: Sequence[int]) -> tuple[list, list]:
+    """Divide by a monic integer polynomial; coefficients ascending.
+
+    Exact over Z and over Q: integer input gives integer output.
+    """
     num = list(num)
     dden = len(den) - 1
     if den[dden] != 1:
         raise ValueError("divisor must be monic")
-    quot = [Fraction(0)] * max(len(num) - dden, 0)
+    quot = [0] * max(len(num) - dden, 0)
     for i in range(len(num) - 1, dden - 1, -1):
         c = num[i]
         if c:
@@ -71,16 +74,15 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the m-th cyclotomic polynomial Phi_m."""
     if m < 1:
         raise ValueError("order must be positive")
-    # x^m - 1 divided by Phi_d for all proper divisors d of m.
-    num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+    # x^m - 1 divided by Phi_d for all proper divisors d of m; every divisor
+    # is monic with integer coefficients, so the long division stays in Z.
+    num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
             num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
             if any(rem):
                 raise CertificateError(f"Phi_{d} does not divide x^{m} - 1 exactly")
-    if any(c.denominator != 1 for c in num):
-        raise CertificateError(f"Phi_{m} has a non-integer coefficient")
-    return tuple(int(c) for c in num)
+    return tuple(num)
 
 
 @lru_cache(maxsize=None)

@@ -17,6 +17,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import accumulate, islice, repeat
+from operator import mul, truediv
+
 from .characters import gauss_sum
 from .dedekind import SumContext
 from .exactnum import CertificateError
@@ -56,7 +59,7 @@ class NumericContext:
         self.chi1 = [_unit(e, ctx.o1) for e in ctx.chi1_exps]
         self.chi2_bar = [None if e is None else _unit(-e, ctx.o2) for e in ctx.chi2_exps]
         self.q1, self.q2 = q1, q2
-        self._sigma: list[complex] = [0j]  # sigma[0] unused
+        self._sigma: list[complex] = [0j, 1 + 0j]  # sigma[0] unused, sigma(1) = 1
         self._swap: "NumericContext | None" = None
 
     def swap(self) -> "NumericContext":
@@ -91,23 +94,47 @@ class NumericContext:
         return self._sigma[n]
 
     def _grow_sigma(self, upto: int):
+        """Extend sigma to at least ``upto`` terms by the Hecke recurrence.
+
+        sigma = chi1 * (conj(chi2) n^(k-1)) is a Dirichlet convolution of two
+        completely multiplicative functions, so with alpha_p = chi1(p) and
+        beta_p = conj(chi2)(p) p^(k-1) (each 0 when p divides its modulus):
+        sigma(p) = alpha_p + beta_p, sigma(pm) = sigma(p) sigma(m) when p does
+        not divide m, and sigma(pm) = sigma(p) sigma(m) - alpha_p beta_p
+        sigma(m/p) when it does.  Each N takes its smallest prime factor p from
+        one sieve, so a build is O(M) products.
+        """
         old = len(self._sigma) - 1
         if upto <= old:
             return
         new_upto = max(upto, 2 * old, 64)
-        sig = self._sigma + [0j] * (new_upto - old)
+        spf = _smallest_prime_factors(new_upto)
         k1 = self.k - 1
-        for a in range(1, new_upto + 1):
-            va = self.chi1[a % self.q1]
-            if va is None or va == 0:
+        q1, q2 = self.q1, self.q2
+        alpha = [v or 0j for v in self.chi1]
+        beta = [v or 0j for v in self.chi2_bar]
+        sig = self._sigma
+        for n in range(old + 1, new_upto + 1):
+            p = spf[n]
+            if not p:
+                sig.append(alpha[n % q1] + beta[n % q2] * float(n) ** k1)
                 continue
-            start = old // a + 1
-            for b in range(start, new_upto // a + 1):
-                vb = self.chi2_bar[b % self.q2]
-                if vb is None:
-                    continue
-                sig[a * b] += va * vb * float(b) ** k1
-        self._sigma = sig
+            m = n // p
+            if m % p:
+                sig.append(sig[p] * sig[m])
+            else:
+                hecke = alpha[p % q1] * beta[p % q2] * float(p) ** k1
+                sig.append(sig[p] * sig[m] - hecke * sig[m // p])
+
+
+def _smallest_prime_factors(n: int) -> list[int]:
+    """spf[m] for composite m <= n, and 0 at 0, 1 and the primes."""
+    spf = [0] * (n + 1)
+    # largest p first: a composite p marks only multiples of its smallest
+    # prime factor, which marks them again after it
+    for p in range(math.isqrt(n), 1, -1):
+        spf[p * p :: p] = [p] * ((n - p * p) // p + 1)
+    return spf
 
 
 def _unit(e, order: int):
@@ -137,7 +164,18 @@ def _poly_weight(k: int, z: complex, x: complex, y: complex) -> float:
 
 
 def _tail_terms(y: float, k: int, tol: float, weight: float, cap: int) -> tuple[int, float]:
-    """Smallest M with 4 weight sum_{N>M} N^(k+1/2) e^(-2 pi N y) below tol."""
+    """Least M >= 8 with 4 weight sum_{N>M} N^(k+1/2) e^(-2 pi N y) below tol.
+
+    Term N of the antiderivative series is at most 4 (k-1) weight
+    N^(k-3/2) e^(-2 pi N y), since |sigma(N)| <= d(N) N^(k-1) <= 2 sqrt(N)
+    N^(k-1); that is under the bound's term once N^2 >= k-1, so M >= 8 keeps
+    the bound a bound up to k = 65.  tail_at(M) sums the bound's terms as a
+    geometric series in their first ratio.  It is non-increasing in M (the
+    ratio falls with M, and tail_at is infinite while the ratio is near 1),
+    so after growing M by half at a time until the bound holds, a bisection
+    finds the least such M.  No M above ``cap`` is tried: if tail_at(cap)
+    misses tol, it raises.
+    """
     if y <= 0:
         raise ValueError("evaluation point must be in the upper half plane")
     x = math.exp(-2 * math.pi * y)
@@ -150,10 +188,9 @@ def _tail_terms(y: float, k: int, tol: float, weight: float, cap: int) -> tuple[
             return math.inf
         return t / (1 - ratio)
 
-    m = max(8, int(power / (2 * math.pi * y)))
+    lo, m = 7, min(max(8, int(power / (2 * math.pi * y))), cap)
     while tail_at(m) > tol:
-        m = int(m * 1.5) + 8
-        if m > cap:
+        if m >= cap:
             # keep growing off the books to suggest a workable cutoff
             needed = m
             while tail_at(needed) > tol and needed < 200 * cap:
@@ -162,7 +199,22 @@ def _tail_terms(y: float, k: int, tol: float, weight: float, cap: int) -> tuple[
                 f"tail estimate {tail_at(cap):.3g} above tolerance {tol:.3g} at the "
                 f"{cap}-term cap; roughly {needed} terms would be needed"
             )
+        lo, m = m, min(int(m * 1.5) + 8, cap)
+    # tail_at(lo) > tol >= tail_at(m)
+    while m - lo > 1:
+        mid = (lo + m) // 2
+        if tail_at(mid) > tol:
+            lo = mid
+        else:
+            m = mid
     return m, tail_at(m)
+
+
+def _series_terms(nctx: NumericContext, z: complex, terms: int) -> list[complex]:
+    """sigma(N) e(Nz) for N = 1..terms."""
+    nctx._grow_sigma(terms)
+    powers = accumulate(repeat(cmath.exp(TWO_PI_I * z), terms), mul)
+    return list(map(mul, islice(nctx._sigma, 1, terms + 1), powers))
 
 
 def antiderivative_at(
@@ -171,36 +223,22 @@ def antiderivative_at(
     """F(z; X, Y): the termwise antiderivative of E * (Xz+Y)^(k-2) at z.
 
     Normalized so F -> 0 towards i*infinity; integrals over vertical paths are
-    plain differences of F values.
+    plain differences of F values.  The sum over n comes out of the sum over
+    N: pass n divides sigma(N) e(Nz) by N once more and sums it, so F is
+    -2 sum_n P^(n)(z) / (-2 pi i)^(n+1) sum_N sigma(N) e(Nz) / N^(n+1).
     """
     k = nctx.k
     x, y = complex(x), complex(y)
     weight = _poly_weight(k, z, x, y)
     terms, tail = _tail_terms(z.imag, k, policy.tol * 0.25, weight, policy.n_cap)
     policy.require(tail, terms)
-    nctx._grow_sigma(terms)
-    sigma = nctx._sigma
-    # derivative values P^(n)(z), n = 0..k-2
-    derivs = []
-    fac = 1.0
-    for n in range(k - 1):
-        derivs.append(fac * x**n * (x * z + y) ** (k - 2 - n))
-        fac *= k - 2 - n
+    series = _series_terms(nctx, z, terms)
     total = 0j
-    e_step = cmath.exp(TWO_PI_I * z)
-    e_cur = 1.0 + 0j
-    for n_idx in range(1, terms + 1):
-        e_cur *= e_step
-        s = sigma[n_idx]
-        if s == 0:
-            continue
-        denom = -TWO_PI_I * n_idx
-        inner = 0j
-        power = denom
-        for d in derivs:
-            inner += d / power
-            power *= denom
-        total += s * e_cur * inner
+    fac = 1.0  # P^(n)(z) = (k-2)...(k-1-n) x^n (xz+y)^(k-2-n)
+    for n in range(k - 1):
+        series = list(map(truediv, series, range(1, terms + 1)))
+        total += fac * x**n * (x * z + y) ** (k - 2 - n) / (-TWO_PI_I) ** (n + 1) * sum(series)
+        fac *= k - 2 - n
     return -2 * total
 
 
@@ -215,14 +253,7 @@ def eisenstein_eval(nctx: NumericContext, z: complex, policy: TruncationPolicy =
     """Truncated Fourier series 2 sum sigma(N) e(Nz)."""
     terms, tail = _tail_terms(z.imag, nctx.k, policy.tol * 0.5, 1.0, policy.n_cap)
     policy.require(tail, terms)
-    nctx._grow_sigma(terms)
-    total = 0j
-    e_step = cmath.exp(TWO_PI_I * z)
-    e_cur = 1.0 + 0j
-    for n_idx in range(1, terms + 1):
-        e_cur *= e_step
-        total += nctx._sigma[n_idx] * e_cur
-    return 2 * total
+    return 2 * sum(_series_terms(nctx, z, terms))
 
 
 def phi_numeric(

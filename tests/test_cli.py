@@ -179,6 +179,15 @@ def test_oracle_truncation_is_domain_error(monkeypatch):
 SUM_ORACLE = ["sum", "--pair", "chi3,chi3", "--k", "2", "--a", "1", "--c", "9", "--oracle"]
 
 
+@pytest.mark.parametrize("tol", ["1e300", "1", "1e-8"])
+def test_loose_tol_does_not_loosen_the_series(tol):
+    # --tol is only the pass threshold; the series is summed to min(tol, 1e-8) / 10
+    code, out, _ = run_cli(*SUM_ORACLE, "--tol", tol)
+    assert code == cli.EXIT_OK
+    residual = float(out.splitlines()[-1].split("=")[1])
+    assert residual < 1e-8
+
+
 @pytest.mark.parametrize(
     "argv",
     [SUM_ORACLE + ["--tol", t] for t in ("nan", "inf", "0", "-1")]

@@ -3,9 +3,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dedsums import dedekind as dk, fricke as fr, oracle as oc
-from dedsums.characters import characters_mod, named_character
+from dedsums.characters import characters_mod, is_primitive, named_character, parity
 from dedsums.modgroup import CUSP_INF, Cusp, Mat2, cusp_apply, g_witness, random_gamma0
 
 
@@ -245,3 +246,150 @@ def _integral_to_cusp(nctx, cusp, y_val):
     witness = g_witness(b_cusp.p, b_cusp.q, n_level)
     inner = oc.phi_numeric(swap, witness, x2, y2) - oc.antiderivative_at(swap, z_star, x2, y2)
     return upper + nctx.fricke_R() * inner
+
+
+# -- the series against copies of the earlier loops ---------------------------
+
+
+def old_sigma(nctx, upto):
+    """sigma(1..upto) by the divisor double loop the Hecke recurrence replaced."""
+    sig = [0j] * (upto + 1)
+    k1 = nctx.k - 1
+    for a in range(1, upto + 1):
+        va = nctx.chi1[a % nctx.q1]
+        if va is None or va == 0:
+            continue
+        for b in range(1, upto // a + 1):
+            vb = nctx.chi2_bar[b % nctx.q2]
+            if vb is None:
+                continue
+            sig[a * b] += va * vb * float(b) ** k1
+    return sig
+
+
+def old_antiderivative_at(nctx, z, x, y, policy=oc.DEFAULT_POLICY):
+    """F(z; X, Y) by the per-term loop the builtin passes replaced, same M.
+
+    Also returns 2 sum_N |term N|, the scale of the rounding error of any
+    order of summation.
+    """
+    k = nctx.k
+    x, y = complex(x), complex(y)
+    weight = oc._poly_weight(k, z, x, y)
+    terms, tail = oc._tail_terms(z.imag, k, policy.tol * 0.25, weight, policy.n_cap)
+    policy.require(tail, terms)
+    derivs = []
+    fac = 1.0
+    for n in range(k - 1):
+        derivs.append(fac * x**n * (x * z + y) ** (k - 2 - n))
+        fac *= k - 2 - n
+    total, scale = 0j, 0.0
+    e_step = cmath.exp(2j * math.pi * z)
+    e_cur = 1.0 + 0j
+    for n_idx in range(1, terms + 1):
+        e_cur *= e_step
+        s = nctx.sigma(n_idx)
+        if s == 0:
+            continue
+        denom = -2j * math.pi * n_idx
+        inner = 0j
+        power = denom
+        for d in derivs:
+            inner += d / power
+            power *= denom
+        total += s * e_cur * inner
+        scale += abs(s * e_cur * inner)
+    return -2 * total, 2 * scale
+
+
+def tail_bound(y, k, weight, m):
+    """The tail bound of oracle._tail_terms at M = m, written out again."""
+    x = math.exp(-2 * math.pi * y)
+    power = k + 0.5
+    ratio = x * ((m + 2) / (m + 1)) ** power
+    if ratio >= 0.9999:
+        return math.inf
+    return 4 * weight * (m + 1) ** power * x ** (m + 1) / (1 - ratio)
+
+
+PRIME_POWER_CHARACTERS = [
+    chi for q in (4, 8, 9, 25, 27) for chi in characters_mod(q) if is_primitive(chi) and chi.order <= 12
+]
+
+
+@st.composite
+def numeric_contexts(draw, pool=PRIME_POWER_CHARACTERS, ks=range(2, 10)):
+    chi1 = draw(st.sampled_from(pool))
+    chi2 = draw(st.sampled_from(pool))
+    sign = parity(chi1) * parity(chi2)
+    k = draw(st.sampled_from([k for k in ks if (-1) ** k == sign]))
+    return oc.NumericContext(dk.SumContext(chi1, chi2, k))
+
+
+def test_prime_power_pool_covers_the_moduli():
+    assert {chi.modulus for chi in PRIME_POWER_CHARACTERS} == {4, 8, 9, 25, 27}
+    assert max(chi.order for chi in PRIME_POWER_CHARACTERS) > 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(nctx=numeric_contexts(), upto=st.integers(1, 3000), first=st.integers(1, 3000))
+def test_hecke_sigma_matches_divisor_loop(nctx, upto, first):
+    reference = old_sigma(nctx, upto)
+    for n in range(1, upto + 1):
+        assert abs(nctx.sigma(n) - reference[n]) <= 1e-13 * max(1.0, float(n) ** (nctx.k - 1)), n
+    # growing in two steps gives the same values as one build
+    stepped = oc.NumericContext(nctx.ctx)
+    stepped._grow_sigma(min(first, upto))
+    stepped._grow_sigma(upto)
+    once = oc.NumericContext(nctx.ctx)
+    once._grow_sigma(upto)
+    assert stepped._sigma[: upto + 1] == once._sigma[: upto + 1]
+
+
+QUADRATIC_AND_MIXED = [named_character(t) for t in ("chi3", "chi4", "chi5", "chi7", "chi8a")] + [
+    chi for chi in characters_mod(5) + characters_mod(7) if chi.order > 2
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nctx=numeric_contexts(QUADRATIC_AND_MIXED, range(2, 8)),
+    re_z=st.floats(-1, 1),
+    height=st.floats(0.01, 1.5),
+    xy=st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2)),
+)
+def test_antiderivative_matches_per_term_loop(nctx, re_z, height, xy):
+    z = complex(re_z, height)
+    x, y = complex(xy[0], xy[1]), xy[2]
+    new = oc.antiderivative_at(nctx, z, x, y)
+    old, scale = old_antiderivative_at(nctx, z, x, y)
+    assert abs(new - old) <= 1e-12 * max(abs(old), scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nctx=numeric_contexts(QUADRATIC_AND_MIXED, range(2, 8)),
+    re_z=st.floats(-1, 1),
+    height=st.floats(0.02, 1.5),
+    xy=st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+    tol=st.sampled_from([1e-4, 1e-8, 1e-11]),
+)
+def test_tail_terms_is_least_and_bounds_the_tail(nctx, re_z, height, xy, tol):
+    k = nctx.k
+    z = complex(re_z, height)
+    x, y = complex(xy[0]), complex(xy[1])
+    weight = oc._poly_weight(k, z, x, y)
+    m, tail = oc._tail_terms(height, k, tol, weight, 400_000)
+    assert tail == tail_bound(height, k, weight, m) <= tol
+    assert m == 8 or tail_bound(height, k, weight, m - 1) > tol
+    # the series terms past M, summed in absolute value far beyond it
+    derivs, fac = [], 1.0
+    for n in range(k - 1):
+        derivs.append(fac * x**n * (x * z + y) ** (k - 2 - n))
+        fac *= k - 2 - n
+    past = 0.0
+    for big in range(m + 1, 4 * m + 50):
+        denom = -2j * math.pi * big
+        inner = sum(d / denom ** (n + 1) for n, d in enumerate(derivs))
+        past += abs(2 * nctx.sigma(big) * cmath.exp(2j * math.pi * big * z) * inner)
+    assert past <= tail
