@@ -1,5 +1,6 @@
 """Command-line front end: sums, tables, h-polynomials, generators,
-containment, bound sweeps, verification suites, and plot-data emission.
+containment, bound sweeps, verification suites (run from ``verify``), and
+plot-data emission.
 
 Structured output (CSV/JSON) goes to stdout; progress chatter stays on
 stderr so piped output is clean.  Exit codes: 0 success, 1 failed checks,
@@ -12,14 +13,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
-import os
-import random
 import sys
 import time
 from fractions import Fraction
 
-from . import analysis, dedekind as dk, fricke as fr, oracle as oc
+from . import analysis, dedekind as dk, oracle as oc, verify
 from .characters import UnknownCharacterError, parse_character
 from .dedekind import ParityError, SumContext
 from .exactnum import rational_to_str
@@ -27,12 +25,10 @@ from .modgroup import (
     Cusp,
     Mat2,
     MatrixFormatError,
-    Poly,
     gamma1_generators,
     iter_G_pairs,
-    random_gamma0,
-    random_gamma1,
 )
+from .verify import SUITES
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -50,19 +46,16 @@ def _progress(msg: str):
 
 
 def _check_options(args):
-    """Reject a non-finite or non-positive --tol and a non-finite --alpha before any work."""
+    """Reject a non-finite or non-positive --tol, a non-finite --alpha and a
+    table radius --j below 2 (G_j is empty there) before any work."""
     tol = getattr(args, "tol", None)
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
+    if tol is not None and not 0 < tol < float("inf"):
         raise OptionError(f"--tol must be a positive finite number, got {tol}")
     for alpha in getattr(args, "alpha", None) or ():
-        if not math.isfinite(alpha):
+        if not abs(alpha) < float("inf"):
             raise OptionError(f"--alpha must be finite, got {alpha}")
-
-
-def _series_tol(tol: float) -> float:
-    """The oracle's series target for a pass threshold ``tol``: a tenth of it,
-    and never looser than 1e-9, so a loose --tol cannot pass by truncation."""
-    return min(tol, 1e-8) / 10
+    if args.command == "table" and args.j < 2:
+        raise OptionError(f"--j must be at least 2, got {args.j}")
 
 
 def _context(pair_spec: str, k: int) -> SumContext:
@@ -88,7 +81,7 @@ def cmd_sum(args) -> int:
     if args.tilde:
         print(f"S~ = {_value_str(value * Fraction(args.c) ** (ctx.k - 2))}")
     if args.oracle:
-        policy = oc.TruncationPolicy(tol=_series_tol(args.tol))
+        policy = oc.TruncationPolicy(tol=verify.series_tol(args.tol))
         numeric = oc.shat_numeric(oc.numeric_context(ctx), Cusp(args.a % args.c, args.c), policy)
         residual = abs(value.to_complex() - numeric)
         print(f"oracle residual = {residual:.3e}")
@@ -98,11 +91,10 @@ def cmd_sum(args) -> int:
 
 
 def cmd_table(args) -> int:
-    jobs = args.jobs or int(os.environ.get("DEDSUMS_JOBS", "1"))
     t0 = time.perf_counter()
     tables = analysis.divisibility_tables(
         args.j,
-        jobs=jobs,
+        jobs=args.jobs,
         progress=lambda i, total, spec: _progress(f"[{i}/{total}] {spec[0]} k={spec[1]}"),
     )
     _progress(f"table sweep finished in {time.perf_counter() - t0:.1f}s")
@@ -208,209 +200,11 @@ def cmd_plotdata(args) -> int:
     return EXIT_OK
 
 
-# -- verification suites -----------------------------------------------------
-
-
-def suite_crossed_hom(seed: int, tol: float) -> tuple[bool, str]:
-    """Weight-2 crossed homomorphism on Gamma_0 and the h polynomial cocycle."""
-    rng = random.Random(seed)
-    for n in (9, 12, 21):
-        pair = {9: ("chi3", "chi3"), 12: ("chi3", "chi4"), 21: ("chi3", "chi7")}[n]
-        ctx = _context(",".join(pair), 2)
-        for _ in range(67):
-            g1, g2 = random_gamma0(rng, n, 4), random_gamma0(rng, n, 4)
-            lhs = dk.sum_S_matrix(ctx, g1 * g2)
-            rhs = dk.sum_S_matrix(ctx, g1) + ctx.psi(g1) * dk.sum_S_matrix(ctx, g2)
-            if not (lhs - rhs).is_zero():
-                return False, f"weight-2 cocycle failed at N={n}, {g1}, {g2}"
-    ctx = _context("chi5,chi5", 4)
-    worked = [
-        (Mat2(26, 1, 25, 1), Mat2(51, 104, 25, 51)),
-        (Mat2(51, 104, 25, 51), Mat2(26, 1, 25, 1)),
-    ]
-    pairs = worked + [
-        (random_gamma1(rng, 25, 3), random_gamma1(rng, 25, 3)) for _ in range(48)
-    ]
-    for g1, g2 in pairs:
-        h12 = dk.h_interpolate(ctx, g1 * g2)
-        combo = dk.h_interpolate(ctx, g1).slash(g2) + dk.h_interpolate(ctx, g2)
-        if h12 != combo:
-            return False, f"h cocycle failed at {g1}, {g2}"
-    return True, f"{3 * 67} weight-2 pairs and {len(pairs)} h-polynomial pairs, all exact"
-
-
-def suite_periodicity(seed: int, tol: float) -> tuple[bool, str]:
-    """1-periodicity of S-hat, a mod c invariance, Gamma_infinity invariance."""
-    from .modgroup import iter_gamma1_cusp_pairs
-
-    rng = random.Random(seed)
-    ctx = _context("chi5,chi5", 4)
-    count = 0
-    for a, c in iter_gamma1_cusp_pairs(25):
-        if count >= 100:
-            break
-        count += 1
-        cusp = Cusp(a, c)
-        shift = rng.randint(-3, 3)
-        lhs = dk.shat(ctx, Cusp(a + shift * c, c))
-        if not (lhs - dk.shat(ctx, cusp)).is_zero():
-            return False, f"S-hat not 1-periodic at {cusp}"
-        if not (dk.sum_S(ctx, a + c, c) - dk.sum_S(ctx, a, c)).is_zero():
-            return False, f"a mod c invariance failed at ({a},{c})"
-    return True, f"{count} cusps, shifts exact"
-
-
-def suite_oracle(seed: int, tol: float) -> tuple[bool, str]:
-    """Exact finite sum vs the truncated period integral, 100 seeded draws."""
-    rng = random.Random(seed)
-    pool = [
-        ("chi3", "chi3"), ("chi3", "chi4"), ("chi4", "chi3"), ("chi4", "chi4"),
-        ("chi3", "chi7"), ("chi7", "chi3"), ("chi5", "chi5"),
-        ("chi3", "chi5"), ("chi5", "chi3"), ("chi4", "chi5"), ("chi5", "chi4"),
-    ]
-    policy = oc.TruncationPolicy(tol=_series_tol(tol))
-    from .characters import named_character, parity
-
-    worst = 0.0
-    for i in range(100):
-        tag1, tag2 = pool[rng.randrange(len(pool))]
-        pair_parity = parity(named_character(tag1)) * parity(named_character(tag2))
-        ks = (2, 4, 6) if pair_parity == 1 else (3, 5)
-        k = ks[rng.randrange(len(ks))]
-        ctx = _context(f"{tag1},{tag2}", k)
-        gamma = random_gamma0(rng, ctx.n, 3)
-        while gamma.c == 0:
-            gamma = random_gamma0(rng, ctx.n, 3)
-        nctx = oc.numeric_context(ctx)
-        a, c = (gamma.a, gamma.c) if gamma.c > 0 else (-gamma.a, -gamma.c)
-        exact = dk.sum_S(ctx, a, c).to_complex()
-        numeric = oc.shat_numeric(nctx, Cusp(a % c, c), policy)
-        worst = max(worst, abs(exact - numeric))
-        if abs(exact - numeric) >= 1e-8:
-            return False, f"oracle disagreement {abs(exact - numeric):.2e} at {tag1},{tag2} k={k} {gamma}"
-        if i % 25 == 0:
-            # independence of the interior split point
-            shifted = nctx.s_scale() * oc.phi_numeric(
-                nctx, gamma, 1.0, -a / c, policy, z1=(2j - gamma.d) / gamma.c if gamma.c > 0 else (2j + gamma.d) / -gamma.c
-            )
-            if abs(numeric - shifted) >= 1e-8:
-                return False, f"z1 dependence {abs(numeric - shifted):.2e} at {gamma}"
-    return True, f"100 draws, worst residual {worst:.2e}"
-
-
-def suite_fricke_k2(seed: int, tol: float) -> tuple[bool, str]:
-    """Exact weight-2 Fricke reciprocity on 30+30 random Gamma_0 matrices."""
-    rng = random.Random(seed)
-    for pair, n in (("chi3,chi7", 21), ("chi3,chi4", 12)):
-        ctx = _context(pair, 2)
-        nontrivial = 0
-        for _ in range(30):
-            gamma = random_gamma0(rng, n, 5)
-            report = fr.verify_reciprocity_k2(ctx, gamma)
-            if not report.passed:
-                return False, f"k=2 reciprocity failed at {pair}, {gamma}"
-            if not ctx.psi_is_one(gamma):
-                nontrivial += 1
-        if pair == "chi3,chi7" and nontrivial == 0:
-            return False, "no psi = -1 matrices drawn; constant term never exercised"
-    return True, "60 matrices, both pairs, exactly zero residual"
-
-
-def suite_reciprocity_numeric(seed: int, tol: float) -> tuple[bool, str]:
-    """General-weight reciprocity identity and S-hat(0) cross-checks."""
-    rng = random.Random(seed)
-    checks = 0
-    for pair, k, n in (("chi3,chi4", 2, 12), ("chi5,chi5", 4, 25)):
-        ctx = _context(pair, k)
-        for _ in range(10):
-            gamma = random_gamma0(rng, n, 3)
-            while gamma.c == 0:
-                gamma = random_gamma0(rng, n, 3)
-            cusp = Cusp(1, n * rng.randint(1, 3)) if rng.random() < 0.5 else Cusp(
-                rng.choice([1, 2, -1]), [x for x in (3, 5, 7, 11) if math.gcd(x, n) == 1][rng.randrange(2)]
-            )
-            report = fr.verify_reciprocity_general(ctx, gamma, cusp, tol=tol)
-            checks += 1
-            if not report.passed:
-                return False, f"numeric reciprocity residual {report.residual:.2e} at {pair} k={k} {gamma} {cusp}"
-    from .analysis import TABLE1_PAIRS, TABLE2_PAIRS, TABLE3_PAIRS
-
-    worst = 0.0
-    for pairs, ks in ((TABLE1_PAIRS + TABLE2_PAIRS, (2, 4, 6)), (TABLE3_PAIRS, (3, 5))):
-        for tags in pairs:
-            for k in ks:
-                ctx = _context(f"{tags[0]},{tags[1]}", k)
-                exact = fr.shat_at_zero(ctx).to_complex()
-                numeric = oc.shat_numeric(oc.numeric_context(ctx), Cusp(0, 1))
-                worst = max(worst, abs(exact - numeric))
-                if abs(exact - numeric) >= 1e-8:
-                    return False, f"S-hat(0) mismatch at {tags} k={k}"
-    return True, f"{checks} reciprocity samples; S-hat(0) worst residual {worst:.2e}"
-
-
-def suite_poly_space(seed: int, tol: float) -> tuple[bool, str]:
-    """Slash stability of the coefficient space and the evaluation-scaling bound."""
-    rng = random.Random(seed)
-    ctx = _context("chi5,chi5", 4)
-    k, q1, n = ctx.k, ctx.q1, ctx.n
-    m = Fraction(6)
-    for _ in range(50):
-        coeffs = [
-            Fraction(m * rng.randint(-8, 8), q1 ** (i + 1)) for i in range(k - 1)
-        ]
-        p = Poly(k, coeffs)
-        if not analysis.poly_space_member(p, k, m, q1):
-            return False, f"{p} built in the space at m = {m} is not a member"
-        g0 = random_gamma0(rng, n, 4)
-        if not analysis.poly_space_member(p.slash(g0), k, m, q1):
-            return False, f"slash stability failed at {g0}"
-        g1 = random_gamma1(rng, n, 4)
-        value = Fraction(g1.c) ** (k - 2) * p.eval(Fraction(g1.a, g1.c))
-        if (value * q1 / m).denominator != 1:
-            return False, f"evaluation scaling failed at {g1}"
-    return True, "50 random polynomials, slash-stable and evaluation-bounded"
-
-
-def suite_bounds(seed: int, tol: float) -> tuple[bool, str]:
-    """Trivial magnitude bound and partial-quotient statistics."""
-    for k in (2, 4, 6):
-        ctx = _context("chi3,chi3", k)
-        for a, c in iter_G_pairs(9, 10):
-            s_val = abs(dk.sum_S(ctx, a, c).rational_value())
-            if float(s_val) > analysis.trivial_bound(ctx, c):
-                return False, f"trivial bound violated at k={k} ({a},{c})"
-    ctx = _context("chi3,chi3", 2)
-    report = analysis.bound_statistics(ctx, 180)
-    if not report.trivial_bound_ok:
-        return False, "trivial bound violated inside bound_statistics"
-    if not all(r.delta_ok for r in report.rows):
-        return False, "partial-quotient difference bound violated"
-    counts = [report.exceptional_count(Fraction(a)) for a in (Fraction(1, 10), 1, 10)]
-    if not (counts[0] >= counts[1] >= counts[2]):
-        return False, f"L(alpha, C) not monotone: {counts}"
-    return True, f"G_10(9) sweeps k<=6 and C=180 statistics, max ratio {report.max_ratio:.3f}"
-
-
-SUITES = {
-    "crossed-hom": suite_crossed_hom,
-    "periodicity": suite_periodicity,
-    "oracle": suite_oracle,
-    "fricke-k2": suite_fricke_k2,
-    "reciprocity-numeric": suite_reciprocity_numeric,
-    "poly-space": suite_poly_space,
-    "bounds": suite_bounds,
-}
-
-
 def cmd_verify(args) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
     failed = 0
-    for name in names:
-        t0 = time.perf_counter()
-        ok, detail = SUITES[name](args.seed, args.tol)
-        status = "PASS" if ok else "FAIL"
-        print(f"{status} {name}: {detail}")
-        _progress(f"{name} finished in {time.perf_counter() - t0:.1f}s")
+    for name, ok, detail, seconds in verify.run_suites(args.suite, args.seed, args.tol):
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        _progress(f"{name} finished in {seconds:.1f}s")
         failed += not ok
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
@@ -440,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="the three divisibility tables over G_j")
     p.add_argument("--j", type=int, default=50)
     p.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
-    p.add_argument("--jobs", type=int, default=0, help="worker processes (env DEDSUMS_JOBS)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--timings", action="store_true", help="include wall times (breaks byte-identical output)")
     p.set_defaults(func=cmd_table)
 

@@ -1,5 +1,5 @@
-"""The Fricke flip on cusps, the exact value of S-hat at 0, and the
-reciprocity checks (exact at weight 2, numeric in general).
+"""The Fricke flip on cusps, the exact value of S-hat at 0, and the slash
+actions of Gamma_0(N) and of the flip on the numeric S-hat.
 
 The exact S-hat(0) used here is the product of two character Bernoulli sums,
 
@@ -15,10 +15,8 @@ before anything downstream trusts it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from . import dedekind as dk
 from . import oracle as oc
 from .bernoulli import char_bernoulli
 from .dedekind import SumContext
@@ -43,28 +41,6 @@ def shat_at_zero(ctx: SumContext) -> CyclotomicElement:
     return a * b
 
 
-@dataclass
-class ReciprocityReport:
-    gamma: Mat2
-    gamma_prime: Mat2
-    lhs: CyclotomicElement
-    rhs: CyclotomicElement
-    exact_zero: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.exact_zero
-
-    def to_json(self) -> dict:
-        return {
-            "inputs": {"gamma": str(self.gamma), "gamma_prime": str(self.gamma_prime)},
-            "lhs": self.lhs.to_json(),
-            "rhs": self.rhs.to_json(),
-            "residual": (self.lhs - self.rhs).to_json(),
-            "pass": self.passed,
-        }
-
-
 def conjugate_pair(gamma: Mat2, n: int) -> Mat2:
     """gamma' = (d, -c; -b N, a) for gamma = (a, b; c N, d) in Gamma_0(N)."""
     if gamma.c % n != 0:
@@ -73,53 +49,7 @@ def conjugate_pair(gamma: Mat2, n: int) -> Mat2:
     return Mat2(gamma.d, -c_small, -gamma.b * n, gamma.a)
 
 
-def verify_reciprocity_k2(ctx: SumContext, gamma: Mat2) -> ReciprocityReport:
-    """Exact check of S(gamma) = chi1(-1) S'(gamma') + (1 - psi(gamma)) S-hat(0)."""
-    if ctx.k != 2:
-        raise ValueError("the exact reciprocity identity is the weight 2 case")
-    gamma_p = conjugate_pair(gamma, ctx.n)
-    swap = ctx.swap()
-    # every operand lives in Q(zeta_M), M = lcm of the two character orders
-    lhs = dk.sum_S_matrix(ctx, gamma)
-    sign = 1 if ctx.chi1.value_exponent(-1) == 0 else -1
-    s_swapped = dk.sum_S_matrix(swap, gamma_p)
-    psi = ctx.psi(gamma)
-    rhs = s_swapped * sign + (1 - psi) * shat_at_zero(ctx)
-    return ReciprocityReport(
-        gamma=gamma,
-        gamma_prime=gamma_p,
-        lhs=lhs,
-        rhs=rhs,
-        exact_zero=(lhs - rhs).is_zero(),
-    )
-
-
-@dataclass
-class NumericReciprocityReport:
-    gamma: Mat2
-    gamma_prime: Mat2
-    cusp: Cusp
-    lhs: complex
-    rhs: complex
-    residual: float
-    scale: float
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "inputs": {
-                "gamma": str(self.gamma),
-                "gamma_prime": str(self.gamma_prime),
-                "cusp": str(self.cusp),
-            },
-            "lhs": [self.lhs.real, self.lhs.imag],
-            "rhs": [self.rhs.real, self.rhs.imag],
-            "residual": self.residual,
-            "pass": self.passed,
-        }
-
-
-def _slashed_shat(nctx: oc.NumericContext, gamma: Mat2, cusp: Cusp, policy) -> complex:
+def slashed_shat(nctx: oc.NumericContext, gamma: Mat2, cusp: Cusp, policy) -> complex:
     """(S-hat |_{2-k} gamma)(a) = j(gamma, a)^(k-2) S-hat(gamma a)."""
     image = cusp_apply(gamma, cusp)
     j = gamma.c * (cusp.p / cusp.q) + gamma.d
@@ -128,106 +58,10 @@ def _slashed_shat(nctx: oc.NumericContext, gamma: Mat2, cusp: Cusp, policy) -> c
     return j ** (nctx.k - 2) * oc.shat_numeric(nctx, image, policy)
 
 
-def verify_reciprocity_general(
-    ctx: SumContext,
-    gamma: Mat2,
-    cusp: Cusp,
-    policy: oc.TruncationPolicy = oc.DEFAULT_POLICY,
-    tol: float = 1e-6,
-) -> NumericReciprocityReport:
-    """Numeric evaluation of every term of the Fricke reciprocity identity.
-
-    The slash in the phi terms acts in the cusp variable (the reduction used
-    to prove the identity); residuals are compared against tol scaled by the
-    magnitude of the terms involved.
-    """
-    n = ctx.n
-    if cusp.is_infinity() or cusp.p == 0:
-        raise ValueError("pick a finite nonzero cusp (0 and infinity are the limit cases)")
-    gamma_p = conjugate_pair(gamma, n)
-    nctx = oc.numeric_context(ctx)
-    swap = nctx.swap()
-    k = ctx.k
-    a_val = cusp.p / cusp.q
-    scale = nctx.s_scale()
-    psi_g = nctx.psi(gamma)
-    psi_gp = nctx.psi(gamma_p)
-    r_const = nctx.fricke_R()
-    tau1 = oc.gauss_sum(ctx.chi1.conjugate()).to_complex()
-    tau2 = oc.gauss_sum(ctx.chi2.conjugate()).to_complex()
-
-    omega_cusp = fricke_apply(n, cusp)
-    omega_val = omega_cusp.p / omega_cusp.q
-    j_omega = (n**0.5) * a_val
-
-    lhs = (
-        _slashed_shat(nctx, gamma_p, cusp, policy)
-        - psi_gp * oc.shat_numeric(nctx, cusp, policy)
-        + scale
-        * (
-            psi_gp * oc.phi_numeric(nctx, gamma_p.inverse(), 1.0, -a_val, policy)
-            - psi_g
-            * j_omega ** (k - 2)
-            * oc.phi_numeric(nctx, gamma.inverse(), 1.0, -omega_val, policy)
-        )
-    )
-    # phi_{chi2,chi1}(omega^-1, 1, -a) is the integral from infinity to 0
-    phi_omega_at = oc.integral_to_zero(swap, -a_val, policy)
-    gp_image = cusp_apply(gamma_p, cusp)
-    j_gp = gamma_p.c * a_val + gamma_p.d
-    phi_omega_slashed = j_gp ** (k - 2) * oc.integral_to_zero(
-        swap, -(gp_image.p / gp_image.q), policy
-    )
-    rhs = (
-        r_const
-        * (tau1 / tau2)
-        * (_slashed_shat(swap, gamma_p, cusp, policy) - oc.shat_numeric(swap, cusp, policy))
-        + scale * r_const * (phi_omega_at - phi_omega_slashed)
-        + (1 - psi_g) * j_omega ** (k - 2) * oc.shat_numeric(nctx, omega_cusp, policy)
-    )
-    residual = abs(lhs - rhs)
-    magnitude = max(1.0, abs(lhs), abs(rhs))
-    return NumericReciprocityReport(
-        gamma=gamma,
-        gamma_prime=gamma_p,
-        cusp=cusp,
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-        scale=magnitude,
-        passed=residual < tol * magnitude,
-    )
-
-
-def three_term_residual(
-    ctx: SumContext, gamma: Mat2, cusp: Cusp, policy: oc.TruncationPolicy = oc.DEFAULT_POLICY
-) -> float:
-    """Residual of 0 = h_gamma|omega - h_gamma' + (h_omega - h_omega|gamma'),
-    with every h evaluated through the numeric S-hat on both orbits."""
-    n = ctx.n
-    nctx = oc.numeric_context(ctx)
-    k = ctx.k
-    gamma_p = conjugate_pair(gamma, n)
-
-    def shat_at(c: Cusp) -> complex:
-        return oc.shat_numeric(nctx, c, policy)
-
-    def h_gamma_at(g: Mat2, c: Cusp) -> complex:
-        return shat_at(c) - _slashed_shat(nctx, g, c, policy)
-
-    def h_omega_at(c: Cusp) -> complex:
-        img = fricke_apply(n, c)
-        j = (n**0.5) * (c.p / c.q)
-        inner = 0j if img.is_infinity() else j ** (k - 2) * shat_at(img)
-        return shat_at(c) - inner
-
-    a_val = cusp.p / cusp.q
-    omega_cusp = fricke_apply(n, cusp)
-    j_omega = (n**0.5) * a_val
-    term1 = j_omega ** (k - 2) * h_gamma_at(gamma, omega_cusp)
-    term2 = h_gamma_at(gamma_p, cusp)
-    gp_image = cusp_apply(gamma_p, cusp)
-    j_gp = gamma_p.c * a_val + gamma_p.d
-    term3 = h_omega_at(cusp)
-    term4 = j_gp ** (k - 2) * h_omega_at(gp_image)
-    return abs(term1 - term2 + (term3 - term4))
+def fricke_slashed_shat(nctx: oc.NumericContext, cusp: Cusp, policy) -> complex:
+    """(S-hat |_{2-k} omega)(a) = (sqrt(N) a)^(k-2) S-hat(omega a)."""
+    image = fricke_apply(nctx.n_level, cusp)
+    j = (nctx.n_level**0.5) * (cusp.p / cusp.q)
+    if image.is_infinity():
+        return 0j
+    return j ** (nctx.k - 2) * oc.shat_numeric(nctx, image, policy)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from dedsums import analysis, cli, dedekind as dk, fricke as fr, oracle as oc
+from dedsums import analysis, dedekind as dk, fricke as fr, oracle as oc, verify
 from dedsums.characters import characters_mod, gauss_sum, is_primitive, named_character, parity
 from dedsums.exactnum import lcm
 from dedsums.modgroup import Mat2, Poly, gamma1_generators
@@ -224,15 +224,15 @@ def test_c3_containment_every_cell(tables_j50):
 
 
 def test_c4_oracle_equivalence():
-    ok, detail = cli.suite_oracle(SEED, 1e-8)
+    ok, detail = verify.suite_oracle(SEED, 1e-8)
     report("criterion-4 (oracle equivalence)", ok, detail)
 
 
 def test_c5_exact_property_suites():
     start = time.time()
-    ok1, d1 = cli.suite_crossed_hom(SEED, 0)
-    ok2, d2 = cli.suite_periodicity(SEED, 0)
-    ok3, d3 = cli.suite_poly_space(SEED, 0)
+    ok1, d1 = verify.suite_crossed_hom(SEED, 0)
+    ok2, d2 = verify.suite_periodicity(SEED, 0)
+    ok3, d3 = verify.suite_poly_space(SEED, 0)
     # Gauss-sum identity for every primitive character with q <= 32
     gauss_ok = True
     for q in range(3, 33):
@@ -268,12 +268,12 @@ def test_c5_exact_property_suites():
 
 
 def test_c6_fricke_weight2():
-    ok, detail = cli.suite_fricke_k2(SEED, 0)
+    ok, detail = verify.suite_fricke_k2(SEED, 0)
     report("criterion-6 (Fricke k=2)", ok, detail)
 
 
 def test_c7_reciprocity_and_extended_domain():
-    ok, detail = cli.suite_reciprocity_numeric(SEED, 1e-6)
+    ok, detail = verify.suite_reciprocity_numeric(SEED, 1e-6)
     report("criterion-7 (general reciprocity + S-hat(0))", ok, detail)
 
 
@@ -284,7 +284,7 @@ def test_c8_bounds():
     delta_ok = all(row.delta_ok for row in rep.rows)
     counts = [rep.exceptional_count(Fraction(a)) for a in (Fraction(1, 100), 1, 100)]
     mono = counts[0] >= counts[1] >= counts[2]
-    ok, detail = cli.suite_bounds(SEED, 0)
+    ok, detail = verify.suite_bounds(SEED, 0)
     all_ok = rep.trivial_bound_ok and delta_ok and mono and ok
     report(
         "criterion-8 (bounds, C=500)",

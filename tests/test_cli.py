@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -192,7 +193,8 @@ def test_loose_tol_does_not_loosen_the_series(tol):
     "argv",
     [SUM_ORACLE + ["--tol", t] for t in ("nan", "inf", "0", "-1")]
     + [["verify", "--suite", "poly-space", "--tol", t] for t in ("nan", "inf", "0", "-1")]
-    + [["bounds", "--pair", "chi3,chi3", "--k", "2", "--alpha", "1", a] for a in ("inf", "nan")],
+    + [["bounds", "--pair", "chi3,chi3", "--k", "2", "--alpha", "1", a] for a in ("inf", "nan")]
+    + [["table", "--j", j] for j in ("1", "0", "-3")],
 )
 def test_bad_numeric_option_is_usage_error(argv, monkeypatch):
     # rejected before any work: the sum, suite or sweep would raise here
@@ -203,8 +205,35 @@ def test_bad_numeric_option_is_usage_error(argv, monkeypatch):
 
     monkeypatch.setattr(dedekind, "sum_S", no_work)
     monkeypatch.setattr(analysis, "bound_statistics", no_work)
+    monkeypatch.setattr(analysis, "divisibility_tables", no_work)
     monkeypatch.setitem(cli.SUITES, "poly-space", no_work)
     code, out, err = run_cli(*argv)
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+# sha256 of the stdout of the commands whose output is exact; the suites that
+# print a float (oracle, reciprocity-numeric, bounds) are left out, since
+# their last digits follow the floating-point evaluation order
+GOLDEN_STDOUT = [
+    (["table", "--j", "4", "--format", "csv"], "38cb022623ce5e81a69a20ab4a3de1c697928ef08632edae0242b85b94ea5168"),
+    (["table", "--j", "4", "--format", "json"], "b02c7c8ec841f496fe098b5c3763828376a69d75cd30e35cbf611ef7272aa5d7"),
+    (["contain", "--pair", "chi3,chi4", "--k", "4"], "ae9a0e585dcced0d68d6e38a0adcd0265e5b4e54002008ef22d7f27322bc471d"),
+    (
+        ["hpoly", "--pair", "chi5,chi5", "--k", "4", "--matrix", "[[51,104],[25,51]]"],
+        "6fa02ecce205a69d87f60cfd199f93eac4c1b02e985faf0078d64c5fdafcc60a",
+    ),
+    (["gens", "--n", "9"], "19530a7a785769dbff17358434ee0deb2339063c037133ac5625fcbc3d9eb6af"),
+    (["verify", "--suite", "crossed-hom"], "c13ce9777018282929151b56d852c292f1303762aa9afd49ae56a861e0e96428"),
+    (["verify", "--suite", "periodicity"], "5785e719470b0eb3eaa6648b778d9c94860e52e285aeffcff8997a8caf43f1f2"),
+    (["verify", "--suite", "fricke-k2"], "2b42964fd9e938d1e221d01796569cb9ff8f5f49afbffaa5ee85ebd2dab420a2"),
+    (["verify", "--suite", "poly-space"], "dc1bfaf6bec0e47c26cfe16355699435a425b282c040011eb887efc7c46a108c"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_STDOUT, ids=[" ".join(a) for a, _ in GOLDEN_STDOUT])
+def test_exact_commands_match_golden_stdout(argv, digest):
+    code, out, _ = run_cli(*argv)
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

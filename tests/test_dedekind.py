@@ -554,3 +554,33 @@ def test_h_crossed_homomorphism_polynomials():
     for g1, g2 in pairs:
         h12 = dk.h_interpolate(ctx, g1 * g2)
         assert h12 == dk.h_interpolate(ctx, g1).slash(g2) + dk.h_interpolate(ctx, g2)
+
+
+@pytest.mark.parametrize(
+    "tag1,tag2,k",
+    [
+        ("chi3", "chi3", 2),
+        ("chi3", "chi4", 4),
+        ("chi5", "chi5", 4),
+        ("chi3", "chi3", 6),
+        ("chi3", "chi5", 3),
+        ("chi4", "chi5", 5),
+    ],
+)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), in_gamma1=st.booleans(), negate=st.booleans())
+def test_h_top_coefficient_is_minus_c_power_times_S(tag1, tag2, k, seed, in_gamma1, negate):
+    # the x^(k-2) coefficient of h_gamma is -c^(k-2) S(gamma), for c of both
+    # signs; -gamma keeps psi = 1 only at even k
+    ctx = ctx_for(tag1, tag2, k)
+    rng = random.Random(seed)
+    if in_gamma1:
+        gamma = random_gamma1(rng, ctx.n, 4)
+    else:
+        gamma = random_gamma0(rng, ctx.n, 4)
+        while gamma.c == 0 or not ctx.psi_is_one(gamma):
+            gamma = random_gamma0(rng, ctx.n, 4)
+    if negate and ctx.psi_is_one(-gamma):
+        gamma = -gamma
+    top = dk.h_interpolate(ctx, gamma).coeffs[0]
+    assert top == -Fraction(gamma.c) ** (k - 2) * dk.sum_S_matrix(ctx, gamma).rational_value()
