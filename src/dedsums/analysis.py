@@ -180,7 +180,6 @@ def poly_space_member(p: Poly, k: int, m: Fraction, q: int) -> bool:
 def containment_m(
     ctx: SumContext,
     generators: list[Mat2] | None = None,
-    order: str = "st",
     pair: tuple[str, str] = ("", ""),
     progress=None,
 ) -> ContainmentReport:
@@ -193,7 +192,7 @@ def containment_m(
     if not ctx.quadratic:
         raise ValueError("the containment computation requires a quadratic pair")
     if generators is None:
-        generators = gamma1_generators(ctx.n, order)
+        generators = gamma1_generators(ctx.n)
     polys: list[tuple[Mat2, Poly]] = []
     multiples: list[Fraction] = []
     for i, gen in enumerate(generators):

@@ -5,7 +5,9 @@ plot-data emission.
 Structured output (CSV/JSON) goes to stdout; progress chatter stays on
 stderr so piped output is clean.  Exit codes: 0 success, 1 failed checks,
 2 usage errors, 3 parity violations, 4 domain errors (an oracle series that
-cannot reach its tolerance is one).
+cannot reach its tolerance is one).  A reader that closes the pipe early
+(``| head``) is not an error: the rest of stdout goes to the null device and
+the exit code is 0.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -280,7 +283,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_options(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading; point stdout at the null device so the
+        # interpreter's final flush of what is still buffered cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ParityError as exc:
         print(f"parity violation: {exc}", file=sys.stderr)
         return EXIT_PARITY

@@ -1,5 +1,6 @@
-"""The Fricke flip on cusps, the exact value of S-hat at 0, and the slash
-actions of Gamma_0(N) and of the flip on the numeric S-hat.
+"""The exact value of S-hat at 0, the conjugate pair gamma' of the Fricke
+reciprocity, and the slash actions of Gamma_0(N) and of the Fricke flip
+(``modgroup.fricke_apply``) on the numeric S-hat.
 
 The exact S-hat(0) used here is the product of two character Bernoulli sums,
 
@@ -21,16 +22,7 @@ from . import oracle as oc
 from .bernoulli import char_bernoulli
 from .dedekind import SumContext
 from .exactnum import CyclotomicElement, common_order
-from .modgroup import Cusp, Mat2, cusp_apply
-
-
-def fricke_apply(n: int, cusp: Cusp) -> Cusp:
-    """omega(z) = -1/(Nz) on cusps: infinity -> 0, p/q -> -q/(Np)."""
-    if cusp.is_infinity():
-        return Cusp(0, 1)
-    if cusp.p == 0:
-        return Cusp.infinity()
-    return Cusp(-cusp.q, n * cusp.p)
+from .modgroup import Cusp, Mat2, cusp_apply, fricke_apply
 
 
 def shat_at_zero(ctx: SumContext) -> CyclotomicElement:

@@ -1,7 +1,8 @@
 """SL2(Z) matrices, congruence subgroups, cusps, polynomial slash actions.
 
-Also holds the G_j(N) matrix families, Schreier generators of Gamma_1(N) from
-a coset BFS, and continued-fraction partial quotients.
+Also holds the Fricke flip on cusps, the G_j(N) matrix families, Schreier
+generators of Gamma_1(N) from one coset BFS per level (built once and cached),
+and continued-fraction partial quotients.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -145,6 +147,15 @@ def cusp_apply(gamma: Mat2, cusp: Cusp) -> Cusp:
     return Cusp(p, q)
 
 
+def fricke_apply(n: int, cusp: Cusp) -> Cusp:
+    """omega(z) = -1/(Nz) on cusps: infinity -> 0, p/q -> -q/(Np)."""
+    if cusp.is_infinity():
+        return Cusp(0, 1)
+    if cusp.p == 0:
+        return Cusp.infinity()
+    return Cusp(-cusp.q, n * cusp.p)
+
+
 def cocycle_j(gamma: Mat2, cusp: Cusp) -> Fraction:
     """j(gamma, a) = c*a + d at a finite cusp; the pole a = gamma^-1(inf) is an error."""
     if cusp.is_infinity():
@@ -175,18 +186,6 @@ def g_witness(a: int, c: int, n: int) -> Mat2:
     return Mat2(a, b, c, d)
 
 
-def iter_gamma1_cusp_pairs(n: int) -> Iterator[tuple[int, int]]:
-    """(a, c) pairs of G_j(N) in rings of growing j; a fixed deterministic order."""
-    j = 1
-    seen: set[tuple[int, int]] = set()
-    while True:
-        j += 1
-        for pair in iter_G_pairs(n, j):
-            if pair not in seen:
-                seen.add(pair)
-                yield pair
-
-
 # -- Gamma_1(N) coset BFS and Schreier generators ---------------------------
 
 
@@ -203,20 +202,26 @@ def _coset_key(g: Mat2, n: int) -> tuple[int, int]:
     return (g.c % n, g.d % n)
 
 
-def gamma1_coset_table(n: int, order: str = "st") -> dict[tuple[int, int], Mat2]:
-    """BFS transversal of Gamma_1(N)\\SL2(Z), keyed by bottom row mod N.
+@dataclass(frozen=True)
+class _Gamma1Cosets:
+    """One level's coset BFS: the transversal and its Schreier generators."""
 
-    ``order`` picks which generator is explored first; both orders give valid
-    transversals (used to check generating-set independence downstream).
-    """
+    reps: dict[tuple[int, int], Mat2]
+    generators: tuple[Mat2, ...]
+    generator_set: frozenset[Mat2]
+
+
+@lru_cache(maxsize=None)
+def _gamma1_cosets(n: int) -> _Gamma1Cosets:
+    """BFS over S, T, T^-1 from the identity coset, then the Schreier
+    generators r x rep(r x)^-1 for x in S, T in transversal order."""
     if n < 5:
         raise ValueError("coset keying by bottom row needs N >= 5 (so -I is not in Gamma_1)")
-    gens = (MAT_S, MAT_T, MAT_T.inverse()) if order == "st" else (MAT_T, MAT_T.inverse(), MAT_S)
     reps: dict[tuple[int, int], Mat2] = {_coset_key(MAT_I, n): MAT_I}
     queue = deque([MAT_I])
     while queue:
         r = queue.popleft()
-        for x in gens:
+        for x in (MAT_S, MAT_T, MAT_T.inverse()):
             g = r * x
             key = _coset_key(g, n)
             if key not in reps:
@@ -224,24 +229,26 @@ def gamma1_coset_table(n: int, order: str = "st") -> dict[tuple[int, int], Mat2]
                 queue.append(g)
     if len(reps) != gamma1_index(n):
         raise CertificateError(f"coset BFS found {len(reps)} cosets of Gamma_1({n}), not the index")
-    return reps
-
-
-def gamma1_generators(n: int, order: str = "st") -> list[Mat2]:
-    """Schreier generating set of Gamma_1(N) from the coset BFS (N >= 5)."""
-    reps = gamma1_coset_table(n, order)
-    gens: list[Mat2] = []
-    seen: set[Mat2] = set()
+    gens: dict[Mat2, None] = {}
     for r in reps.values():
         for x in (MAT_S, MAT_T):
             g = r * x
             u = g * reps[_coset_key(g, n)].inverse()
-            if u != MAT_I and u not in seen:
+            if u != MAT_I and u not in gens:
                 if not in_gamma1(u, n):
                     raise CertificateError(f"Schreier generator {u} is not in Gamma_1({n})")
-                seen.add(u)
-                gens.append(u)
-    return gens
+                gens[u] = None
+    return _Gamma1Cosets(reps, tuple(gens), frozenset(gens))
+
+
+def gamma1_coset_table(n: int) -> dict[tuple[int, int], Mat2]:
+    """BFS transversal of Gamma_1(N)\\SL2(Z), keyed by bottom row mod N (a copy)."""
+    return dict(_gamma1_cosets(n).reps)
+
+
+def gamma1_generators(n: int) -> list[Mat2]:
+    """Schreier generating set of Gamma_1(N) from the coset BFS (N >= 5), as a new list."""
+    return list(_gamma1_cosets(n).generators)
 
 
 def word_in_ST(m: Mat2) -> list[Mat2]:
@@ -277,7 +284,7 @@ def word_in_ST(m: Mat2) -> list[Mat2]:
     return letters
 
 
-def express_in_gamma1_generators(m: Mat2, n: int, order: str = "st") -> list[Mat2]:
+def express_in_gamma1_generators(m: Mat2, n: int) -> list[Mat2]:
     """Rewrite m in Gamma_1(N) as a product of Schreier generators and inverses.
 
     Standard Reidemeister rewriting through the coset table: each emitted
@@ -287,8 +294,8 @@ def express_in_gamma1_generators(m: Mat2, n: int, order: str = "st") -> list[Mat
     """
     if not in_gamma1(m, n):
         raise ValueError(f"matrix is not in Gamma_1({n})")
-    reps = gamma1_coset_table(n, order)
-    gens = set(gamma1_generators(n, order))
+    cosets = _gamma1_cosets(n)
+    reps, gens = cosets.reps, cosets.generator_set
     word = word_in_ST(m)
     r = MAT_I
     used: list[Mat2] = []

@@ -23,7 +23,7 @@ from operator import mul, truediv
 from .characters import gauss_sum
 from .dedekind import SumContext
 from .exactnum import CertificateError
-from .modgroup import Cusp, Mat2, g_witness
+from .modgroup import Cusp, Mat2, fricke_apply, g_witness
 
 TWO_PI_I = 2j * math.pi
 
@@ -295,20 +295,11 @@ def integral_to_zero(
     k = nctx.k
     n_level = nctx.n_level
     z_star = 1j / math.sqrt(n_level)
-    y_c = complex(y_spec)
-    upper = antiderivative_at(nctx, z_star, 1.0, y_c, policy)
-    swap = nctx.swap()
-    r_const = nctx.fricke_R()
-    if y_c == 0:
-        # (Xz+Y) = z; pulled back, z^(k-2) = (-1)^k N^((2-k)/2) j(omega, w)^(k-2)
-        f_swap = antiderivative_at(swap, z_star, 0.0, 1.0, policy)
-        lower = -((-1) ** k) * n_level ** ((2 - k) / 2) * r_const * f_swap
-    else:
-        c_frak = -y_c  # the polynomial is (z - c_frak)^(k-2)
-        d_frak = -1 / (n_level * c_frak)
-        j_pow = (math.sqrt(n_level) * d_frak) ** (2 - k)
-        f_swap = antiderivative_at(swap, z_star, 1.0, -d_frak, policy)
-        lower = -r_const * j_pow * f_swap
+    upper = antiderivative_at(nctx, z_star, 1.0, y_spec, policy)
+    # z = omega(w) = -1/(N w) turns (z + Y)^(k-2) dz into
+    # N^((2-k)/2) (N Y w - 1)^(k-2) j(omega, w)^(-k) dw
+    f_swap = antiderivative_at(nctx.swap(), z_star, n_level * complex(y_spec), -1.0, policy)
+    lower = -nctx.fricke_R() * n_level ** ((2 - k) / 2) * f_swap
     return upper + lower
 
 
@@ -332,7 +323,7 @@ def shat_numeric(
     if cusp.p == 0:
         return scale * integral_to_zero(nctx, 0.0, policy)
     # cusp = omega(b_cusp) with b_cusp on the infinity orbit
-    b_cusp = Cusp(-cusp.q, n_level * cusp.p)
+    b_cusp = fricke_apply(n_level, cusp)
     if b_cusp.q % n_level:
         raise CertificateError(f"omega({cusp}) = {b_cusp} is off the infinity orbit")
     b_val = b_cusp.p / b_cusp.q

@@ -16,7 +16,7 @@ import pytest
 from dedsums import analysis, dedekind as dk, fricke as fr, oracle as oc, verify
 from dedsums.characters import characters_mod, gauss_sum, is_primitive, named_character, parity
 from dedsums.exactnum import lcm
-from dedsums.modgroup import Mat2, Poly, gamma1_generators
+from dedsums.modgroup import Mat2, Poly
 
 SEED = 20250808
 
@@ -165,16 +165,11 @@ def containment_reports(tables_j50):
     """Containment m for the default-tier cells: every level N <= 25, plus
     k = 2 for the larger levels."""
     reports = {}
-    gens_cache = {}
     for (pair, k) in _cells(tables_j50):
         ctx = analysis.context_for(pair, k)
         if ctx.n > 25 and k > 2:
             continue
-        if ctx.n not in gens_cache:
-            gens_cache[ctx.n] = gamma1_generators(ctx.n)
-        reports[(pair, k)] = analysis.containment_m(
-            ctx, generators=gens_cache[ctx.n], pair=pair
-        )
+        reports[(pair, k)] = analysis.containment_m(ctx, pair=pair)
     return reports
 
 
@@ -207,13 +202,10 @@ def test_c3_table_r_inside_containment_bound(tables_j50, containment_reports):
 @pytest.mark.release
 def test_c3_containment_every_cell(tables_j50):
     cells = _cells(tables_j50)
-    gens_cache = {}
     bad = []
     for (pair, k) in cells:
         ctx = analysis.context_for(pair, k)
-        if ctx.n not in gens_cache:
-            gens_cache[ctx.n] = gamma1_generators(ctx.n)
-        rep = analysis.containment_m(ctx, generators=gens_cache[ctx.n], pair=pair)
+        rep = analysis.containment_m(ctx, pair=pair)
         if (cells[(pair, k)].r / rep.bound).denominator != 1:
             bad.append((pair, k, cells[(pair, k)].r, rep.bound))
     report(

@@ -2,6 +2,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -225,6 +228,7 @@ GOLDEN_STDOUT = [
         "6fa02ecce205a69d87f60cfd199f93eac4c1b02e985faf0078d64c5fdafcc60a",
     ),
     (["gens", "--n", "9"], "19530a7a785769dbff17358434ee0deb2339063c037133ac5625fcbc3d9eb6af"),
+    (["gens", "--n", "25"], "52028da083136a71d0b8e593b270f1c8e282c6db1804dd416cfee61271fe9868"),
     (["verify", "--suite", "crossed-hom"], "c13ce9777018282929151b56d852c292f1303762aa9afd49ae56a861e0e96428"),
     (["verify", "--suite", "periodicity"], "5785e719470b0eb3eaa6648b778d9c94860e52e285aeffcff8997a8caf43f1f2"),
     (["verify", "--suite", "fricke-k2"], "2b42964fd9e938d1e221d01796569cb9ff8f5f49afbffaa5ee85ebd2dab420a2"),
@@ -237,3 +241,22 @@ def test_exact_commands_match_golden_stdout(argv, digest):
     code, out, _ = run_cli(*argv)
     assert code == cli.EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_reader_closing_the_pipe_early_exits_cleanly():
+    # plotdata writes about 115 KB, more than a pipe holds, so it is still
+    # writing when the reader stops after one line
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["plotdata", "--pair", "chi3,chi3", "--k", "2", "--j", "80"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dedsums.cli", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"a_num,a_den,cusp,value,value_float\r\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == cli.EXIT_OK, err
+    assert "Traceback" not in err

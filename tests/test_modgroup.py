@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 import dedsums
+from dedsums import modgroup
 from dedsums.modgroup import (
     CUSP_INF,
     Cusp,
@@ -161,6 +162,21 @@ def test_gamma1_generators_live_in_gamma1():
         assert gens
         for g in gens:
             assert in_gamma1(g, n)
+
+
+def test_coset_bfs_runs_once_per_level():
+    modgroup._gamma1_cosets.cache_clear()
+    gens = gamma1_generators(25)
+    express_in_gamma1_generators(Mat2(26, 1, 25, 1), 25)
+    express_in_gamma1_generators(Mat2(51, 104, 25, 51), 25)
+    info = modgroup._gamma1_cosets.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    # each call hands out a new list; changing one leaves the next intact
+    expected = list(gens)
+    gens.reverse()
+    gens.append(Mat2.identity())
+    assert gamma1_generators(25) == expected
+    assert modgroup._gamma1_cosets.cache_info().misses == 1
 
 
 def test_gamma1_generators_need_n_at_least_5():

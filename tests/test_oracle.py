@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dedsums import dedekind as dk, fricke as fr, oracle as oc
 from dedsums.characters import characters_mod, is_primitive, named_character, parity
-from dedsums.modgroup import CUSP_INF, Cusp, Mat2, cusp_apply, g_witness, random_gamma0
+from dedsums.modgroup import CUSP_INF, Cusp, Mat2, cusp_apply, fricke_apply, g_witness, random_gamma0
 
 
 def ctx_for(t1, t2, k):
@@ -210,7 +210,7 @@ def test_omega_twisted_cocycle_identity():
             gamma = random_gamma0(rng, n_level, 2)
         a_val = cusp.p / cusp.q
         # lhs: h_{omega gamma}(a) = S-hat(a) - j(omega gamma, a)^(k-2) S-hat(omega gamma a)
-        og_cusp = fr.fricke_apply(n_level, cusp_apply(gamma, cusp))
+        og_cusp = fricke_apply(n_level, cusp_apply(gamma, cusp))
         j_g = gamma.c * a_val + gamma.d
         g_cusp_val = cusp_apply(gamma, cusp)
         j_og = (n_level**0.5) * (g_cusp_val.p / g_cusp_val.q) * j_g
@@ -240,7 +240,7 @@ def _integral_to_cusp(nctx, cusp, y_val):
     z_star = 1j / _m.sqrt(n_level)
     upper = oc.antiderivative_at(nctx, z_star, 1.0, y_val)
     swap = nctx.swap()
-    b_cusp = fr.fricke_apply(n_level, cusp)
+    b_cusp = fricke_apply(n_level, cusp)
     x2 = y_val * _m.sqrt(n_level)
     y2 = -1 / _m.sqrt(n_level)
     witness = g_witness(b_cusp.p, b_cusp.q, n_level)
@@ -393,3 +393,42 @@ def test_tail_terms_is_least_and_bounds_the_tail(nctx, re_z, height, xy, tol):
         inner = sum(d / denom ** (n + 1) for n, d in enumerate(derivs))
         past += abs(2 * nctx.sigma(big) * cmath.exp(2j * math.pi * big * z) * inner)
     assert past <= tail
+
+
+def old_integral_to_zero(nctx, y_spec, policy=oc.DEFAULT_POLICY):
+    """integral_to_zero with its two pullbacks, the y = 0 one and the general one."""
+    k = nctx.k
+    n_level = nctx.n_level
+    z_star = 1j / math.sqrt(n_level)
+    y_c = complex(y_spec)
+    upper = oc.antiderivative_at(nctx, z_star, 1.0, y_c, policy)
+    swap = nctx.swap()
+    r_const = nctx.fricke_R()
+    if y_c == 0:
+        f_swap = oc.antiderivative_at(swap, z_star, 0.0, 1.0, policy)
+        lower = -((-1) ** k) * n_level ** ((2 - k) / 2) * r_const * f_swap
+    else:
+        c_frak = -y_c
+        d_frak = -1 / (n_level * c_frak)
+        j_pow = (math.sqrt(n_level) * d_frak) ** (2 - k)
+        f_swap = oc.antiderivative_at(swap, z_star, 1.0, -d_frak, policy)
+        lower = -r_const * j_pow * f_swap
+    return upper + lower
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nctx=numeric_contexts(QUADRATIC_AND_MIXED, range(2, 7)),
+    num=st.integers(-60, 60),
+    den=st.integers(1, 60),
+)
+def test_integral_to_zero_matches_two_branch_pullback(nctx, num, den):
+    # the two pullbacks weigh the tail differently, so they stop at different
+    # M; a tight tolerance keeps that truncation gap under the comparison
+    y = num / den
+    policy = oc.TruncationPolicy(tol=1e-15)
+    new = oc.integral_to_zero(nctx, y, policy)
+    old = old_integral_to_zero(nctx, y, policy)
+    if y == 0:
+        assert new == old
+    assert abs(new - old) <= 1e-12 * max(1.0, abs(old))
