@@ -50,15 +50,16 @@ def _progress(msg: str):
 
 def _check_options(args):
     """Reject a non-finite or non-positive --tol, a non-finite --alpha and a
-    table radius --j below 2 (G_j is empty there) before any work."""
+    radius --j below 2 (G_j is empty there) before any work."""
     tol = getattr(args, "tol", None)
     if tol is not None and not 0 < tol < float("inf"):
         raise OptionError(f"--tol must be a positive finite number, got {tol}")
     for alpha in getattr(args, "alpha", None) or ():
         if not abs(alpha) < float("inf"):
             raise OptionError(f"--alpha must be finite, got {alpha}")
-    if args.command == "table" and args.j < 2:
-        raise OptionError(f"--j must be at least 2, got {args.j}")
+    j = getattr(args, "j", None)
+    if j is not None and j < 2:
+        raise OptionError(f"--j must be at least 2, got {j}")
 
 
 def _context(pair_spec: str, k: int) -> SumContext:

@@ -119,6 +119,17 @@ class SumContext:
             if e is not None
         )
 
+    @cached_property
+    def sum_memo(self) -> dict:
+        """S by (a mod c, c), filled by :func:`sum_S`: each distinct sum is
+        computed once for the life of this context."""
+        return {}
+
+    @cached_property
+    def pieces_memo(self) -> dict:
+        """:func:`_twisted_pieces` by c, filled by :func:`sum_S`."""
+        return {}
+
     def swap(self) -> "SumContext":
         return SumContext(self.chi2, self.chi1, self.k)
 
@@ -226,12 +237,20 @@ def sum_S(ctx: SumContext, a: int, c: int) -> CyclotomicElement:
     """The finite double sum at the cusp data (a, c), c > 0 divisible by q1 q2.
 
     For a quadratic pair the value is rational; ``rational_value()`` gives it
-    as a Fraction.
+    as a Fraction.  S depends on a only mod c, so the value is kept in
+    ``ctx.sum_memo`` under (a mod c, c), and the twisted pieces of c in
+    ``ctx.pieces_memo``; the pair is validated on every call.
     """
     a = _validate_pair(ctx, a, c)
-    pieces, scale = _twisted_pieces(ctx, c)
-    acc = _accumulate(ctx, a, c, pieces)
-    return _combine(ctx, acc, 2 * c * scale)
+    value = ctx.sum_memo.get((a, c))
+    if value is None:
+        entry = ctx.pieces_memo.get(c)
+        if entry is None:
+            entry = ctx.pieces_memo[c] = _twisted_pieces(ctx, c)
+        pieces, scale = entry
+        acc = _accumulate(ctx, a, c, pieces)
+        value = ctx.sum_memo[a, c] = _combine(ctx, acc, 2 * c * scale)
+    return value
 
 
 def sum_S_tilde(ctx: SumContext, a: int, c: int) -> CyclotomicElement:
@@ -246,7 +265,9 @@ def sweep_S_tilde_rational(ctx: SumContext, pairs: Sequence[tuple[int, int]]) ->
     characters of order 2, V of :func:`_twisted_pieces` has the single
     coordinate t = 0 and conj(chi2)(j) = chi2(j) = +-1, so
     S = sum over j < c/2 of (2j - c) chi2(j) V(j a mod c) / (c s).  The table
-    of V over r in [0, c) and the signed weights (2j - c) chi2(j) serve every a.
+    of V over r in [0, c) and the signed weights (2j - c) chi2(j) serve every
+    a, and each distinct a mod c is summed once.  The sweep bypasses the memos
+    of the context: it never asks for one c twice.
     """
     if not ctx.quadratic:
         raise ValueError("sweeps are defined for quadratic pairs only")
@@ -273,9 +294,12 @@ def sweep_S_tilde_rational(ctx: SumContext, pairs: Sequence[tuple[int, int]]) ->
         ]
         ck = c ** (ctx.k - 2)
         denom = c * scale
+        values = {
+            a: Fraction(sum([w * table[j * a % c] for j, w in weights]) * ck, denom)
+            for a in dict.fromkeys(units)
+        }
         for idx, a in zip(indices, units):
-            total = sum([w * table[j * a % c] for j, w in weights])
-            out[idx] = Fraction(total * ck, denom)
+            out[idx] = values[a]
     return out
 
 

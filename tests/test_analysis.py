@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -79,6 +80,29 @@ def test_containment_chi5_pair():
     assert report.divides_2k_minus_2()
     for _, poly in report.polynomials:
         assert poly_space_member(poly, 4, report.m, 5)
+
+
+# sha256 of "<generator> <h coefficients>" lines over the 197 Schreier
+# generators of Gamma_1(25), (chi5, chi5), k = 4, computed without the memo
+CHI5_K4_POLYNOMIALS = "a2f7ffac0759571c512282a425c4af6c49e5bf85b60863736269b14d056f96dd"
+
+
+def test_containment_runs_each_distinct_sum_once(monkeypatch):
+    # the 197 h-fits ask for 1,382 sums; they are 461 distinct (a mod c, c)
+    # over 71 distinct c, and the context's memo runs the kernel once for each
+    calls = {"sum_S": 0, "_accumulate": 0, "_twisted_pieces": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(dk, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(dk, name, counted)
+    report = containment_m(context_for(("chi5", "chi5"), 4))
+    assert calls == {"sum_S": 1382, "_accumulate": 461, "_twisted_pieces": 71}
+    assert report.generator_count == 197
+    assert report.m == 6
+    text = "\n".join(f"{g} {','.join(map(str, h.coeffs))}" for g, h in report.polynomials)
+    assert hashlib.sha256(text.encode()).hexdigest() == CHI5_K4_POLYNOMIALS
 
 
 def test_containment_membership_failure_raises_certificate_error(monkeypatch):

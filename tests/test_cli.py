@@ -197,7 +197,8 @@ def test_loose_tol_does_not_loosen_the_series(tol):
     [SUM_ORACLE + ["--tol", t] for t in ("nan", "inf", "0", "-1")]
     + [["verify", "--suite", "poly-space", "--tol", t] for t in ("nan", "inf", "0", "-1")]
     + [["bounds", "--pair", "chi3,chi3", "--k", "2", "--alpha", "1", a] for a in ("inf", "nan")]
-    + [["table", "--j", j] for j in ("1", "0", "-3")],
+    + [["table", "--j", j] for j in ("1", "0", "-3")]
+    + [["plotdata", "--pair", "chi3,chi3", "--k", "2", "--j", j] for j in ("1", "0", "-3")],
 )
 def test_bad_numeric_option_is_usage_error(argv, monkeypatch):
     # rejected before any work: the sum, suite or sweep would raise here

@@ -131,9 +131,44 @@ def test_quadratic_pair_values_are_rational():
 
 
 def test_a_mod_c_invariance():
+    # the identity the memo key (a mod c, c) relies on: the slow double loop
+    # at the unreduced a + t c, whose Bernoulli arguments see the shift
     ctx = ctx_for("chi5", "chi5", 4)
     for a, c in [(1, 25), (7, 50), (-1, 25)]:
-        assert (dk.sum_S(ctx, a + c, c) - dk.sum_S(ctx, a, c)).is_zero()
+        fast = dk.sum_S(ctx, a, c)
+        for t in (-2, -1, 1, 3):
+            assert (fast - slow_sum_S(ctx, a + t * c, c).embed(fast.order)).is_zero()
+
+
+CHI5_QUARTIC = next(chi for chi in characters_mod(5) if chi.order == 4)
+MEMO_CELLS = [
+    (named_character("chi5"), named_character("chi5"), 4),
+    (named_character("chi3"), named_character("chi4"), 2),
+    (named_character("chi3"), named_character("chi5"), 3),
+    (CHI5_QUARTIC, named_character("chi3"), 2),
+    (named_character("chi3"), CHI5_QUARTIC, 4),
+]
+WARM = [SumContext(*cell) for cell in MEMO_CELLS]
+
+
+@settings(max_examples=40, deadline=None)
+@given(cell=st.integers(0, len(MEMO_CELLS) - 1), t=st.integers(1, 4), data=st.data())
+def test_warm_context_matches_fresh_context_and_slow_loop(cell, t, data):
+    # one context per cell stays warm across all examples; every value it
+    # returns, memo hit or not, equals a cold run on a fresh context and, for
+    # small c, the slow double loop at the unreduced a
+    ctx, fresh = WARM[cell], SumContext(*MEMO_CELLS[cell])
+    c = ctx.n * t
+    unit = st.integers(-3 * c, 3 * c).filter(lambda a: gcd(a, c) == 1)
+    shift = st.integers(-3, 3)
+    seq = []
+    for a in data.draw(st.lists(unit, min_size=1, max_size=3)):
+        seq += [a, a + data.draw(shift) * c, a, -a]
+    for a in seq:
+        warm = dk.sum_S(ctx, a, c)
+        assert warm == dk.sum_S(fresh, a, c)
+        if c <= 60:
+            assert (warm - slow_sum_S(ctx, a, c).embed(warm.order)).is_zero()
 
 
 def test_gamma_infinity_invariance():
@@ -185,11 +220,13 @@ TABLE_CELLS = [
 @given(cell=st.sampled_from(TABLE_CELLS), t=st.integers(1, 30), data=st.data())
 def test_sweep_matches_single_calls(cell, t, data):
     # the tabulated twisted values of the sweep against the per-j Horner
-    # evaluation of sum_S, several a sharing one c (and so one table)
+    # evaluation of sum_S, several a sharing one c (and so one table), each
+    # with its shifts a + c and a - c (and so one sum per residue)
     ctx = analysis.context_for(*cell)
     c = ctx.n * t
     unit = st.integers(-2 * c, 2 * c).filter(lambda a: gcd(a, c) == 1)
-    pairs = [(a, c) for a in data.draw(st.lists(unit, min_size=1, max_size=4))]
+    drawn = data.draw(st.lists(unit, min_size=1, max_size=4))
+    pairs = [(x, c) for a in drawn for x in (a, a + c, a - c)]
     values = dk.sweep_S_tilde_rational(ctx, pairs)
     for (a, _), v in zip(pairs, values):
         assert v == dk.sum_S(ctx, a, c).rational_value() * c ** (ctx.k - 2)
@@ -350,7 +387,9 @@ def test_shat_periodicity():
             break
         count += 1
         n = rng.randint(-3, 3)
-        assert (dk.shat(ctx, Cusp(a + n * c, c)) - dk.shat(ctx, Cusp(a, c))).is_zero()
+        slow = slow_sum_S(ctx, a + n * c, c)
+        assert (dk.shat(ctx, Cusp(a, c)) - slow).is_zero()
+        assert (dk.shat(ctx, Cusp(a + n * c, c)) - slow).is_zero()
 
 
 def test_shat_equals_sum_on_matrices():
