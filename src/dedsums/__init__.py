@@ -6,7 +6,7 @@ floating-point Eisenstein-series oracle cross-checking every exact value.
 
 from .characters import DirichletCharacter, characters_mod, gauss_sum, named_character
 from .dedekind import SumContext, classical_s, h_eval, h_interpolate, shat, sum_S, sum_S_tilde
-from .exactnum import CyclotomicElement, Rational, rational_gcd_set
+from .exactnum import CyclotomicElement, rational_gcd_set
 from .modgroup import Cusp, Mat2, Poly
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "DirichletCharacter",
     "Mat2",
     "Poly",
-    "Rational",
     "SumContext",
     "characters_mod",
     "classical_s",

@@ -145,7 +145,7 @@ def divisibility_tables(j: int, jobs: int = 1, progress=None) -> list[Divisibili
     if jobs > 1:
         from multiprocessing import Pool
 
-        with Pool(jobs) as pool:
+        with Pool(min(jobs, len(specs))) as pool:
             cells = pool.starmap(compute_cell, specs)
     else:
         cells = []
@@ -153,11 +153,11 @@ def divisibility_tables(j: int, jobs: int = 1, progress=None) -> list[Divisibili
             cells.append(compute_cell(*spec))
             if progress:
                 progress(i + 1, len(specs), spec)
-    by_key = {(pair, k): cell for (pair, k, _), cell in zip(specs, cells)}
+    cells = iter(cells)
     for table in tables:
         for k in table.weights:
             for pair in table.pairs:
-                table.cells[(pair, k)] = by_key[(pair, k)]
+                table.cells[(pair, k)] = next(cells)
     return tables
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from itertools import product
+from math import gcd, prod
 
 from .exactnum import CertificateError, CyclotomicElement, euler_phi, factorize, lcm
 
@@ -71,24 +72,13 @@ class UnitGroup:
                 orders.append(d)
         self.generators = tuple(gens)
         self.orders = tuple(orders)
-        # full dlog table: unit -> exponent tuple
-        table: dict[int, tuple[int, ...]] = {}
-        exps = [0] * len(gens)
+        # full dlog table: unit -> exponent tuple, first generator slowest
+        powers = [[pow(g, e, q) for e in range(d)] for g, d in zip(gens, orders)]
+        table = {
+            prod(units) % q: exps
+            for exps, units in zip(product(*map(range, orders)), product(*powers))
+        }
         total = euler_phi(q)
-        value = 1
-
-        def rec(i: int, value: int):
-            if i == len(gens):
-                table[value] = tuple(exps)
-                return
-            v = value
-            for e in range(orders[i]):
-                exps[i] = e
-                rec(i + 1, v)
-                v = v * gens[i] % q
-            exps[i] = 0
-
-        rec(0, 1 % q)
         if len(table) != total:
             raise CertificateError(f"dlog table mod {q} has {len(table)} units, expected {total}")
         self.dlog = table
@@ -167,17 +157,7 @@ class DirichletCharacter:
 def characters_mod(q: int) -> list[DirichletCharacter]:
     """All phi(q) characters mod q in deterministic lexicographic order."""
     group = unit_group(q)
-    chars = []
-
-    def rec(i: int, prefix: tuple[int, ...]):
-        if i == len(group.orders):
-            chars.append(DirichletCharacter(q, prefix))
-            return
-        for e in range(group.orders[i]):
-            rec(i + 1, prefix + (e,))
-
-    rec(0, ())
-    return chars
+    return [DirichletCharacter(q, exps) for exps in product(*map(range, group.orders))]
 
 
 def character_by_index(q: int, index: int) -> DirichletCharacter:

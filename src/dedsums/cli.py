@@ -49,8 +49,9 @@ def _progress(msg: str):
 
 
 def _check_options(args):
-    """Reject a non-finite or non-positive --tol, a non-finite --alpha and a
-    radius --j below 2 (G_j is empty there) before any work."""
+    """Reject a non-finite or non-positive --tol, a non-finite --alpha, a
+    radius --j below 2 (G_j is empty there) and --jobs below 1 before any
+    work."""
     tol = getattr(args, "tol", None)
     if tol is not None and not 0 < tol < float("inf"):
         raise OptionError(f"--tol must be a positive finite number, got {tol}")
@@ -60,6 +61,9 @@ def _check_options(args):
     j = getattr(args, "j", None)
     if j is not None and j < 2:
         raise OptionError(f"--j must be at least 2, got {j}")
+    jobs = getattr(args, "jobs", None)
+    if jobs is not None and jobs < 1:
+        raise OptionError(f"--jobs must be at least 1, got {jobs}")
 
 
 def _context(pair_spec: str, k: int) -> SumContext:
@@ -83,7 +87,7 @@ def cmd_sum(args) -> int:
     value = dk.sum_S(ctx, args.a, args.c)
     print(f"S = {_value_str(value)}")
     if args.tilde:
-        print(f"S~ = {_value_str(value * Fraction(args.c) ** (ctx.k - 2))}")
+        print(f"S~ = {_value_str(dk.sum_S_tilde(ctx, args.a, args.c))}")
     if args.oracle:
         policy = oc.TruncationPolicy(tol=verify.series_tol(args.tol))
         numeric = oc.shat_numeric(oc.numeric_context(ctx), Cusp(args.a % args.c, args.c), policy)

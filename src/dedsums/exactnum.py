@@ -1,11 +1,11 @@
 """Exact scalar arithmetic: rationals and cyclotomic field elements.
 
 Rationals are plain ``fractions.Fraction`` (always reduced, positive
-denominator), re-exported here as ``Rational``.  Cyclotomic numbers are kept
-in the power basis of Q(zeta_m) modulo the m-th cyclotomic polynomial, so
-equality of canonical forms is equality of field elements.  Every canonical
-form is reached one way: weights are summed per exponent mod m, and each
-nonzero exponent adds its cached row, the coordinates of zeta_m^e.
+denominator).  Cyclotomic numbers are kept in the power basis of Q(zeta_m)
+modulo the m-th cyclotomic polynomial, so equality of canonical forms is
+equality of field elements.  Every canonical form is reached one way: weights
+are summed per exponent mod m, and each nonzero exponent adds its cached row,
+the coordinates of zeta_m^e.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
-
-Rational = Fraction
 
 
 class CertificateError(AssertionError):

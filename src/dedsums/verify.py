@@ -47,9 +47,8 @@ def reciprocity_k2(ctx: SumContext, gamma: Mat2) -> bool:
         raise ValueError("the exact reciprocity identity is the weight 2 case")
     # every operand lives in Q(zeta_M), M = lcm of the two character orders
     lhs = dk.sum_S_matrix(ctx, gamma)
-    sign = 1 if ctx.chi1.value_exponent(-1) == 0 else -1
     s_swapped = dk.sum_S_matrix(ctx.swap(), conjugate_pair(gamma, ctx.n))
-    rhs = s_swapped * sign + (1 - ctx.psi(gamma)) * shat_at_zero(ctx)
+    rhs = s_swapped * parity(ctx.chi1) + (1 - ctx.psi(gamma)) * shat_at_zero(ctx)
     return (lhs - rhs).is_zero()
 
 
@@ -170,10 +169,9 @@ def suite_periodicity(seed: int, tol: float) -> tuple[bool, str]:
     for a, c in pairs:
         cusp = Cusp(a, c)
         shift = rng.randint(-3, 3)
-        lhs = dk.shat(ctx, Cusp(a + shift * c, c))
-        if not (lhs - dk.shat(ctx, cusp)).is_zero():
-            return False, f"S-hat not 1-periodic at {cusp}"
         cold = dk.sum_S(context_for(("chi5", "chi5"), 4), a, c)
+        if not (dk.shat(ctx, Cusp(a + shift * c, c)) - cold).is_zero():
+            return False, f"S-hat not 1-periodic at {cusp}"
         if not (dk.sum_S(ctx, a + shift * c, c) - cold).is_zero():
             return False, f"a mod c invariance failed at ({a},{c})"
     return True, f"{len(pairs)} cusps, shifts exact"

@@ -64,6 +64,33 @@ def test_divisibility_tables_structure():
     assert len(rows) == 4 and len(rows[0]) == 6
 
 
+def test_table_jobs_start_at_most_one_worker_per_cell(monkeypatch):
+    import multiprocessing
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, specs):
+            return [fn(*spec) for spec in specs]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    tables = analysis.divisibility_tables(2, jobs=10**6)
+    assert asked == [84]
+    serial = analysis.divisibility_tables(2)
+    assert [(key, c.r) for t in tables for key, c in t.cells.items()] == [
+        (key, c.r) for t in serial for key, c in t.cells.items()
+    ]
+
+
 def test_poly_space_member_examples():
     p = Poly(4, [Fraction(-24, 5), 0, 0])
     assert poly_space_member(p, 4, Fraction(6), 5)

@@ -53,6 +53,22 @@ def test_enumeration_count_and_multiplicativity(q):
         assert brute_force_multiplicative_check(chi)
 
 
+@pytest.mark.parametrize("q", [1, 2, 4, 5, 8, 9, 12, 16, 24, 25, 27, 32, 35])
+def test_enumeration_order_and_dlog(q):
+    # the q:index character specs name characters by this order
+    group = unit_group(q)
+    exps = [chi.exponents for chi in characters_mod(q)]
+    assert exps == sorted(exps)
+    assert len(set(exps)) == euler_phi(q)
+    assert all(0 <= e < d for t in exps for e, d in zip(t, group.orders))
+    assert sorted(group.dlog) == [n for n in range(q) if gcd(n, q) == 1]
+    for n, t in group.dlog.items():
+        value = 1 % q
+        for g, e in zip(group.generators, t):
+            value = value * pow(g, e, q) % q
+        assert value == n
+
+
 def test_q5_has_one_primitive_quadratic():
     quad = [c for c in characters_mod(5) if is_quadratic(c) and is_primitive(c)]
     assert len(quad) == 1

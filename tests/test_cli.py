@@ -166,6 +166,28 @@ def test_verify_output_deterministic():
     assert out1 == out2
 
 
+def test_periodicity_suite_compares_the_shifted_value_with_a_cold_run(monkeypatch):
+    # a wrong S-hat kept in the suite's own context fails the 1-periodicity line
+    from dedsums import dedekind, verify
+    from dedsums.modgroup import iter_G_pairs
+
+    fresh = verify.context_for
+    made = []
+
+    def seeded(pair, k):
+        ctx = fresh(pair, k)
+        if not made:
+            a, c = next(iter_G_pairs(ctx.n, 13))
+            ctx.sum_memo[a % c, c] = dedekind.sum_S(fresh(pair, k), a, c) + 1
+        made.append(ctx)
+        return ctx
+
+    monkeypatch.setattr(verify, "context_for", seeded)
+    ok, detail = verify.suite_periodicity(7, 0)
+    assert not ok
+    assert detail.startswith("S-hat not 1-periodic"), detail
+
+
 def test_oracle_truncation_is_domain_error(monkeypatch):
     from dedsums import oracle
 
@@ -198,6 +220,7 @@ def test_loose_tol_does_not_loosen_the_series(tol):
     + [["verify", "--suite", "poly-space", "--tol", t] for t in ("nan", "inf", "0", "-1")]
     + [["bounds", "--pair", "chi3,chi3", "--k", "2", "--alpha", "1", a] for a in ("inf", "nan")]
     + [["table", "--j", j] for j in ("1", "0", "-3")]
+    + [["table", "--jobs", n] for n in ("0", "-4")]
     + [["plotdata", "--pair", "chi3,chi3", "--k", "2", "--j", j] for j in ("1", "0", "-3")],
 )
 def test_bad_numeric_option_is_usage_error(argv, monkeypatch):

@@ -53,8 +53,6 @@ def test_serialization():
     m = Mat2(26, 1, 25, 1)
     assert Mat2.from_str(str(m)) == m
     assert str(Cusp(3, -6)) == "-1/2"
-    assert Cusp.from_str("inf") == CUSP_INF
-    assert Cusp.from_str("-7/3") == Cusp(-7, 3)
 
 
 def test_cusp_canonicalization():
