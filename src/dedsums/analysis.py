@@ -116,6 +116,12 @@ def compute_cell(pair: tuple[str, str], k: int, j: int) -> TableCell:
     return image_scale(context_for(pair, k), j, pair)
 
 
+def _compute_spec(spec: tuple[tuple[str, str], int, int]) -> TableCell:
+    """compute_cell on one (pair, k, j) spec, the one-argument form Pool.imap
+    takes (a module-level function, so workers can unpickle it)."""
+    return compute_cell(*spec)
+
+
 @dataclass
 class DivisibilityTable:
     pairs: list[tuple[str, str]]
@@ -142,17 +148,23 @@ def divisibility_tables(j: int, jobs: int = 1, progress=None) -> list[Divisibili
         for k in table.weights
         for pair in table.pairs
     ]
+
+    def collect(results) -> list[TableCell]:
+        # results arrive in spec order, so progress reports each cell as it lands
+        cells = []
+        for i, (spec, cell) in enumerate(zip(specs, results), 1):
+            cells.append(cell)
+            if progress:
+                progress(i, len(specs), spec)
+        return cells
+
     if jobs > 1:
         from multiprocessing import Pool
 
         with Pool(min(jobs, len(specs))) as pool:
-            cells = pool.starmap(compute_cell, specs)
+            cells = collect(pool.imap(_compute_spec, specs))
     else:
-        cells = []
-        for i, spec in enumerate(specs):
-            cells.append(compute_cell(*spec))
-            if progress:
-                progress(i + 1, len(specs), spec)
+        cells = collect(map(_compute_spec, specs))
     cells = iter(cells)
     for table in tables:
         for k in table.weights:

@@ -42,18 +42,22 @@ def conjugate_pair(gamma: Mat2, n: int) -> Mat2:
 
 
 def slashed_shat(nctx: oc.NumericContext, gamma: Mat2, cusp: Cusp, policy) -> complex:
-    """(S-hat |_{2-k} gamma)(a) = j(gamma, a)^(k-2) S-hat(gamma a)."""
+    """(S-hat |_{2-k} gamma)(a) = j(gamma, a)^(k-2) S-hat(gamma a), within
+    policy.tol."""
     image = cusp_apply(gamma, cusp)
     j = gamma.c * (cusp.p / cusp.q) + gamma.d
     if image.is_infinity():
         return 0j
-    return j ** (nctx.k - 2) * oc.shat_numeric(nctx, image, policy)
+    factor = j ** (nctx.k - 2)
+    return factor * oc.shat_numeric(nctx, image, policy.for_factor(factor))
 
 
 def fricke_slashed_shat(nctx: oc.NumericContext, cusp: Cusp, policy) -> complex:
-    """(S-hat |_{2-k} omega)(a) = (sqrt(N) a)^(k-2) S-hat(omega a)."""
+    """(S-hat |_{2-k} omega)(a) = (sqrt(N) a)^(k-2) S-hat(omega a), within
+    policy.tol."""
     image = fricke_apply(nctx.n_level, cusp)
     j = (nctx.n_level**0.5) * (cusp.p / cusp.q)
     if image.is_infinity():
         return 0j
-    return j ** (nctx.k - 2) * oc.shat_numeric(nctx, image, policy)
+    factor = j ** (nctx.k - 2)
+    return factor * oc.shat_numeric(nctx, image, policy.for_factor(factor))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, islice, repeat
 from operator import mul, truediv
 
@@ -34,8 +34,15 @@ class TruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class TruncationPolicy:
+    """An error budget for one oracle value, and the series length cap."""
+
     tol: float = 1e-8
     n_cap: int = 400_000
+
+    def for_factor(self, factor: complex) -> "TruncationPolicy":
+        """The budget of a value that is about to be multiplied by ``factor``:
+        tol / |factor| when |factor| > 1, so the product keeps ``tol``."""
+        return replace(self, tol=self.tol / max(1.0, abs(factor)))
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -143,8 +150,8 @@ def numeric_context(ctx: SumContext) -> NumericContext:
 
 
 def _poly_weight(k: int, z: complex, x: complex, y: complex) -> float:
-    """Crude sup over n of |P^(n)(z)| / (2 pi)^(n+1) for the tail estimate."""
-    base = max(1.0, abs(x * z + y))
+    """sup over n of |P^(n)(z)| / (2 pi)^(n+1), P(z) = (xz+y)^(k-2)."""
+    base = abs(x * z + y)
     fac = 1.0  # falling factorial (k-2)(k-3)...(k-1-n)
     best = 0.0
     for n in range(k - 1):
@@ -155,25 +162,34 @@ def _poly_weight(k: int, z: complex, x: complex, y: complex) -> float:
 
 
 def _tail_terms(y: float, k: int, tol: float, weight: float, cap: int) -> tuple[int, float]:
-    """Least M >= 8 with 4 weight sum_{N>M} N^(k+1/2) e^(-2 pi N y) below tol.
+    """Least M >= 8 with C weight sum_{N>M} N^p e^(-2 pi N y) below tol.
 
-    Term N of the antiderivative series is at most 4 (k-1) weight
-    N^(k-3/2) e^(-2 pi N y), since |sigma(N)| <= d(N) N^(k-1) <= 2 sqrt(N)
-    N^(k-1); that is under the bound's term once N^2 >= k-1, so M >= 8 keeps
-    the bound a bound up to k = 65.  tail_at(M) sums the bound's terms as a
-    geometric series in their first ratio.  It is non-increasing in M (the
-    ratio falls with M, and tail_at is infinite while the ratio is near 1),
-    so after growing M by half at a time until the bound holds, a bisection
-    finds the least such M.  No M above ``cap`` is tried: if tail_at(cap)
-    misses tol, it raises.
+    With x = e^(-2 pi y), term N of the antiderivative series is
+    2 sigma(N) e(Nz) sum_n P^(n)(z) / (-2 pi i N)^(n+1), and
+    sum_{n>=0} N^-(n+1) = 1/(N-1), so it is at most
+    2 weight |sigma(N)| x^N / (N-1) <= (9/4) weight |sigma(N)| x^N / N,
+    since N/(N-1) <= 9/8 for N >= 9.  The character values have modulus at
+    most 1, so |sigma(N)| <= sigma_{k-1}(N).  For k >= 3,
+    sigma_{k-1}(N) = N^(k-1) sum_{A|N} A^(1-k) <= zeta(2) N^(k-1): p = k-2
+    and C = (9/4) zeta(2) = 3 pi^2/8.  For k = 2, sigma_1(N) <= d(N) N <=
+    2 N^(3/2), since the divisors pair off across sqrt(N): p = 1/2 and
+    C = 9/2.  tail_at(M) sums C weight N^p x^N over N > M as a geometric
+    series in its first ratio x ((M+2)/(M+1))^p, which majorizes every later
+    ratio.  It is non-increasing in M (the ratio falls with M, and tail_at is
+    infinite while the ratio is near 1), so after growing M by half at a time
+    until the bound holds, a bisection finds the least such M.  No M above
+    ``cap`` is tried: if tail_at(cap) misses tol, it raises.
     """
     if y <= 0:
         raise ValueError("evaluation point must be in the upper half plane")
     x = math.exp(-2 * math.pi * y)
-    power = k + 0.5
+    if k >= 3:
+        power, const = k - 2, 3 * math.pi**2 / 8
+    else:
+        power, const = 0.5, 4.5
 
     def tail_at(m: int) -> float:
-        t = 4 * weight * (m + 1) ** power * x ** (m + 1)
+        t = const * weight * (m + 1) ** power * x ** (m + 1)
         ratio = x * ((m + 2) / (m + 1)) ** power
         if ratio >= 0.9999:
             return math.inf
@@ -217,6 +233,8 @@ def antiderivative_at(
     plain differences of F values.  The sum over n comes out of the sum over
     N: pass n divides sigma(N) e(Nz) by N once more and sums it, so F is
     -2 sum_n P^(n)(z) / (-2 pi i)^(n+1) sum_N sigma(N) e(Nz) / N^(n+1).
+    When X = 0 every P^(n) with n >= 1 vanishes, so one pass is exact.  The
+    series is cut where its tail is below policy.tol / 4.
     """
     k = nctx.k
     x, y = complex(x), complex(y)
@@ -225,24 +243,11 @@ def antiderivative_at(
     series = _series_terms(nctx, z, terms)
     total = 0j
     fac = 1.0  # P^(n)(z) = (k-2)...(k-1-n) x^n (xz+y)^(k-2-n)
-    for n in range(k - 1):
+    for n in range(k - 1 if x else 1):
         series = list(map(truediv, series, range(1, terms + 1)))
         total += fac * x**n * (x * z + y) ** (k - 2 - n) / (-TWO_PI_I) ** (n + 1) * sum(series)
         fac *= k - 2 - n
     return -2 * total
-
-
-def antiderivative_segment(
-    nctx: NumericContext, s: complex, s2: complex, x, y, policy: TruncationPolicy = DEFAULT_POLICY
-) -> complex:
-    """Integral of E * P(.; X, Y) from s to s2 through the upper half plane."""
-    return antiderivative_at(nctx, s2, x, y, policy) - antiderivative_at(nctx, s, x, y, policy)
-
-
-def eisenstein_eval(nctx: NumericContext, z: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Truncated Fourier series 2 sum sigma(N) e(Nz)."""
-    terms, _ = _tail_terms(z.imag, nctx.k, policy.tol * 0.5, 1.0, policy.n_cap)
-    return 2 * sum(_series_terms(nctx, z, terms))
 
 
 def phi_numeric(
@@ -257,7 +262,8 @@ def phi_numeric(
 
     Splits the path at gamma(z1) and pulls the cusp leg back through gamma,
     which turns both legs into antiderivative differences evaluated at height
-    >= Im(z1).  Depends only on the cusp gamma(infinity) and on (X, Y).
+    >= Im(z1).  Depends only on the cusp gamma(infinity) and on (X, Y).  Each
+    leg keeps policy.tol / 4 and |psi| = 1, so the value keeps policy.tol / 2.
     """
     if gamma.c == 0:
         return 0j
@@ -279,7 +285,8 @@ def integral_to_zero(
     """Integral of E * (z + Y)^(k-2) dz from infinity down to the cusp 0.
 
     The leg near 0 is pulled through the Fricke flip, which swaps the
-    character pair and lands at the balanced interior point i/sqrt(N).
+    character pair and lands at the balanced interior point i/sqrt(N).  The
+    pulled-back leg is cut for its factor, so the value keeps policy.tol / 2.
     """
     k = nctx.k
     n_level = nctx.n_level
@@ -287,9 +294,11 @@ def integral_to_zero(
     upper = antiderivative_at(nctx, z_star, 1.0, y_spec, policy)
     # z = omega(w) = -1/(N w) turns (z + Y)^(k-2) dz into
     # N^((2-k)/2) (N Y w - 1)^(k-2) j(omega, w)^(-k) dw
-    f_swap = antiderivative_at(nctx.swap(), z_star, n_level * complex(y_spec), -1.0, policy)
-    lower = -nctx.fricke_R() * n_level ** ((2 - k) / 2) * f_swap
-    return upper + lower
+    factor = -nctx.fricke_R() * n_level ** ((2 - k) / 2)
+    f_swap = antiderivative_at(
+        nctx.swap(), z_star, n_level * complex(y_spec), -1.0, policy.for_factor(factor)
+    )
+    return upper + factor * f_swap
 
 
 def shat_numeric(
@@ -299,6 +308,8 @@ def shat_numeric(
 
     Infinity orbit: the scaled period integral via phi_numeric.  Zero orbit:
     one Fricke pullback reduces to swapped-context values at omega(cusp).
+    Every series is cut for the factor its value is multiplied by, so the
+    result is within policy.tol of the exact S-hat, up to rounding.
     """
     if cusp.is_infinity():
         return 0j
@@ -306,20 +317,22 @@ def shat_numeric(
     scale = nctx.s_scale()
     if cusp.q % n_level == 0:
         gamma = g_witness(cusp.p, cusp.q, n_level)
-        return scale * phi_numeric(nctx, gamma, 1.0, -cusp.p / cusp.q, policy)
+        return scale * phi_numeric(nctx, gamma, 1.0, -cusp.p / cusp.q, policy.for_factor(scale))
     if math.gcd(cusp.q % n_level, n_level) != 1:
         raise ValueError(f"cusp {cusp} lies in neither the infinity nor the zero orbit")
     if cusp.p == 0:
-        return scale * integral_to_zero(nctx, 0.0, policy)
+        return scale * integral_to_zero(nctx, 0.0, policy.for_factor(scale))
     # cusp = omega(b_cusp) with b_cusp on the infinity orbit
     b_cusp = fricke_apply(n_level, cusp)
     if b_cusp.q % n_level:
         raise CertificateError(f"omega({cusp}) = {b_cusp} is off the infinity orbit")
     b_val = b_cusp.p / b_cusp.q
     j_pow = (math.sqrt(n_level) * b_val) ** (2 - nctx.k)
+    factor = scale * j_pow * nctx.fricke_R()
+    inner_policy = policy.for_factor(factor)
     swap = nctx.swap()
     gamma = g_witness(b_cusp.p, b_cusp.q, n_level)
-    inner = phi_numeric(swap, gamma, 1.0, -b_val, policy) - integral_to_zero(
-        swap, -b_val, policy
+    inner = phi_numeric(swap, gamma, 1.0, -b_val, inner_policy) - integral_to_zero(
+        swap, -b_val, inner_policy
     )
-    return scale * j_pow * nctx.fricke_R() * inner
+    return factor * inner

@@ -59,7 +59,9 @@ def reciprocity_general(
     numerically, and the magnitude max(1, |lhs|, |rhs|) it is compared against.
 
     The slash in the phi terms acts in the cusp variable (the reduction used
-    to prove the identity).
+    to prove the identity).  Each of the nine terms is cut for its own
+    factor and keeps policy.tol, so the residual is below 9 policy.tol plus
+    rounding.
     """
     n, k = nctx.n_level, nctx.k
     if cusp.is_infinity() or cusp.p == 0:
@@ -76,31 +78,36 @@ def reciprocity_general(
 
     omega_cusp = fricke_apply(n, cusp)
     j_omega = (n**0.5) * a_val
+    f_omega = scale * j_omega ** (k - 2)
 
     lhs = (
         slashed_shat(nctx, gamma_p, cusp, policy)
         - psi_gp * oc.shat_numeric(nctx, cusp, policy)
         + scale
-        * (
-            psi_gp * oc.phi_numeric(nctx, gamma_p.inverse(), 1.0, -a_val, policy)
-            - psi_g
-            * j_omega ** (k - 2)
-            * oc.phi_numeric(nctx, gamma.inverse(), 1.0, -(omega_cusp.p / omega_cusp.q), policy)
+        * psi_gp
+        * oc.phi_numeric(nctx, gamma_p.inverse(), 1.0, -a_val, policy.for_factor(scale))
+        - f_omega
+        * psi_g
+        * oc.phi_numeric(
+            nctx, gamma.inverse(), 1.0, -(omega_cusp.p / omega_cusp.q), policy.for_factor(f_omega)
         )
     )
     # phi_{chi2,chi1}(omega^-1, 1, -a) is the integral from infinity to 0
-    phi_omega_at = oc.integral_to_zero(swap, -a_val, policy)
+    f_zero = scale * r_const
+    phi_omega_at = oc.integral_to_zero(swap, -a_val, policy.for_factor(f_zero))
     gp_image = cusp_apply(gamma_p, cusp)
-    j_gp = gamma_p.c * a_val + gamma_p.d
-    phi_omega_slashed = j_gp ** (k - 2) * oc.integral_to_zero(
-        swap, -(gp_image.p / gp_image.q), policy
+    f_zero_slashed = f_zero * (gamma_p.c * a_val + gamma_p.d) ** (k - 2)
+    phi_omega_slashed = oc.integral_to_zero(
+        swap, -(gp_image.p / gp_image.q), policy.for_factor(f_zero_slashed)
     )
+    f_swap = r_const * (tau1 / tau2)
+    swap_policy = policy.for_factor(f_swap)
     rhs = (
-        r_const
-        * (tau1 / tau2)
-        * (slashed_shat(swap, gamma_p, cusp, policy) - oc.shat_numeric(swap, cusp, policy))
-        + scale * r_const * (phi_omega_at - phi_omega_slashed)
-        + (1 - psi_g) * fricke_slashed_shat(nctx, cusp, policy)
+        f_swap
+        * (slashed_shat(swap, gamma_p, cusp, swap_policy) - oc.shat_numeric(swap, cusp, swap_policy))
+        + f_zero * phi_omega_at
+        - f_zero_slashed * phi_omega_slashed
+        + (1 - psi_g) * fricke_slashed_shat(nctx, cusp, policy.for_factor(1 - psi_g))
     )
     return abs(lhs - rhs), max(1.0, abs(lhs), abs(rhs))
 
@@ -109,23 +116,26 @@ def three_term_residual(
     nctx: oc.NumericContext, gamma: Mat2, cusp: Cusp, policy: oc.TruncationPolicy = oc.DEFAULT_POLICY
 ) -> float:
     """Residual of 0 = h_gamma|omega - h_gamma' + (h_omega - h_omega|gamma'),
-    with every h evaluated through the numeric S-hat on both orbits."""
+    with every h evaluated through the numeric S-hat on both orbits.  Each
+    h is a difference of two values within its policy's tol, and the slashed
+    ones are cut for their factor, so the residual is below 8 policy.tol plus
+    rounding."""
     n, k = nctx.n_level, nctx.k
     gamma_p = conjugate_pair(gamma, n)
 
-    def h_gamma_at(g: Mat2, c: Cusp) -> complex:
+    def h_gamma_at(g: Mat2, c: Cusp, policy: oc.TruncationPolicy) -> complex:
         return oc.shat_numeric(nctx, c, policy) - slashed_shat(nctx, g, c, policy)
 
-    def h_omega_at(c: Cusp) -> complex:
+    def h_omega_at(c: Cusp, policy: oc.TruncationPolicy) -> complex:
         return oc.shat_numeric(nctx, c, policy) - fricke_slashed_shat(nctx, c, policy)
 
     a_val = cusp.p / cusp.q
-    j_omega = (n**0.5) * a_val
-    term1 = j_omega ** (k - 2) * h_gamma_at(gamma, fricke_apply(n, cusp))
-    term2 = h_gamma_at(gamma_p, cusp)
-    j_gp = gamma_p.c * a_val + gamma_p.d
-    term3 = h_omega_at(cusp)
-    term4 = j_gp ** (k - 2) * h_omega_at(cusp_apply(gamma_p, cusp))
+    f_omega = ((n**0.5) * a_val) ** (k - 2)
+    term1 = f_omega * h_gamma_at(gamma, fricke_apply(n, cusp), policy.for_factor(f_omega))
+    term2 = h_gamma_at(gamma_p, cusp, policy)
+    f_gp = (gamma_p.c * a_val + gamma_p.d) ** (k - 2)
+    term3 = h_omega_at(cusp, policy)
+    term4 = f_gp * h_omega_at(cusp_apply(gamma_p, cusp), policy.for_factor(f_gp))
     return abs(term1 - term2 + (term3 - term4))
 
 
@@ -208,8 +218,10 @@ def suite_oracle(seed: int, tol: float) -> tuple[bool, str]:
             return False, f"oracle disagreement {abs(exact - numeric):.2e} at {pair} k={k} {gamma}"
         if i % 25 == 0:
             # independence of the interior split point
-            shifted = nctx.s_scale() * oc.phi_numeric(
-                nctx, gamma, 1.0, -a / c, policy, z1=(2j - gamma.d) / gamma.c if gamma.c > 0 else (2j + gamma.d) / -gamma.c
+            scale = nctx.s_scale()
+            shifted = scale * oc.phi_numeric(
+                nctx, gamma, 1.0, -a / c, policy.for_factor(scale),
+                z1=(2j - gamma.d) / gamma.c if gamma.c > 0 else (2j + gamma.d) / -gamma.c,
             )
             if abs(numeric - shifted) >= 1e-8:
                 return False, f"z1 dependence {abs(numeric - shifted):.2e} at {gamma}"
@@ -236,6 +248,7 @@ def suite_fricke_k2(seed: int, tol: float) -> tuple[bool, str]:
 def suite_reciprocity_numeric(seed: int, tol: float) -> tuple[bool, str]:
     """General-weight reciprocity identity and S-hat(0) cross-checks."""
     rng = random.Random(seed)
+    policy = oc.TruncationPolicy(tol=series_tol(tol))
     checks = 0
     for pair, k in ((("chi3", "chi4"), 2), (("chi5", "chi5"), 4)):
         nctx = oc.numeric_context(context_for(pair, k))
@@ -247,7 +260,7 @@ def suite_reciprocity_numeric(seed: int, tol: float) -> tuple[bool, str]:
             cusp = Cusp(1, n * rng.randint(1, 3)) if rng.random() < 0.5 else Cusp(
                 rng.choice([1, 2, -1]), [x for x in (3, 5, 7, 11) if math.gcd(x, n) == 1][rng.randrange(2)]
             )
-            residual, magnitude = reciprocity_general(nctx, gamma, cusp)
+            residual, magnitude = reciprocity_general(nctx, gamma, cusp, policy)
             checks += 1
             if not residual < tol * magnitude:
                 return False, f"numeric reciprocity residual {residual:.2e} at {pair} k={k} {gamma} {cusp}"
@@ -257,7 +270,7 @@ def suite_reciprocity_numeric(seed: int, tol: float) -> tuple[bool, str]:
             for k in ks:
                 ctx = context_for(pair, k)
                 exact = shat_at_zero(ctx).to_complex()
-                numeric = oc.shat_numeric(oc.numeric_context(ctx), Cusp(0, 1))
+                numeric = oc.shat_numeric(oc.numeric_context(ctx), Cusp(0, 1), policy)
                 worst = max(worst, abs(exact - numeric))
                 if abs(exact - numeric) >= 1e-8:
                     return False, f"S-hat(0) mismatch at {pair} k={k}"

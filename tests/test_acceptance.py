@@ -236,7 +236,8 @@ def test_c5_exact_property_suites():
             if tau.embed(m) * tau_bar.embed(m) != parity(chi) * q:
                 gauss_ok = False
     # worpitzky double sum against the polynomial evaluation, 500 samples
-    from dedsums.bernoulli import periodic_bernoulli, worpitzky_eval
+    from dedsums.bernoulli import periodic_bernoulli
+    from test_bernoulli import worpitzky_eval
 
     rng = random.Random(SEED)
     worp_ok = True

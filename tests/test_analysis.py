@@ -79,16 +79,24 @@ def test_table_jobs_start_at_most_one_worker_per_cell(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def starmap(self, fn, specs):
-            return [fn(*spec) for spec in specs]
+        def imap(self, fn, specs):
+            return map(fn, specs)
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    tables = analysis.divisibility_tables(2, jobs=10**6)
+    reported, reported_serial = [], []
+    tables = analysis.divisibility_tables(
+        2, jobs=10**6, progress=lambda i, total, spec: reported.append((i, total, spec))
+    )
     assert asked == [84]
-    serial = analysis.divisibility_tables(2)
+    serial = analysis.divisibility_tables(
+        2, progress=lambda i, total, spec: reported_serial.append((i, total, spec))
+    )
     assert [(key, c.r) for t in tables for key, c in t.cells.items()] == [
         (key, c.r) for t in serial for key, c in t.cells.items()
     ]
+    # one progress call per cell, in spec order, as the serial run reports
+    assert [(i, total) for i, total, _ in reported] == [(i, 84) for i in range(1, 85)]
+    assert reported == reported_serial
 
 
 def test_poly_space_member_examples():

@@ -14,11 +14,28 @@ def ctx_for(t1, t2, k):
     return dk.SumContext(named_character(t1), named_character(t2), k)
 
 
+def eisenstein_eval(nctx, z, policy=oc.DEFAULT_POLICY):
+    """Truncated Fourier series 2 sum sigma(N) e(Nz), tail below policy.tol / 2.
+
+    Its terms are N times those of the antiderivative series, so its tail
+    needs its own bound: 2 |sigma(N)| is at most 2 zeta(2) N^(k-1) for k >= 3
+    and 4 N^(3/2) for k = 2, both under (3 pi^2/8) N^k for N >= 9, which is
+    the bound oracle._tail_terms uses when given k + 2 and weight 1.
+    """
+    terms, _ = oc._tail_terms(z.imag, nctx.k + 2, policy.tol * 0.5, 1.0, policy.n_cap)
+    return 2 * sum(oc._series_terms(nctx, z, terms))
+
+
+def antiderivative_segment(nctx, s, s2, x, y, policy=oc.DEFAULT_POLICY):
+    """Integral of E * P(.; X, Y) from s to s2 through the upper half plane."""
+    return oc.antiderivative_at(nctx, s2, x, y, policy) - oc.antiderivative_at(nctx, s, x, y, policy)
+
+
 def test_eisenstein_leading_term():
     ctx = ctx_for("chi3", "chi4", 4)
     n = oc.numeric_context(ctx)
     z = 10j
-    val = oc.eisenstein_eval(n, z)
+    val = eisenstein_eval(n, z)
     lead = 2 * cmath.exp(2j * cmath.pi * z)
     assert abs(val - lead) / abs(lead) < 1e-10
 
@@ -36,8 +53,8 @@ def test_eisenstein_modularity():
             if abs(j) > 2.5 or g.c == 0:
                 continue
             gz = (g.a * z + g.b) / j
-            lhs = oc.eisenstein_eval(nctx, gz) / j**k
-            rhs = nctx.psi(g) * oc.eisenstein_eval(nctx, z)
+            lhs = eisenstein_eval(nctx, gz) / j**k
+            rhs = nctx.psi(g) * eisenstein_eval(nctx, z)
             assert abs(lhs - rhs) < 1e-6 * max(1.0, abs(rhs))
 
 
@@ -45,8 +62,8 @@ def test_truncation_refinement_stays_within_tolerance():
     ctx = ctx_for("chi3", "chi3", 4)
     n = oc.numeric_context(ctx)
     z = 0.25 + 0.04j
-    loose = oc.eisenstein_eval(n, z, oc.TruncationPolicy(tol=1e-6))
-    tight = oc.eisenstein_eval(n, z, oc.TruncationPolicy(tol=1e-12))
+    loose = eisenstein_eval(n, z, oc.TruncationPolicy(tol=1e-6))
+    tight = eisenstein_eval(n, z, oc.TruncationPolicy(tol=1e-12))
     assert abs(loose - tight) < 1e-6
 
 
@@ -54,22 +71,22 @@ def test_truncation_error_raised():
     ctx = ctx_for("chi3", "chi3", 4)
     n = oc.numeric_context(ctx)
     with pytest.raises(oc.TruncationError):
-        oc.eisenstein_eval(n, 0.1 + 1e-5j, oc.TruncationPolicy(tol=1e-10, n_cap=500))
+        eisenstein_eval(n, 0.1 + 1e-5j, oc.TruncationPolicy(tol=1e-10, n_cap=500))
 
 
 def test_antiderivative_empty_segment():
     ctx = ctx_for("chi3", "chi4", 4)
     n = oc.numeric_context(ctx)
-    assert oc.antiderivative_segment(n, 1j, 1j, 1.0, 0.5) == 0
+    assert antiderivative_segment(n, 1j, 1j, 1.0, 0.5) == 0
 
 
 def test_antiderivative_path_additivity():
     ctx = ctx_for("chi3", "chi4", 4)
     n = oc.numeric_context(ctx)
     s, mid, t = 0.3 + 0.2j, 0.1 + 1.5j, -0.4 + 0.6j
-    ab = oc.antiderivative_segment(n, s, mid, 1.0, -0.25)
-    bc = oc.antiderivative_segment(n, mid, t, 1.0, -0.25)
-    ac = oc.antiderivative_segment(n, s, t, 1.0, -0.25)
+    ab = antiderivative_segment(n, s, mid, 1.0, -0.25)
+    bc = antiderivative_segment(n, mid, t, 1.0, -0.25)
+    ac = antiderivative_segment(n, s, t, 1.0, -0.25)
     assert abs(ab + bc - ac) < 2e-8
 
 
@@ -86,8 +103,8 @@ def test_antiderivative_matches_quadrature():
     ctx = ctx_for("chi3", "chi3", 2)
     n = oc.numeric_context(ctx)
     a, b = 0.5j, 2.0j
-    quad = _simpson(lambda t: oc.eisenstein_eval(n, a + (b - a) * t) * (b - a), 0.0, 1.0)
-    closed = oc.antiderivative_segment(n, a, b, 0.0, 1.0)
+    quad = _simpson(lambda t: eisenstein_eval(n, a + (b - a) * t) * (b - a), 0.0, 1.0)
+    closed = antiderivative_segment(n, a, b, 0.0, 1.0)
     assert abs(quad - closed) < 1e-7
 
 
@@ -195,7 +212,9 @@ def test_shat_numeric_rejects_mixed_cusp():
 
 
 def test_omega_twisted_cocycle_identity():
-    # h_{omega gamma}(a) against its phi expression, on both orbits
+    # h_{omega gamma}(a) against its phi expression, on both orbits; each of
+    # the five oracle values is cut for the factor it is multiplied by here
+    policy = oc.TruncationPolicy(tol=1e-8)
     ctx = ctx_for("chi5", "chi5", 4)
     n_level = ctx.n
     nctx = oc.numeric_context(ctx)
@@ -214,38 +233,46 @@ def test_omega_twisted_cocycle_identity():
         j_g = gamma.c * a_val + gamma.d
         g_cusp_val = cusp_apply(gamma, cusp)
         j_og = (n_level**0.5) * (g_cusp_val.p / g_cusp_val.q) * j_g
-        lhs = oc.shat_numeric(nctx, cusp) - j_og ** (k - 2) * oc.shat_numeric(nctx, og_cusp)
+        f_og = j_og ** (k - 2)
+        lhs = oc.shat_numeric(nctx, cusp, policy) - f_og * oc.shat_numeric(
+            nctx, og_cusp, policy.for_factor(f_og)
+        )
         # rhs of the omega-twisted cocycle formula
         psi_bar = nctx.psi(gamma).conjugate()
         r_gamma = psi_bar * nctx.fricke_R()
         # phi_{chi2,chi1}((omega gamma)^-1, 1, -a): integral to gamma^-1(0)
         target = cusp_apply(gamma.inverse(), Cusp(0, 1))
-        phi_val = _integral_to_cusp(swap, target, -a_val)
+        f_phi = (-1) ** k * tau1 * (k - 1) * r_gamma
+        phi_val = _integral_to_cusp(swap, target, -a_val, policy.for_factor(f_phi))
+        f_swap = r_gamma * (tau1 / tau2)
         rhs = (
-            (-1) ** k * tau1 * (k - 1) * r_gamma * phi_val
-            - r_gamma * (tau1 / tau2) * oc.shat_numeric(swap, cusp)
-            + oc.shat_numeric(nctx, cusp)
+            f_phi * phi_val
+            - f_swap * oc.shat_numeric(swap, cusp, policy.for_factor(f_swap))
+            + oc.shat_numeric(nctx, cusp, policy)
         )
         assert abs(lhs - rhs) < 1e-6, (gamma, cusp, abs(lhs - rhs))
 
 
-def _integral_to_cusp(nctx, cusp, y_val):
-    """Integral of E (z + y)^(k-2) from infinity to an omega-orbit cusp."""
+def _integral_to_cusp(nctx, cusp, y_val, policy):
+    """Integral of E (z + y)^(k-2) from infinity to an omega-orbit cusp,
+    within policy.tol."""
     n_level = nctx.n_level
     if cusp.p == 0:
-        return oc.integral_to_zero(nctx, y_val)
+        return oc.integral_to_zero(nctx, y_val, policy)
     # split at the Fricke fixed point and pull the cusp leg through omega
-    import math as _m
-
-    z_star = 1j / _m.sqrt(n_level)
-    upper = oc.antiderivative_at(nctx, z_star, 1.0, y_val)
+    z_star = 1j / math.sqrt(n_level)
+    upper = oc.antiderivative_at(nctx, z_star, 1.0, y_val, policy)
     swap = nctx.swap()
     b_cusp = fricke_apply(n_level, cusp)
-    x2 = y_val * _m.sqrt(n_level)
-    y2 = -1 / _m.sqrt(n_level)
+    x2 = y_val * math.sqrt(n_level)
+    y2 = -1 / math.sqrt(n_level)
     witness = g_witness(b_cusp.p, b_cusp.q, n_level)
-    inner = oc.phi_numeric(swap, witness, x2, y2) - oc.antiderivative_at(swap, z_star, x2, y2)
-    return upper + nctx.fricke_R() * inner
+    r_const = nctx.fricke_R()
+    inner_policy = policy.for_factor(r_const)
+    inner = oc.phi_numeric(swap, witness, x2, y2, inner_policy) - oc.antiderivative_at(
+        swap, z_star, x2, y2, inner_policy
+    )
+    return upper + r_const * inner
 
 
 # -- the series against copies of the earlier loops ---------------------------
@@ -302,13 +329,15 @@ def old_antiderivative_at(nctx, z, x, y, policy=oc.DEFAULT_POLICY):
 
 
 def tail_bound(y, k, weight, m):
-    """The tail bound of oracle._tail_terms at M = m, written out again."""
+    """The tail bound of oracle._tail_terms at M = m, written out again:
+    3 pi^2/8 weight N^(k-2) for k >= 3 and 9/2 weight N^(1/2) for k = 2,
+    times x^N, summed over N > m as a geometric series in its first ratio."""
     x = math.exp(-2 * math.pi * y)
-    power = k + 0.5
+    power, const = (k - 2, 3 * math.pi**2 / 8) if k >= 3 else (0.5, 4.5)
     ratio = x * ((m + 2) / (m + 1)) ** power
     if ratio >= 0.9999:
         return math.inf
-    return 4 * weight * (m + 1) ** power * x ** (m + 1) / (1 - ratio)
+    return const * weight * (m + 1) ** power * x ** (m + 1) / (1 - ratio)
 
 
 PRIME_POWER_CHARACTERS = [
@@ -395,7 +424,8 @@ def test_tail_terms_is_least_and_bounds_the_tail(nctx, re_z, height, xy, tol):
 
 
 def old_integral_to_zero(nctx, y_spec, policy=oc.DEFAULT_POLICY):
-    """integral_to_zero with its two pullbacks, the y = 0 one and the general one."""
+    """integral_to_zero with its two pullbacks, the y = 0 one and the general one,
+    each pulled-back leg cut for the factor it is multiplied by."""
     k = nctx.k
     n_level = nctx.n_level
     z_star = 1j / math.sqrt(n_level)
@@ -404,14 +434,15 @@ def old_integral_to_zero(nctx, y_spec, policy=oc.DEFAULT_POLICY):
     swap = nctx.swap()
     r_const = nctx.fricke_R()
     if y_c == 0:
-        f_swap = oc.antiderivative_at(swap, z_star, 0.0, 1.0, policy)
-        lower = -((-1) ** k) * n_level ** ((2 - k) / 2) * r_const * f_swap
+        factor = -((-1) ** k) * n_level ** ((2 - k) / 2) * r_const
+        f_swap = oc.antiderivative_at(swap, z_star, 0.0, 1.0, policy.for_factor(factor))
     else:
         c_frak = -y_c
         d_frak = -1 / (n_level * c_frak)
         j_pow = (math.sqrt(n_level) * d_frak) ** (2 - k)
-        f_swap = oc.antiderivative_at(swap, z_star, 1.0, -d_frak, policy)
-        lower = -r_const * j_pow * f_swap
+        factor = -r_const * j_pow
+        f_swap = oc.antiderivative_at(swap, z_star, 1.0, -d_frak, policy.for_factor(factor))
+    lower = factor * f_swap
     return upper + lower
 
 
@@ -431,3 +462,22 @@ def test_integral_to_zero_matches_two_branch_pullback(nctx, num, den):
     if y == 0:
         assert new == old
     assert abs(new - old) <= 1e-12 * max(1.0, abs(old))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nctx=numeric_contexts(QUADRATIC_AND_MIXED, range(2, 7)),
+    num=st.integers(-60, 60),
+    mult=st.integers(1, 4),
+    tol=st.sampled_from([1e-6, 1e-9, 1e-11]),
+)
+def test_shat_numeric_keeps_the_policy_tolerance(nctx, num, mult, tol):
+    # every factor shat_numeric applies is budgeted, so the value keeps tol
+    ctx = nctx.ctx
+    policy = oc.TruncationPolicy(tol=tol)
+    c = ctx.n * mult
+    a = num if math.gcd(num, c) == 1 else 1
+    exact = dk.shat(ctx, Cusp(a, c)).to_complex()
+    assert abs(oc.shat_numeric(nctx, Cusp(a, c), policy) - exact) <= tol
+    exact_zero = fr.shat_at_zero(ctx).to_complex()
+    assert abs(oc.shat_numeric(nctx, Cusp(0, 1), policy) - exact_zero) <= tol
