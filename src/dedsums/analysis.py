@@ -9,7 +9,8 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from . import dedekind as dk
 from .characters import named_character
@@ -19,9 +20,11 @@ from .modgroup import (
     Mat2,
     Poly,
     gamma1_generators,
+    gamma1_relations,
     g_witness,
     iter_G_pairs,
     partial_quotient_max,
+    slash_matrix,
 )
 
 # The three pair groupings of the published divisibility tables: all ordered
@@ -189,31 +192,116 @@ def poly_space_member(p: Poly, k: int, m: Fraction, q: int) -> bool:
     return True
 
 
+def gamma1_h_table(ctx: SumContext, progress=None) -> list[Poly]:
+    """h on every Schreier generator of Gamma_1(N), in generator order.
+
+    The cocycle relation h_(g1 g2) = h_g1|g2 + h_g2 turns each relation
+    u_1 ... u_L = I of :func:`modgroup.gamma1_relations` into
+    h_u1|u2...uL + ... + h_uL = 0, folded left to right as acc <- acc|u + h_u.
+    So a relation whose generators are all known but one, v, fixes it:
+    rotated to end in v, it gives h_v = -(fold of the rest)|v.  The cheapest
+    generator no relation has fixed is fitted by ``h_interpolate``, then
+    every relation left with one unknown is used, until all are known.  Each
+    h is an integer vector over one denominator and each slash one integer
+    matrix per generator.  Every relation not used for a derivation must
+    fold to exactly 0, else CertificateError.  ``progress(i, total)`` is
+    called as each h becomes known.
+    """
+    k = ctx.k
+    gens = gamma1_generators(ctx.n)
+    relations = gamma1_relations(ctx.n)
+    columns = [list(zip(*slash_matrix(g, k))) for g in gens]
+    known: list[tuple[list[int], int] | None] = [None] * len(gens)
+    unknown = [len(rel) for rel in relations]
+    occurrences: list[list[int]] = [[] for _ in gens]
+    for r, rel in enumerate(relations):
+        for u in rel:
+            occurrences[u].append(r)
+    used: set[int] = set()
+    ready: list[int] = []
+    settled = 0
+
+    def fold(word) -> tuple[list[int], int]:
+        nums, den = [0] * (k - 1), 1
+        for u in word:
+            h_nums, h_den = known[u]
+            scale = lcm(den, h_den)
+            nums = [
+                sum(map(mul, nums, col)) * (scale // den) + h * (scale // h_den)
+                for col, h in zip(columns[u], h_nums)
+            ]
+            den = scale
+        return nums, den
+
+    def settle(v: int, nums: list[int], den: int):
+        nonlocal settled
+        g = gcd(den, *nums)
+        known[v] = [x // g for x in nums], den // g
+        for r in occurrences[v]:
+            unknown[r] -= 1
+            if unknown[r] == 1:
+                ready.append(r)
+        settled += 1
+        if progress:
+            progress(settled, len(gens))
+
+    # a fit's cost: the denominators of its nodes and their images grow with
+    # |c| and |d| (see interpolation_nodes)
+    for g in sorted(range(len(gens)), key=lambda i: abs(gens[i].c) + abs(gens[i].d)):
+        if known[g] is not None:
+            continue
+        h = dk.h_interpolate(ctx, gens[g])
+        den = lcm(*(c.denominator for c in h.coeffs))
+        settle(g, [c.numerator * (den // c.denominator) for c in h.coeffs], den)
+        while ready:
+            r = ready.pop()
+            if unknown[r] != 1:
+                continue
+            rel = relations[r]
+            p = next(i for i, u in enumerate(rel) if known[u] is None)
+            nums, den = fold(rel[p + 1 :] + rel[:p])
+            v = rel[p]
+            used.add(r)
+            settle(v, [-sum(map(mul, nums, col)) for col in columns[v]], den)
+    for r, rel in enumerate(relations):
+        if r not in used and any(fold(rel)[0]):
+            raise dk.CertificateError(
+                f"the h-table breaks the Gamma_1({ctx.n}) relation {rel} among the generators"
+            )
+    return [Poly(k, [Fraction(x, den) for x in nums]) for nums, den in known]
+
+
 def containment_m(
     ctx: SumContext,
     generators: list[Mat2] | None = None,
     pair: tuple[str, str] = ("", ""),
     progress=None,
 ) -> ContainmentReport:
-    """Interpolate h on a generating set and extract the containment scale m.
+    """h on a generating set and the containment scale m.
 
     m is the gcd of all q1^(n+1) a_n over the generators, so every h lies in
     the polynomial space at m and the image of S-tilde on the whole group is
-    contained in (m/q1)*Z.
+    contained in (m/q1)*Z.  The Schreier generators (in any order) take their
+    h from :func:`gamma1_h_table`; any other list is fitted generator by
+    generator with ``h_interpolate``.
     """
     if not ctx.quadratic:
         raise ValueError("the containment computation requires a quadratic pair")
+    schreier = gamma1_generators(ctx.n)
     if generators is None:
-        generators = gamma1_generators(ctx.n)
-    polys: list[tuple[Mat2, Poly]] = []
-    multiples: list[Fraction] = []
-    for i, gen in enumerate(generators):
-        h = dk.h_interpolate(ctx, gen)
-        polys.append((gen, h))
-        for n, a_n in enumerate(h.coeffs):
-            multiples.append(Fraction(a_n) * ctx.q1 ** (n + 1))
-        if progress:
-            progress(i + 1, len(generators))
+        generators = schreier
+    if len(generators) == len(schreier) and set(generators) == set(schreier):
+        table = dict(zip(schreier, gamma1_h_table(ctx, progress)))
+        polys = [(gen, table[gen]) for gen in generators]
+    else:
+        polys = []
+        for i, gen in enumerate(generators):
+            polys.append((gen, dk.h_interpolate(ctx, gen)))
+            if progress:
+                progress(i + 1, len(generators))
+    multiples = [
+        Fraction(a_n) * ctx.q1 ** (n + 1) for _, h in polys for n, a_n in enumerate(h.coeffs)
+    ]
     m = rational_gcd_set(multiples)
     for gen, h in polys:
         if not poly_space_member(h, ctx.k, m, ctx.q1):

@@ -190,11 +190,18 @@ def _coset_key(g: Mat2, n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class _Gamma1Cosets:
-    """One level's coset BFS: the transversal and its Schreier generators."""
+    """One level's coset BFS: the transversal, its Schreier generators and the
+    S/T edges between cosets.
+
+    ``edges[2 i + x]`` is (target coset, generator index) for coset i of the
+    transversal and letter x (0 = S, 1 = T); the index is -1 where the edge
+    reads the identity.
+    """
 
     reps: dict[tuple[int, int], Mat2]
     generators: tuple[Mat2, ...]
     generator_set: frozenset[Mat2]
+    edges: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=None)
@@ -215,16 +222,23 @@ def _gamma1_cosets(n: int) -> _Gamma1Cosets:
                 queue.append(g)
     if len(reps) != gamma1_index(n):
         raise CertificateError(f"coset BFS found {len(reps)} cosets of Gamma_1({n}), not the index")
-    gens: dict[Mat2, None] = {}
+    position = {key: i for i, key in enumerate(reps)}
+    gens: dict[Mat2, int] = {}
+    edges = []
     for r in reps.values():
         for x in (MAT_S, MAT_T):
             g = r * x
-            u = g * reps[_coset_key(g, n)].inverse()
-            if u != MAT_I and u not in gens:
-                if not in_gamma1(u, n):
-                    raise CertificateError(f"Schreier generator {u} is not in Gamma_1({n})")
-                gens[u] = None
-    return _Gamma1Cosets(reps, tuple(gens), frozenset(gens))
+            key = _coset_key(g, n)
+            u = g * reps[key].inverse()
+            label = -1
+            if u != MAT_I:
+                label = gens.get(u, -1)
+                if label < 0:
+                    if not in_gamma1(u, n):
+                        raise CertificateError(f"Schreier generator {u} is not in Gamma_1({n})")
+                    label = gens[u] = len(gens)
+            edges.append((position[key], label))
+    return _Gamma1Cosets(reps, tuple(gens), frozenset(gens), tuple(edges))
 
 
 def gamma1_coset_table(n: int) -> dict[tuple[int, int], Mat2]:
@@ -235,6 +249,40 @@ def gamma1_coset_table(n: int) -> dict[tuple[int, int], Mat2]:
 def gamma1_generators(n: int) -> list[Mat2]:
     """Schreier generating set of Gamma_1(N) from the coset BFS (N >= 5), as a new list."""
     return list(_gamma1_cosets(n).generators)
+
+
+# the relators of SL2(Z) = <S, T | S^4, (ST)^3 S^2> in the letters 0 = S, 1 = T
+_RELATORS = ((0, 0, 0, 0), (0, 1, 0, 1, 0, 1, 0, 0))
+
+
+@lru_cache(maxsize=None)
+def gamma1_relations(n: int) -> tuple[tuple[int, ...], ...]:
+    """Relations among the Schreier generators of Gamma_1(N) (N >= 5), as
+    words of indices into :func:`gamma1_generators`.
+
+    Reidemeister-Schreier: a relator w walked from coset r along the S/T
+    edges of the coset BFS reads generators u_1 ... u_L with
+    u_1 ... u_L = r w r^-1 = I (an edge inside the transversal reads I and is
+    dropped).  Walks from every coset, each word kept once up to rotation (at
+    its least rotation), in order of first appearance.  Together they present
+    Gamma_1(N) on the Schreier generators.
+    """
+    edges = _gamma1_cosets(n).edges
+    words: dict[tuple[int, ...], None] = {}
+    for start in range(len(edges) // 2):
+        for relator in _RELATORS:
+            coset, word = start, []
+            for letter in relator:
+                coset, label = edges[2 * coset + letter]
+                if label >= 0:
+                    word.append(label)
+            if coset != start:
+                raise CertificateError(
+                    f"relator walk from coset {start} of Gamma_1({n}) does not close"
+                )
+            if word:
+                words[min(tuple(word[i:] + word[:i]) for i in range(len(word)))] = None
+    return tuple(words)
 
 
 def word_in_ST(m: Mat2) -> list[Mat2]:
@@ -365,18 +413,14 @@ class Poly:
     def slash(self, gamma: Mat2) -> "Poly":
         """Weight (2-k) action: sum a_n (c x + d)^n (a x + b)^(k-n-2)."""
         k = self.weight
-        a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
-        # powers[(i)] of the two linear forms as ascending coefficient lists
         out = [Fraction(0)] * (k - 1)
-        for n, coeff in enumerate(self.coeffs):
+        for coeff, row in zip(self.coeffs, slash_matrix(gamma, k)):
             if coeff == 0:
                 continue
-            term = _linear_power(c, d, n)
-            term = _poly_mul(term, _linear_power(a, b, k - n - 2))
-            for i, t in enumerate(term):
+            for i, t in enumerate(row):
                 if t:
                     out[i] = out[i] + coeff * t
-        return Poly.from_ascending(k, out)
+        return Poly(k, out)
 
     def __str__(self):
         from .exactnum import rational_to_str
@@ -403,11 +447,18 @@ class Poly:
         return out or "0"
 
 
-def _linear_power(u: int, v: int, n: int) -> list[int]:
-    """Ascending coefficients of (u x + v)^n."""
-    from math import comb
+def slash_matrix(gamma: Mat2, k: int) -> tuple[tuple[int, ...], ...]:
+    """The weight (2-k) slash by gamma on coefficient vectors, in integers.
 
-    return [comb(n, i) * u**i * v ** (n - i) for i in range(n + 1)]
+    Row n holds the descending coefficients of (c x + d)^n (a x + b)^(k-n-2),
+    so p|gamma has coefficients sum over n of p.coeffs[n] * row n.
+    """
+    # ascending coefficients of the powers 0..k-2 of c x + d and of a x + b
+    lower, upper = [[1]], [[1]]
+    for _ in range(k - 2):
+        lower.append(_poly_mul(lower[-1], [gamma.d, gamma.c]))
+        upper.append(_poly_mul(upper[-1], [gamma.b, gamma.a]))
+    return tuple(tuple(reversed(_poly_mul(lower[n], upper[k - 2 - n]))) for n in range(k - 1))
 
 
 def _poly_mul(p: list[int], q: list[int]) -> list[int]:

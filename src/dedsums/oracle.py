@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from operator import mul, truediv
 
@@ -264,6 +265,9 @@ def phi_numeric(
     which turns both legs into antiderivative differences evaluated at height
     >= Im(z1).  Depends only on the cusp gamma(infinity) and on (X, Y).  Each
     leg keeps policy.tol / 4 and |psi| = 1, so the value keeps policy.tol / 2.
+    The pulled-back (a x + c y, b x + d y) is computed before any conversion
+    to complex, so for rational x and y it is exact: at y = -a/c its first
+    entry is exactly 0 and that leg takes one pass.
     """
     if gamma.c == 0:
         return 0j
@@ -273,7 +277,6 @@ def phi_numeric(
     if z1 is None:
         z1 = (1j - d) / c
     gz1 = (a * complex(z1) + b) / (c * complex(z1) + d)
-    x, y = complex(x), complex(y)
     first = antiderivative_at(nctx, gz1, x, y, policy)
     second = antiderivative_at(nctx, complex(z1), a * x + c * y, b * x + d * y, policy)
     return first - nctx.psi(gamma) * second
@@ -317,7 +320,8 @@ def shat_numeric(
     scale = nctx.s_scale()
     if cusp.q % n_level == 0:
         gamma = g_witness(cusp.p, cusp.q, n_level)
-        return scale * phi_numeric(nctx, gamma, 1.0, -cusp.p / cusp.q, policy.for_factor(scale))
+        y = Fraction(-cusp.p, cusp.q)
+        return scale * phi_numeric(nctx, gamma, 1, y, policy.for_factor(scale))
     if math.gcd(cusp.q % n_level, n_level) != 1:
         raise ValueError(f"cusp {cusp} lies in neither the infinity nor the zero orbit")
     if cusp.p == 0:
@@ -332,7 +336,7 @@ def shat_numeric(
     inner_policy = policy.for_factor(factor)
     swap = nctx.swap()
     gamma = g_witness(b_cusp.p, b_cusp.q, n_level)
-    inner = phi_numeric(swap, gamma, 1.0, -b_val, inner_policy) - integral_to_zero(
-        swap, -b_val, inner_policy
-    )
+    inner = phi_numeric(
+        swap, gamma, 1, Fraction(-b_cusp.p, b_cusp.q), inner_policy
+    ) - integral_to_zero(swap, -b_val, inner_policy)
     return factor * inner

@@ -1,6 +1,9 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -123,9 +126,10 @@ CHI5_K4_POLYNOMIALS = "a2f7ffac0759571c512282a425c4af6c49e5bf85b60863736269b14d0
 
 
 def test_containment_runs_each_distinct_sum_once(monkeypatch):
-    # the 197 h-fits ask for 1,382 sums; they are 461 distinct (a mod c, c)
-    # over 71 distinct c, and the context's memo runs the kernel once for each
-    calls = {"sum_S": 0, "_accumulate": 0, "_twisted_pieces": 0}
+    # 54 of the 197 generators are fitted, the rest derived from the coset
+    # relations; the fits ask for 379 sums, 234 distinct (a mod c, c) over 52
+    # distinct c, and the context's memo runs the kernel once for each
+    calls = {"h_interpolate": 0, "sum_S": 0, "_accumulate": 0, "_twisted_pieces": 0}
     for name in calls:
         def counted(*args, name=name, original=getattr(dk, name)):
             calls[name] += 1
@@ -133,7 +137,7 @@ def test_containment_runs_each_distinct_sum_once(monkeypatch):
 
         monkeypatch.setattr(dk, name, counted)
     report = containment_m(context_for(("chi5", "chi5"), 4))
-    assert calls == {"sum_S": 1382, "_accumulate": 461, "_twisted_pieces": 71}
+    assert calls == {"h_interpolate": 54, "sum_S": 379, "_accumulate": 234, "_twisted_pieces": 52}
     assert report.generator_count == 197
     assert report.m == 6
     text = "\n".join(f"{g} {','.join(map(str, h.coeffs))}" for g, h in report.polynomials)
@@ -145,6 +149,81 @@ def test_containment_membership_failure_raises_certificate_error(monkeypatch):
     monkeypatch.setattr(analysis, "poly_space_member", lambda *args: False)
     with pytest.raises(dk.CertificateError):
         containment_m(context_for(("chi3", "chi3"), 2))
+
+
+# every table pair of level <= 25 at its least weight and at one more, both
+# parities of k >= 3 among them
+COCYCLE_CELLS = [
+    (pair, k)
+    for pairs, weights in (
+        (analysis.TABLE1_PAIRS + analysis.TABLE2_PAIRS, (2, 4, 6)),
+        (analysis.TABLE3_PAIRS, (3, 5, 7)),
+    )
+    for i, pair in enumerate(p for p in pairs if context_for(p, weights[0]).n <= 25)
+    for k in (weights[0], weights[1 + i % 2])
+]
+
+
+@pytest.mark.parametrize(
+    "pair,k", COCYCLE_CELLS, ids=[f"{p[0]},{p[1]},{k}" for p, k in COCYCLE_CELLS]
+)
+def test_cocycle_table_matches_direct_fits(pair, k):
+    ctx = context_for(pair, k)
+    table = analysis.gamma1_h_table(ctx)
+    gens = gamma1_generators(ctx.n)
+    assert len(table) == len(gens)
+    for gen, h in zip(gens, table):
+        assert h == dk.h_interpolate(ctx, gen), gen
+
+
+# Corrupts the first fit, the cheapest generator: its h is also fixed by
+# relations through later fits, so the relation certificate sees it.  (A fit
+# on a free basis of the group is pinned by no relation; its own held-out
+# node in h_interpolate is what checks it.)
+CORRUPT_FIRST_FIT = """
+from dedsums import dedekind as dk
+from dedsums.modgroup import Poly
+
+_fit, _target = dk.h_interpolate, []
+
+
+def corrupted(ctx, gamma):
+    h = _fit(ctx, gamma)
+    if _target in ([], [gamma]):
+        _target[:] = [gamma]
+        h = Poly(h.weight, [h.coeffs[0] + 1] + h.coeffs[1:])
+    return h
+"""
+
+
+def test_relation_certificate_catches_a_corrupted_fit(monkeypatch):
+    scope = {}
+    exec(CORRUPT_FIRST_FIT, scope)
+    monkeypatch.setattr(dk, "h_interpolate", scope["corrupted"])
+    with pytest.raises(dk.CertificateError):
+        containment_m(context_for(("chi5", "chi5"), 4))
+
+
+def test_relation_certificate_survives_optimize_flag():
+    script = CORRUPT_FIRST_FIT + (
+        "import sys\n"
+        "from dedsums import analysis\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "dk.h_interpolate = corrupted\n"
+        "try:\n"
+        "    analysis.containment_m(analysis.context_for(('chi5', 'chi5'), 4))\n"
+        "except dk.CertificateError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit('the corrupted fit passed the relation certificate')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dk.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONOPTIMIZE", None)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_containment_generating_set_independent():

@@ -23,6 +23,7 @@ from dedsums.modgroup import (
     gamma1_coset_table,
     gamma1_generators,
     gamma1_index,
+    gamma1_relations,
     in_gamma0,
     in_gamma1,
     iter_G_pairs,
@@ -175,6 +176,22 @@ def test_coset_bfs_runs_once_per_level():
     gens.append(Mat2.identity())
     assert gamma1_generators(25) == expected
     assert modgroup._gamma1_cosets.cache_info().misses == 1
+
+
+def test_gamma1_relations_multiply_to_the_identity():
+    for n in (9, 12, 25):
+        gens = gamma1_generators(n)
+        relations = gamma1_relations(n)
+        # every generator takes part, each word once up to rotation
+        assert {u for word in relations for u in word} == set(range(len(gens)))
+        assert all(word == min(word[i:] + word[:i] for i in range(len(word))) for word in relations)
+        assert len(set(relations)) == len(relations)
+        for word in relations:
+            prod = Mat2.identity()
+            for u in word:
+                prod = prod * gens[u]
+            assert prod == Mat2.identity(), (n, word)
+    assert len(gamma1_relations(25)) == 256
 
 
 def test_gamma1_generators_need_n_at_least_5():

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +118,34 @@ def test_phi_depends_only_on_cusp():
     v1 = oc.phi_numeric(n, g1, 1.0, -1 / 12)
     v2 = oc.phi_numeric(n, g2, 1.0, -1 / 12)
     assert abs(v1 - v2) < 1e-8
+
+
+def test_pullback_is_exactly_zero_at_the_cusp(monkeypatch):
+    # X = a x + c y of the pulled-back leg at x = 1, y = -a/c: in floating
+    # point it is a residue of about 1e-16 for some (a, c) of this grid, from
+    # a rational y it is exactly 0, so that leg always takes one pass
+    pulled = []
+    monkeypatch.setattr(oc, "antiderivative_at", lambda nctx, z, x, y, policy: pulled.append(x) or 0j)
+
+    class Flat:
+        def psi(self, gamma):
+            return 1
+
+    residues = 0
+    for c in range(1, 400):
+        for a in range(-c, 2 * c):
+            residues += a + c * (-a / c) != 0
+            if math.gcd(a, c) == 1:
+                oc.phi_numeric(Flat(), g_witness(a, c, 1), 1, Fraction(-a, c))
+    assert residues > 0
+    assert len(pulled) > 10**5 and not any(pulled[1::2])
+    # shat_numeric passes the rational cusp on both orbits: (7, 25) and
+    # (-7, 25) = omega(1/7) leave float residues
+    nctx = oc.numeric_context(ctx_for("chi5", "chi5", 4))
+    for cusp in (Cusp(7, 25), Cusp(1, 7)):
+        pulled.clear()
+        oc.shat_numeric(nctx, cusp)
+        assert pulled[1] == 0
 
 
 def test_phi_z1_independence():
