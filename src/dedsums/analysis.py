@@ -184,10 +184,10 @@ def poly_space_member(p: Poly, k: int, m: Fraction, q: int) -> bool:
     for n, a_n in enumerate(p.coeffs):
         if a_n == 0:
             continue
-        scaled = Fraction(a_n) * q ** (n + 1)
         if m == 0:
             return False
-        if (scaled / m).denominator != 1:
+        # a_n q^(n+1) / m is an integer
+        if a_n.numerator * q ** (n + 1) * m.denominator % (a_n.denominator * m.numerator):
             return False
     return True
 
@@ -375,17 +375,19 @@ def bound_statistics(ctx: SumContext, c_max: int) -> BoundReport:
         pairs = [(a, c) for a in range(1, c) if gcd(a, c) == 1]
         values = dk.sweep_S_tilde_rational(ctx, pairs)  # k-2 power of c folded in
         ck = Fraction(c) ** (ctx.k - 2)
+        bound = Fraction(trivial_bound(ctx, c))
+        c_prime = c // ctx.q2
+        log_sq = math.log(c_prime) ** 2
         for (a, _), v in zip(pairs, values):
             s_abs = abs(v / ck)
-            if Fraction(s_abs) > Fraction(trivial_bound(ctx, c)):
+            if s_abs > bound:
                 trivial_ok = False
-            c_prime = c // ctx.q2
             m_a = partial_quotient_max(Fraction(a, c_prime))
             witness = g_witness(a, c, 1)
             m_d = partial_quotient_max(Fraction(witness.d % c_prime, c_prime))
             delta_ok = abs(m_a - m_d) <= 1
             if c_prime > 1:
-                ratio = float(s_abs) / (m_a * math.log(c_prime) ** 2)
+                ratio = float(s_abs) / (m_a * log_sq)
                 max_ratio = max(max_ratio, ratio)
             else:
                 ratio = float("nan")

@@ -9,7 +9,10 @@ intervals of r in [0, c) it is one integer polynomial, a piece of Berndt's
 character Bernoulli polynomial.  So each j costs one Horner evaluation (one
 table lookup in a sweep) per coordinate, and chi2 values enter as
 root-of-unity exponent classes that are only expanded into a cyclotomic
-number at the very end.
+number at the very end.  The kernel evaluates the pieces by Horner; the
+sweep builds its table of V over [0, c) from running-sum passes over the
+difference triangle of the scaled Bernoulli polynomial and phi(q1)
+rotations of the result.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import gcd
+from operator import add, neg, sub
 from typing import Sequence
 
 from . import characters as chars
@@ -188,6 +193,53 @@ def _twisted_pieces(ctx: SumContext, c: int) -> tuple[list, int]:
     return pieces, scale
 
 
+def _value_table(ctx: SumContext, c: int) -> tuple[list[int], int]:
+    """The twisted Bernoulli values V(r), r in [0, c), of a quadratic chi1, and the scale s.
+
+    V(r) = sum over units n mod q1 of chi1(n) P((r + n m) mod c), m = c/q1
+    and P, s from :func:`bernoulli.scaled_int_poly` at denominator c: entry
+    for entry the value of the pieces of :func:`_twisted_pieces`, boundary
+    points r = i m included (the term with i + n = 0 mod q1 reads P(0), as the
+    piece does).  P is tabulated over [0, c/2] from its difference triangle
+    at 0..d, d = deg P, by d running-sum passes (Horner at every point when
+    there are at most d + 1), and mirrored onto (c/2, c) by
+    P(c - t) = (-1)^d P(t), the symmetry of B_d; V is then one rotation of
+    that table per unit n, summed with its sign.
+    """
+    ints, scale = scaled_int_poly(ctx.k - 1, c)
+    d = len(ints) - 1
+    coeffs = ints[::-1]
+    half = c // 2
+    ys = []
+    for t in range(min(half, d) + 1):
+        v = 0
+        for cf in coeffs:
+            v = v * t + cf
+        ys.append(v)
+    if half > d:
+        # leading entries of the forward differences of order 0..d at t = 0
+        heads = []
+        row = ys
+        for _ in range(d + 1):
+            heads.append(row[0])
+            row = list(map(sub, row[1:], row[:-1]))
+        # the order-d difference is constant; each pass integrates one order
+        ys = [heads[d]] * (half + 1 - d)
+        for head in reversed(heads[:d]):
+            ys = list(accumulate(ys, initial=head))
+    mirror = ys[c - half - 1 : 0 : -1]
+    ys += mirror if d % 2 == 0 else map(neg, mirror)
+    # twice over, so ys[s : s + c] is P((r + s) mod c) for r in [0, c)
+    ys += ys
+    m = c // ctx.q1
+    # n = 1 is a unit with chi1(1) = 1
+    table = ys[m : m + c]
+    for n, e in enumerate(ctx.chi1_exps[2:], 2):
+        if e is not None:
+            table = list(map(sub if e else add, table, ys[n * m : n * m + c]))
+    return table, scale
+
+
 def _accumulate(ctx: SumContext, a: int, c: int, pieces: list) -> list[list[int]]:
     """Coordinate-class accumulation of the double sum.
 
@@ -265,9 +317,11 @@ def sweep_S_tilde_rational(ctx: SumContext, pairs: Sequence[tuple[int, int]]) ->
     characters of order 2, V of :func:`_twisted_pieces` has the single
     coordinate t = 0 and conj(chi2)(j) = chi2(j) = +-1, so
     S = sum over j < c/2 of (2j - c) chi2(j) V(j a mod c) / (c s).  The table
-    of V over r in [0, c) and the signed weights (2j - c) chi2(j) serve every
-    a, and each distinct a mod c is summed once.  The sweep bypasses the memos
-    of the context: it never asks for one c twice.
+    of V over r in [0, c), built by :func:`_value_table` from finite
+    differences and phi(q1) rotations (no Horner per entry), and the signed
+    weights (2j - c) chi2(j) serve every a, and each distinct a mod c is
+    summed once.  The sweep bypasses the memos of the context: it never asks
+    for one c twice, and each table is dropped once its a are summed.
     """
     if not ctx.quadratic:
         raise ValueError("sweeps are defined for quadratic pairs only")
@@ -278,15 +332,7 @@ def sweep_S_tilde_rational(ctx: SumContext, pairs: Sequence[tuple[int, int]]) ->
     chi2_exps, q2 = ctx.chi2_exps, ctx.q2
     for c, indices in by_c.items():
         units = [_validate_pair(ctx, pairs[idx][0], c) for idx in indices]
-        pieces, scale = _twisted_pieces(ctx, c)
-        m = c // ctx.q1
-        table = []
-        for coeffs in pieces[0]:
-            for rho in range(m):
-                v = 0
-                for cf in coeffs:
-                    v = v * rho + cf
-                table.append(v)
+        table, scale = _value_table(ctx, c)
         weights = [
             (j, (2 * j - c) * (-1) ** e2)
             for j in range(1, (c - 1) // 2 + 1)

@@ -318,10 +318,13 @@ def rational_to_str(x: Fraction) -> str:
 def rational_gcd_set(values) -> Fraction:
     """Largest r >= 0 with every value in r*Z (0 if all values vanish).
 
-    For reduced fractions a_i/b_i this is gcd of the numerators over a common
-    denominator; equivalently the generator of the Z-module the values span.
+    The generator of the Z-module the values span: gcd(a_i)/lcm(b_i) for
+    reduced fractions a_i/b_i.  Each value is an integer multiple of it and
+    the multiples have gcd 1: for a prime p | lcm(b_i), the b_i of top
+    p-valuation has p not dividing its a_i.  Ints and Fractions are used as
+    they are.
     """
-    nums, den = _numerators([Fraction(v) for v in values])
-    if not nums:
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    if not values:
         raise ValueError("rational_gcd_set of an empty set")
-    return Fraction(gcd(*nums), den)
+    return Fraction(gcd(*(v.numerator for v in values)), lcm(*(v.denominator for v in values)))

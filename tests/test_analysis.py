@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dedsums import analysis, dedekind as dk
 from dedsums.analysis import (
@@ -109,6 +110,24 @@ def test_poly_space_member_examples():
     assert poly_space_member(big, 4, Fraction(6), 5)
     assert poly_space_member(Poly.zero(4), 4, Fraction(17), 9)
     assert not poly_space_member(p, 4, Fraction(25), 5)
+
+
+def fraction_member(p: Poly, m: Fraction, q: int) -> bool:
+    """Reference: q^(n+1) a_n / m in Fraction arithmetic."""
+    if m == 0:
+        return not any(p.coeffs)
+    return all((a_n * q ** (n + 1) / m).denominator == 1 for n, a_n in enumerate(p.coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(st.fractions(max_denominator=200), min_size=3, max_size=3),
+    m=st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=50)),
+    q=st.integers(1, 9),
+)
+def test_poly_space_member_matches_fraction_arithmetic(coeffs, m, q):
+    p = Poly(4, coeffs)
+    assert poly_space_member(p, 4, m, q) == fraction_member(p, m, q)
 
 
 def test_containment_chi5_pair():

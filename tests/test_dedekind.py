@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dedsums import analysis, dedekind as dk
 from dedsums.bernoulli import periodic_bernoulli, scaled_int_poly
@@ -230,6 +230,74 @@ def test_sweep_matches_single_calls(cell, t, data):
     values = dk.sweep_S_tilde_rational(ctx, pairs)
     for (a, _), v in zip(pairs, values):
         assert v == dk.sum_S(ctx, a, c).rational_value() * c ** (ctx.k - 2)
+
+
+def horner_table(ctx: SumContext, c: int) -> tuple[list[int], int]:
+    """Reference for the sweep's table: V over [0, c) by Horner over the
+    pieces of _twisted_pieces."""
+    pieces, scale = dk._twisted_pieces(ctx, c)
+    table = []
+    for coeffs in pieces[0]:
+        for rho in range(c // ctx.q1):
+            v = 0
+            for cf in coeffs:
+                v = v * rho + cf
+            table.append(v)
+    return table, scale
+
+
+# every table pair at every weight 2..12 of its parity
+VALUE_TABLE_CELLS = [
+    (pair, k)
+    for pairs, first in (
+        (analysis.TABLE1_PAIRS + analysis.TABLE2_PAIRS, 2),
+        (analysis.TABLE3_PAIRS, 3),
+    )
+    for pair in pairs
+    for k in range(first, 13, 2)
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell=st.sampled_from(VALUE_TABLE_CELLS), t=st.integers(1, 8))
+@example(cell=(("chi3", "chi3"), 12), t=1)  # c = 9, c/2 <= k - 1: Horner at every point
+def test_value_table_matches_horner_over_pieces(cell, t):
+    # entry for entry, the boundary points r = i c/q1 included
+    ctx = analysis.context_for(*cell)
+    c = ctx.n * t
+    assert dk._value_table(ctx, c) == horner_table(ctx, c)
+
+
+QUADRATIC_CHARS = [named_character(tag) for tag in ("chi3", "chi4", "chi5", "chi7", "chi8a", "chi8b")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    chi1=st.sampled_from(QUADRATIC_CHARS),
+    chi2=st.sampled_from(QUADRATIC_CHARS),
+    t=st.integers(1, 6),
+    data=st.data(),
+)
+def test_sweep_matches_sum_S_tilde(chi1, chi2, t, data):
+    sign = parity(chi1) * parity(chi2)
+    k = data.draw(st.sampled_from([k for k in range(2, 13) if (-1) ** k == sign]))
+    ctx = SumContext(chi1, chi2, k)
+    c = ctx.n * t
+    a = data.draw(st.integers(-2 * c, 2 * c).filter(lambda a: gcd(a, c) == 1))
+    assert dk.sweep_S_tilde_rational(ctx, [(a, c)]) == [dk.sum_S_tilde(ctx, a, c).rational_value()]
+
+
+def test_sweep_builds_no_twisted_pieces(monkeypatch):
+    # no piece tables, and one scaled polynomial per distinct c
+    pieces_calls, poly_calls = [], []
+    twisted_pieces = dk._twisted_pieces
+    monkeypatch.setattr(dk, "_twisted_pieces", lambda ctx, c: pieces_calls.append(c) or twisted_pieces(ctx, c))
+    monkeypatch.setattr(dk, "scaled_int_poly", lambda k, c: poly_calls.append(c) or scaled_int_poly(k, c))
+    ctx = ctx_for("chi5", "chi5", 4)
+    pairs = list(iter_G_pairs(25, 8))
+    assert dk.sweep_S_tilde_rational(ctx, pairs)
+    assert pieces_calls == []
+    assert sorted(poly_calls) == sorted({c for _, c in pairs})
 
 
 def old_accumulate(ctx: SumContext, a: int, c: int, p_table=None):

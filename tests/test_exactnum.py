@@ -2,7 +2,7 @@ import ast
 import cmath
 import random
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -239,3 +239,26 @@ def test_rational_gcd_divides_and_is_maximal():
         for mult in (2, 3, 5):
             bigger = r * mult
             assert not all((v / bigger).denominator == 1 for v in vals if v)
+
+
+def lcm_numerator_gcd(values) -> Fraction:
+    """Reference: the gcd of the numerators over the least common denominator."""
+    values = [Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return Fraction(gcd(*(v.numerator * (den // v.denominator) for v in values)), den)
+
+
+VALUE = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=10**4),
+    st.just(0),
+    st.just(Fraction(0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(VALUE, min_size=1, max_size=12))
+def test_rational_gcd_matches_lcm_numerator_formula(values):
+    got = rational_gcd_set(values)
+    assert got == lcm_numerator_gcd(values)
+    assert type(got) is Fraction
