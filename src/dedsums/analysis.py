@@ -15,7 +15,7 @@ from operator import mul
 from . import dedekind as dk
 from .characters import named_character
 from .dedekind import SumContext
-from .exactnum import rational_gcd_set, rational_to_str
+from .exactnum import _numerators, rational_gcd_set
 from .modgroup import (
     Mat2,
     Poly,
@@ -89,7 +89,7 @@ def display_form(r: Fraction, q1: int) -> str:
     scaled = r * q1
     if scaled.denominator == 1:
         return f"{scaled.numerator}/{q1}"
-    return rational_to_str(r)
+    return str(r)
 
 
 def context_for(pair: tuple[str, str], k: int) -> SumContext:
@@ -250,9 +250,7 @@ def gamma1_h_table(ctx: SumContext, progress=None) -> list[Poly]:
     for g in sorted(range(len(gens)), key=lambda i: abs(gens[i].c) + abs(gens[i].d)):
         if known[g] is not None:
             continue
-        h = dk.h_interpolate(ctx, gens[g])
-        den = lcm(*(c.denominator for c in h.coeffs))
-        settle(g, [c.numerator * (den // c.denominator) for c in h.coeffs], den)
+        settle(g, *_numerators(dk.h_interpolate(ctx, gens[g]).coeffs))
         while ready:
             r = ready.pop()
             if unknown[r] != 1:
@@ -277,28 +275,25 @@ def containment_m(
     pair: tuple[str, str] = ("", ""),
     progress=None,
 ) -> ContainmentReport:
-    """h on a generating set and the containment scale m.
+    """h on the Schreier generators of Gamma_1(N) and the containment scale m.
 
     m is the gcd of all q1^(n+1) a_n over the generators, so every h lies in
     the polynomial space at m and the image of S-tilde on the whole group is
-    contained in (m/q1)*Z.  The Schreier generators (in any order) take their
-    h from :func:`gamma1_h_table`; any other list is fitted generator by
-    generator with ``h_interpolate``.
+    contained in (m/q1)*Z.  The h come from :func:`gamma1_h_table`;
+    ``generators`` may list the Schreier generators in any order, and any
+    other list raises ValueError.
     """
     if not ctx.quadratic:
         raise ValueError("the containment computation requires a quadratic pair")
     schreier = gamma1_generators(ctx.n)
     if generators is None:
         generators = schreier
-    if len(generators) == len(schreier) and set(generators) == set(schreier):
-        table = dict(zip(schreier, gamma1_h_table(ctx, progress)))
-        polys = [(gen, table[gen]) for gen in generators]
-    else:
-        polys = []
-        for i, gen in enumerate(generators):
-            polys.append((gen, dk.h_interpolate(ctx, gen)))
-            if progress:
-                progress(i + 1, len(generators))
+    elif len(generators) != len(schreier) or set(generators) != set(schreier):
+        raise ValueError(
+            f"generators must be the Schreier generators of Gamma_1({ctx.n}), in any order"
+        )
+    table = dict(zip(schreier, gamma1_h_table(ctx, progress)))
+    polys = [(gen, table[gen]) for gen in generators]
     multiples = [
         Fraction(a_n) * ctx.q1 ** (n + 1) for _, h in polys for n, a_n in enumerate(h.coeffs)
     ]

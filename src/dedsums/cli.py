@@ -23,7 +23,6 @@ from fractions import Fraction
 from . import analysis, dedekind as dk, oracle as oc, verify
 from .characters import UnknownCharacterError, parse_character
 from .dedekind import ParityError, SumContext
-from .exactnum import rational_to_str
 from .modgroup import (
     Cusp,
     Mat2,
@@ -75,7 +74,7 @@ def _context(pair_spec: str, k: int) -> SumContext:
 
 def _value_str(v) -> str:
     if v.is_rational():
-        return rational_to_str(v.rational_value())
+        return str(v.rational_value())
     return json.dumps(v.to_json())
 
 
@@ -115,7 +114,7 @@ def cmd_table(args) -> int:
                     {
                         "pair": list(pair),
                         "k": k,
-                        "r": rational_to_str(cell.r),
+                        "r": str(cell.r),
                         "display": cell.display,
                         "count": cell.count,
                         "seconds": round(cell.seconds, 3) if args.timings else None,
@@ -135,7 +134,7 @@ def cmd_table(args) -> int:
                     cell = t.cells[(pair, k)]
                     secs = f"{cell.seconds:.3f}" if args.timings else ""
                     writer.writerow(
-                        [pair[0], pair[1], k, args.j, rational_to_str(cell.r), cell.display, cell.count, secs]
+                        [pair[0], pair[1], k, args.j, str(cell.r), cell.display, cell.count, secs]
                     )
     else:
         for idx, t in enumerate(tables, 1):
@@ -173,10 +172,10 @@ def cmd_contain(args) -> int:
         progress=lambda i, total: _progress(f"[{i}/{total}] generators done") if i % 25 == 0 else None,
     )
     print(f"generators: {report.generator_count}")
-    print(f"m = {rational_to_str(report.m)}")
-    print(f"image of S~ on Gamma_1({ctx.n}) is contained in ({rational_to_str(report.bound)})*Z")
+    print(f"m = {report.m}")
+    print(f"image of S~ on Gamma_1({ctx.n}) is contained in ({report.bound})*Z")
     print(
-        f"conjectured d = {rational_to_str(report.conjectured_d())} "
+        f"conjectured d = {report.conjectured_d()} "
         f"divides 2k-2 = {2 * ctx.k - 2}: {report.divides_2k_minus_2()}"
     )
     if args.polys:

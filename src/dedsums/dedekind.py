@@ -389,15 +389,13 @@ def h_eval(ctx: SumContext, gamma: Mat2, cusp: Cusp) -> CyclotomicElement:
 
 
 def interpolation_nodes(ctx: SumContext, gamma: Mat2, count: int) -> list[Cusp]:
-    """The ``count`` cheapest nodes for h_gamma, the held-out check node last.
+    """The ``count`` cheapest nodes for h_gamma, cheapest first.
 
     A node x = p/q costs q + |c p + d q| for gamma = (a b; c d): den x plus
     den gamma x, to which the kernel work of the two sums in :func:`h_eval`
     is proportional.  The candidates are the cusps p/q with N | q,
     gcd(p, q) = 1 and p = 1 mod N, plus the pole gamma^-1(inf) = -d/c at cost
     |c| (only S-hat at the node is summed there).  Ties go by (cost, q, p).
-    The check node is the dearest chosen node other than the pole, so the
-    check still runs through the slash term.
     """
     n = ctx.n
     c, d = gamma.c, gamma.d
@@ -423,56 +421,43 @@ def interpolation_nodes(ctx: SumContext, gamma: Mat2, count: int) -> list[Cusp]:
                     insort(best, key)
                     del best[count:]
         q += n
-    nodes = [Cusp(p, q) for _, q, p in best]
-    check = max(i for i, node in enumerate(nodes) if node != pole)
-    nodes.append(nodes.pop(check))
-    return nodes
-
-
-def _lagrange(xs: list[Fraction], ys: list) -> list:
-    """Ascending coefficients of the interpolating polynomial through (xs, ys)."""
-    n = len(xs)
-    coeffs: list = [Fraction(0)] * n
-    for i in range(n):
-        # basis numerator prod_{j != i} (x - x_j), ascending
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            basis = [Fraction(0)] + basis
-            for t in range(len(basis) - 1):
-                basis[t] -= xs[j] * basis[t + 1]
-            denom *= xs[i] - xs[j]
-        scale = ys[i] / denom
-        for t in range(n):
-            coeffs[t] = coeffs[t] + scale * basis[t]
-    return coeffs
+    return [Cusp(p, q) for _, q, p in best]
 
 
 def h_interpolate(ctx: SumContext, gamma: Mat2) -> Poly:
-    """Recover the degree <= k-2 polynomial h_gamma from k-1 pointwise values.
+    """The degree <= k-2 polynomial h_gamma, fitted and certified at k nodes.
 
-    Requires psi(gamma) = 1 (otherwise h is not a polynomial).  A k-th
-    held-out node double-checks the interpolation, exactly.
+    Requires psi(gamma) = 1 (otherwise h is not a polynomial).  Newton's
+    divided differences of h over the k nodes of :func:`interpolation_nodes`
+    are built in place; the one of order k-1 must be exactly 0, else
+    CertificateError.  The certificate is symmetric in the nodes: a wrong
+    value delta at node i moves it by delta / prod_{j != i} (x_i - x_j).  The
+    Newton form on the first k-1 entries is expanded by Horner into
+    descending coefficients.
     """
     if not ctx.psi_is_one(gamma):
         raise ValueError("psi(gamma) != 1: h_gamma is not polynomial")
     k = ctx.k
     nodes = interpolation_nodes(ctx, gamma, k)
-    fit_nodes, check_node = nodes[: k - 1], nodes[k - 1]
-    xs = [node.to_fraction() for node in fit_nodes]
-    ys = [h_eval(ctx, gamma, node) for node in fit_nodes]
+    xs = [node.to_fraction() for node in nodes]
+    ys = [h_eval(ctx, gamma, node) for node in nodes]
     if ctx.quadratic:
         ys = [y.rational_value() for y in ys]
-    coeffs = _lagrange(xs, ys)
-    poly = Poly.from_ascending(k, coeffs)
-    expected = h_eval(ctx, gamma, check_node)
-    got = poly.eval(check_node.to_fraction())
-    if ctx.quadratic:
-        expected = expected.rational_value()
-    if not (got == expected):
+    # ys[i] becomes the divided difference h[x_0, ..., x_i]
+    for order in range(1, k):
+        for i in range(k - 1, order - 1, -1):
+            ys[i] = (ys[i] - ys[i - 1]) / (xs[i] - xs[i - order])
+    if ys[k - 1] != 0:
         raise CertificateError(
-            f"interpolated h disagrees with a held-out evaluation at {check_node}"
+            f"h at the nodes {', '.join(map(str, nodes))} is no polynomial of degree <= {k - 2}"
         )
-    return poly
+    # coeffs <- coeffs * (x - x_i) + ys[i], from the top entry down
+    coeffs = [ys[k - 2]]
+    for i in reversed(range(k - 2)):
+        x = xs[i]
+        coeffs = [
+            coeffs[0],
+            *(b - x * a for a, b in zip(coeffs, coeffs[1:])),
+            ys[i] - x * coeffs[-1],
+        ]
+    return Poly(k, coeffs)

@@ -310,11 +310,6 @@ def common_order(x: CyclotomicElement, y: CyclotomicElement) -> tuple[Cyclotomic
     return x.embed(m), y.embed(m)
 
 
-def rational_to_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def rational_gcd_set(values) -> Fraction:
     """Largest r >= 0 with every value in r*Z (0 if all values vanish).
 

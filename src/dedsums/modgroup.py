@@ -377,12 +377,6 @@ class Poly:
     def zero(cls, weight: int) -> "Poly":
         return cls(weight, [Fraction(0)] * (weight - 1))
 
-    @classmethod
-    def from_ascending(cls, weight: int, ascending: Sequence) -> "Poly":
-        """Build from coefficients [x^0, x^1, ...] padded to degree k-2."""
-        asc = list(ascending) + [Fraction(0)] * (weight - 1 - len(ascending))
-        return cls(weight, list(reversed(asc)))
-
     def eval(self, x):
         x = Fraction(x) if not isinstance(x, CyclotomicElement) else x
         acc = None
@@ -423,8 +417,6 @@ class Poly:
         return Poly(k, out)
 
     def __str__(self):
-        from .exactnum import rational_to_str
-
         out = ""
         k = self.weight
         for n, c in enumerate(self.coeffs):
@@ -435,7 +427,7 @@ class Poly:
                 cs, neg = f"({c!r})", False
             else:
                 neg = c < 0
-                cs = rational_to_str(-c if neg else c)
+                cs = str(-c if neg else c)
             if power == 1:
                 cs += "*x"
             elif power > 1:

@@ -19,6 +19,7 @@ from dedsums.analysis import (
     divisibility_tables,
     trivial_bound,
 )
+from dedsums.exactnum import rational_gcd_set
 from dedsums.modgroup import Poly, gamma1_generators, random_gamma0, random_gamma1
 
 
@@ -197,8 +198,8 @@ def test_cocycle_table_matches_direct_fits(pair, k):
 
 # Corrupts the first fit, the cheapest generator: its h is also fixed by
 # relations through later fits, so the relation certificate sees it.  (A fit
-# on a free basis of the group is pinned by no relation; its own held-out
-# node in h_interpolate is what checks it.)
+# on a free basis of the group is pinned by no relation; its own
+# divided-difference certificate in h_interpolate is what checks it.)
 CORRUPT_FIRST_FIT = """
 from dedsums import dedekind as dk
 from dedsums.modgroup import Poly
@@ -247,12 +248,19 @@ def test_relation_certificate_survives_optimize_flag():
 
 def test_containment_generating_set_independent():
     # [g0] + [g_i g_(i+1)] generates the same group; at k = 2 each h is a
-    # constant and h_(g1 g2) = h_g1 + h_g2, so m cannot move
+    # constant and h_(g1 g2) = h_g1 + h_g2, so m cannot move.  containment_m
+    # runs over the Schreier set only, so m over the products is taken here.
     ctx = context_for(("chi3", "chi3"), 2)
     gens = gamma1_generators(ctx.n)
     products = [gens[0]] + [g * h for g, h in zip(gens, gens[1:])]
-    m_schreier = containment_m(ctx).m
-    assert containment_m(ctx, generators=products).m == m_schreier
+    m_products = rational_gcd_set(
+        a_n * ctx.q1 ** (n + 1)
+        for g in products
+        for n, a_n in enumerate(dk.h_interpolate(ctx, g).coeffs)
+    )
+    assert containment_m(ctx).m == m_products
+    with pytest.raises(ValueError):
+        containment_m(ctx, generators=products)
 
 
 def test_containment_consistent_with_table_cell():

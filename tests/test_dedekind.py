@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dedsums import analysis, dedekind as dk
 from dedsums.bernoulli import periodic_bernoulli, scaled_int_poly
-from dedsums.characters import characters_mod, is_primitive, named_character, parity
+from dedsums.characters import characters_mod, is_primitive, named_character, parity, parse_character
 from dedsums.dedekind import ParityError, SumContext
 from dedsums.exactnum import CyclotomicElement
 from dedsums.modgroup import (
@@ -47,7 +47,7 @@ def slow_sum_S(ctx: SumContext, a: int, c: int) -> CyclotomicElement:
 
 
 def ctx_for(tag1, tag2, k):
-    return SumContext(named_character(tag1), named_character(tag2), k)
+    return SumContext(parse_character(tag1), parse_character(tag2), k)
 
 
 def test_classical_s():
@@ -520,12 +520,36 @@ def ring_order_nodes(ctx: SumContext, gamma: Mat2, count: int) -> list[Cusp]:
                 return nodes
 
 
+def lagrange(xs: list[Fraction], ys: list) -> list:
+    """Ascending coefficients of the interpolating polynomial through (xs, ys),
+    summed over the Lagrange basis."""
+    n = len(xs)
+    coeffs: list = [Fraction(0)] * n
+    for i in range(n):
+        # basis numerator prod_{j != i} (x - x_j), ascending
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j in range(n):
+            if j == i:
+                continue
+            basis = [Fraction(0)] + basis
+            for t in range(len(basis) - 1):
+                basis[t] -= xs[j] * basis[t + 1]
+            denom *= xs[i] - xs[j]
+        scale = ys[i] / denom
+        for t in range(n):
+            coeffs[t] = coeffs[t] + scale * basis[t]
+    return coeffs
+
+
 def ring_order_fit(ctx: SumContext, gamma: Mat2) -> Poly:
     """Lagrange fit of h_gamma through the k-1 reference nodes."""
     nodes = ring_order_nodes(ctx, gamma, ctx.k - 1)
     xs = [node.to_fraction() for node in nodes]
-    ys = [dk.h_eval(ctx, gamma, node).rational_value() for node in nodes]
-    return Poly.from_ascending(ctx.k, dk._lagrange(xs, ys))
+    ys = [dk.h_eval(ctx, gamma, node) for node in nodes]
+    if ctx.quadratic:
+        ys = [y.rational_value() for y in ys]
+    return Poly(ctx.k, lagrange(xs, ys)[::-1])
 
 
 @pytest.mark.parametrize(
@@ -552,6 +576,10 @@ def test_h_eval_at_pole_matches_interpolant(tag1, tag2, k, seed, size):
         ("chi3", "chi4", 4),
         ("chi4", "chi5", 5),
         ("chi3", "chi3", 6),
+        # cyclotomic values: chi of order 4, 3 and 6
+        ("5:1", "5:1", 4),
+        ("7:2", "7:2", 6),
+        ("7:1", "7:1", 6),
     ],
 )
 @settings(max_examples=10, deadline=None)
@@ -577,7 +605,7 @@ def test_interpolation_nodes_are_cheapest(gamma):
     def cost(x):
         return x.q + abs(gamma.c * x.p + gamma.d * x.q)
 
-    assert nodes[-1] != pole and pole in nodes
+    assert pole in nodes
     worst = max(cost(x) for x in nodes)
     box = [
         Cusp(p, q)
@@ -591,18 +619,20 @@ def test_interpolation_nodes_are_cheapest(gamma):
 
 
 def test_h_interpolate_check_failure_raises_certificate_error(monkeypatch):
+    # a wrong value at any one of the k nodes, the pole among them, moves the
+    # order k-1 divided difference off 0
     ctx = ctx_for("chi5", "chi5", 4)
     gamma = Mat2(51, 104, 25, 51)
     real_h_eval = dk.h_eval
-    check_node = dk.interpolation_nodes(ctx, gamma, ctx.k)[-1]
+    for bad_node in dk.interpolation_nodes(ctx, gamma, ctx.k):
 
-    def corrupted(ctx_, gamma_, cusp):
-        value = real_h_eval(ctx_, gamma_, cusp)
-        return value + 1 if cusp == check_node else value
+        def corrupted(ctx_, gamma_, cusp, bad_node=bad_node):
+            value = real_h_eval(ctx_, gamma_, cusp)
+            return value + 1 if cusp == bad_node else value
 
-    monkeypatch.setattr(dk, "h_eval", corrupted)
-    with pytest.raises(dk.CertificateError):
-        dk.h_interpolate(ctx, gamma)
+        monkeypatch.setattr(dk, "h_eval", corrupted)
+        with pytest.raises(dk.CertificateError):
+            dk.h_interpolate(ctx, gamma)
 
 
 def test_h_weight2_is_constant_minus_S():
@@ -672,13 +702,16 @@ def test_h_crossed_homomorphism_polynomials():
         ("chi3", "chi3", 6),
         ("chi3", "chi5", 3),
         ("chi4", "chi5", 5),
+        ("5:1", "5:1", 4),
+        ("7:2", "7:2", 6),
+        ("7:1", "7:1", 6),
     ],
 )
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), in_gamma1=st.booleans(), negate=st.booleans())
 def test_h_top_coefficient_is_minus_c_power_times_S(tag1, tag2, k, seed, in_gamma1, negate):
     # the x^(k-2) coefficient of h_gamma is -c^(k-2) S(gamma), for c of both
-    # signs; -gamma keeps psi = 1 only at even k
+    # signs, compared as cyclotomic values; -gamma keeps psi = 1 only at even k
     ctx = ctx_for(tag1, tag2, k)
     rng = random.Random(seed)
     if in_gamma1:
@@ -690,4 +723,4 @@ def test_h_top_coefficient_is_minus_c_power_times_S(tag1, tag2, k, seed, in_gamm
     if negate and ctx.psi_is_one(-gamma):
         gamma = -gamma
     top = dk.h_interpolate(ctx, gamma).coeffs[0]
-    assert top == -Fraction(gamma.c) ** (k - 2) * dk.sum_S_matrix(ctx, gamma).rational_value()
+    assert dk.sum_S_matrix(ctx, gamma) * -Fraction(gamma.c) ** (k - 2) == top

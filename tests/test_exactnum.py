@@ -17,7 +17,6 @@ from dedsums.exactnum import (
     euler_phi,
     factorize,
     rational_gcd_set,
-    rational_to_str,
 )
 
 Z = CyclotomicElement.root_of_unity
@@ -176,8 +175,6 @@ def test_power_and_division():
 def test_serialization_round_trip():
     x = Z(12, 7) * Fraction(3, 5) + Fraction(1, 2)
     assert CyclotomicElement.from_json(x.to_json()) == x
-    assert Fraction(rational_to_str(Fraction(-22, 7))) == Fraction(-22, 7)
-    assert rational_to_str(Fraction(4)) == "4"
 
 
 # -- rational gcd ------------------------------------------------------------
