@@ -21,7 +21,6 @@ from .modgroup import (
     Poly,
     gamma1_generators,
     gamma1_relations,
-    g_witness,
     iter_G_pairs,
     partial_quotient_max,
     slash_matrix,
@@ -48,9 +47,6 @@ ODD_WEIGHTS = (3, 5, 7, 9)
 
 @dataclass
 class TableCell:
-    pair: tuple[str, str]
-    k: int
-    j: int
     r: Fraction
     display: str
     count: int
@@ -96,7 +92,7 @@ def context_for(pair: tuple[str, str], k: int) -> SumContext:
     return SumContext(named_character(pair[0]), named_character(pair[1]), k)
 
 
-def image_scale(ctx: SumContext, j: int, pair: tuple[str, str] = ("", "")) -> TableCell:
+def image_scale(ctx: SumContext, j: int) -> TableCell:
     """Largest r with S-tilde(G_j(q1 q2)) inside r*Z."""
     if not ctx.quadratic:
         raise ValueError("the divisibility tables require a quadratic pair")
@@ -105,9 +101,6 @@ def image_scale(ctx: SumContext, j: int, pair: tuple[str, str] = ("", "")) -> Ta
     values = dk.sweep_S_tilde_rational(ctx, pairs)
     r = rational_gcd_set(values)
     return TableCell(
-        pair=pair,
-        k=ctx.k,
-        j=j,
         r=r,
         display=display_form(r, ctx.q1),
         count=len(pairs),
@@ -115,14 +108,11 @@ def image_scale(ctx: SumContext, j: int, pair: tuple[str, str] = ("", "")) -> Ta
     )
 
 
-def compute_cell(pair: tuple[str, str], k: int, j: int) -> TableCell:
-    return image_scale(context_for(pair, k), j, pair)
-
-
 def _compute_spec(spec: tuple[tuple[str, str], int, int]) -> TableCell:
-    """compute_cell on one (pair, k, j) spec, the one-argument form Pool.imap
+    """image_scale on one (pair, k, j) spec, the one-argument form Pool.imap
     takes (a module-level function, so workers can unpickle it)."""
-    return compute_cell(*spec)
+    pair, k, j = spec
+    return image_scale(context_for(pair, k), j)
 
 
 @dataclass
@@ -145,34 +135,25 @@ def divisibility_tables(j: int, jobs: int = 1, progress=None) -> list[Divisibili
         DivisibilityTable(TABLE2_PAIRS, EVEN_WEIGHTS),
         DivisibilityTable(TABLE3_PAIRS, ODD_WEIGHTS),
     ]
-    specs = [
-        (pair, k, j)
-        for table in tables
-        for k in table.weights
-        for pair in table.pairs
+    slots = [
+        (table, (pair, k, j)) for table in tables for k in table.weights for pair in table.pairs
     ]
+    specs = [spec for _, spec in slots]
 
-    def collect(results) -> list[TableCell]:
-        # results arrive in spec order, so progress reports each cell as it lands
-        cells = []
-        for i, (spec, cell) in enumerate(zip(specs, results), 1):
-            cells.append(cell)
+    def collect(results):
+        # results arrive in spec order, so each cell is stored and reported as it lands
+        for i, ((table, (pair, k, _)), cell) in enumerate(zip(slots, results), 1):
+            table.cells[(pair, k)] = cell
             if progress:
-                progress(i, len(specs), spec)
-        return cells
+                progress(i, len(specs), (pair, k, j))
 
     if jobs > 1:
         from multiprocessing import Pool
 
         with Pool(min(jobs, len(specs))) as pool:
-            cells = collect(pool.imap(_compute_spec, specs))
+            collect(pool.imap(_compute_spec, specs))
     else:
-        cells = collect(map(_compute_spec, specs))
-    cells = iter(cells)
-    for table in tables:
-        for k in table.weights:
-            for pair in table.pairs:
-                table.cells[(pair, k)] = next(cells)
+        collect(map(_compute_spec, specs))
     return tables
 
 
@@ -324,73 +305,57 @@ def trivial_bound(ctx: SumContext, c: int) -> float:
 
 
 @dataclass
-class BoundSweepRow:
-    a: int
-    c: int
-    s_abs: Fraction
-    m_quot: int
-    ratio: float  # |S| / (M(a/c') log^2 c'), or nan when c' <= 1
-    delta_ok: bool  # |M(a/c') - M(d/c')| <= 1 for the canonical witness
-
-
-@dataclass
 class BoundReport:
-    k: int
-    c_max: int
-    rows: list[BoundSweepRow]
-    max_ratio: float
+    count: int  # matrices swept
+    max_ratio: float  # largest |S| / (M(a/c') log^2 c')
     trivial_bound_ok: bool
-
-    def exceptional_count(self, alpha: Fraction) -> int:
-        """L(alpha, C): sweep entries with |S| > alpha log^3 C.
-
-        log C is the rounded float ``math.log(C)``, so the threshold is that
-        float's exact rational value cubed times alpha; the comparison of each
-        exact |S| against it is exact, but the threshold is not the real
-        alpha log^3 C.
-        """
-        threshold = Fraction(alpha) * Fraction(math.log(self.c_max)) ** 3
-        return sum(1 for row in self.rows if row.s_abs > threshold)
+    delta_ok: bool  # |M(a/c') - M(d/c')| <= 1 at every a/c, d = a^-1 mod c
+    exceptional: list[int]  # L(alpha, C), one per alpha given to bound_statistics
 
 
-def bound_statistics(ctx: SumContext, c_max: int) -> BoundReport:
+def bound_statistics(ctx: SumContext, c_max: int, alphas=()) -> BoundReport:
     """Sweep coprime (a, c) with 1 <= a < c <= C and N | c, exactly.
 
-    Reports the nontrivial-bound ratio statistics and checks the trivial
-    bound and the partial-quotient difference bound along the way.
+    Folds each modulus into the statistics as its sums arrive and keeps no
+    record per matrix.  ``exceptional`` holds L(alpha, C), the number of
+    entries with |S| > alpha log^3 C, for each alpha in ``alphas``.  log C is
+    the rounded float ``math.log(C)``, so each threshold is that float's exact
+    rational value cubed times alpha; the comparison of each exact |S| against
+    it is exact, but the threshold is not the real alpha log^3 C.
     """
     if c_max < ctx.n:
         raise ValueError("C must be at least q1*q2")
     if not ctx.quadratic:
         raise ValueError("bound sweeps use the exact rational path (quadratic pairs)")
-    rows: list[BoundSweepRow] = []
+    thresholds = [Fraction(alpha) * Fraction(math.log(c_max)) ** 3 for alpha in alphas]
+    exceptional = [0] * len(thresholds)
+    count = 0
     max_ratio = 0.0
-    trivial_ok = True
+    trivial_ok = delta_ok = True
     for c in range(ctx.n, c_max + 1, ctx.n):
         pairs = [(a, c) for a in range(1, c) if gcd(a, c) == 1]
         values = dk.sweep_S_tilde_rational(ctx, pairs)  # k-2 power of c folded in
+        count += len(pairs)
         ck = Fraction(c) ** (ctx.k - 2)
         bound = Fraction(trivial_bound(ctx, c))
-        c_prime = c // ctx.q2
+        c_prime = c // ctx.q2  # at least q1 >= 3, so log c' > 0
         log_sq = math.log(c_prime) ** 2
         for (a, _), v in zip(pairs, values):
             s_abs = abs(v / ck)
             if s_abs > bound:
                 trivial_ok = False
             m_a = partial_quotient_max(Fraction(a, c_prime))
-            witness = g_witness(a, c, 1)
-            m_d = partial_quotient_max(Fraction(witness.d % c_prime, c_prime))
-            delta_ok = abs(m_a - m_d) <= 1
-            if c_prime > 1:
-                ratio = float(s_abs) / (m_a * log_sq)
-                max_ratio = max(max_ratio, ratio)
-            else:
-                ratio = float("nan")
-            rows.append(BoundSweepRow(a, c, s_abs, m_a, ratio, delta_ok))
+            m_d = partial_quotient_max(Fraction(pow(a, -1, c) % c_prime, c_prime))
+            if abs(m_a - m_d) > 1:
+                delta_ok = False
+            max_ratio = max(max_ratio, float(s_abs) / (m_a * log_sq))
+            for i, threshold in enumerate(thresholds):
+                if s_abs > threshold:
+                    exceptional[i] += 1
     return BoundReport(
-        k=ctx.k,
-        c_max=c_max,
-        rows=rows,
+        count=count,
         max_ratio=max_ratio,
         trivial_bound_ok=trivial_ok,
+        delta_ok=delta_ok,
+        exceptional=exceptional,
     )

@@ -309,12 +309,12 @@ def suite_bounds(seed: int, tol: float) -> tuple[bool, str]:
             if float(s_val) > analysis.trivial_bound(ctx, c):
                 return False, f"trivial bound violated at k={k} ({a},{c})"
     ctx = context_for(("chi3", "chi3"), 2)
-    report = analysis.bound_statistics(ctx, 180)
+    report = analysis.bound_statistics(ctx, 180, (Fraction(1, 10), 1, 10))
     if not report.trivial_bound_ok:
         return False, "trivial bound violated inside bound_statistics"
-    if not all(r.delta_ok for r in report.rows):
+    if not report.delta_ok:
         return False, "partial-quotient difference bound violated"
-    counts = [report.exceptional_count(Fraction(a)) for a in (Fraction(1, 10), 1, 10)]
+    counts = report.exceptional
     if not (counts[0] >= counts[1] >= counts[2]):
         return False, f"L(alpha, C) not monotone: {counts}"
     return True, f"G_10(9) sweeps k<=6 and C=180 statistics, max ratio {report.max_ratio:.3f}"

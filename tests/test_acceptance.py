@@ -273,16 +273,15 @@ def test_c7_reciprocity_and_extended_domain():
 def test_c8_bounds():
     start = time.time()
     ctx = analysis.context_for(("chi3", "chi3"), 2)
-    rep = analysis.bound_statistics(ctx, 500)
-    delta_ok = all(row.delta_ok for row in rep.rows)
-    counts = [rep.exceptional_count(Fraction(a)) for a in (Fraction(1, 100), 1, 100)]
+    rep = analysis.bound_statistics(ctx, 500, (Fraction(1, 100), 1, 100))
+    counts = rep.exceptional
     mono = counts[0] >= counts[1] >= counts[2]
     ok, detail = verify.suite_bounds(SEED, 0)
-    all_ok = rep.trivial_bound_ok and delta_ok and mono and ok
+    all_ok = rep.trivial_bound_ok and rep.delta_ok and mono and ok
     report(
         "criterion-8 (bounds, C=500)",
         all_ok,
-        f"{len(rep.rows)} matrices; trivial bound exact-OK; |delta|<=1 everywhere; "
+        f"{rep.count} matrices; trivial bound exact-OK; |delta|<=1 everywhere; "
         f"L(alpha) monotone {counts}; max ratio {rep.max_ratio:.3f}; suite [{detail}] "
         f"in {time.time() - start:.0f}s",
     )

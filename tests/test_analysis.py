@@ -20,7 +20,14 @@ from dedsums.analysis import (
     trivial_bound,
 )
 from dedsums.exactnum import rational_gcd_set
-from dedsums.modgroup import Poly, gamma1_generators, random_gamma0, random_gamma1
+from dedsums.modgroup import (
+    Poly,
+    g_witness,
+    gamma1_generators,
+    partial_quotient_max,
+    random_gamma0,
+    random_gamma1,
+)
 
 
 def test_display_form():
@@ -314,12 +321,77 @@ def test_trivial_bound_respected_on_sweep():
 
 def test_bound_statistics():
     ctx = context_for(("chi3", "chi3"), 2)
-    report = analysis.bound_statistics(ctx, 180)
+    report = analysis.bound_statistics(ctx, 180, (Fraction(1, 100), 1, 100))
+    assert report.count == 852  # sum of phi(9t) over t <= 20
     assert report.trivial_bound_ok
-    assert all(row.delta_ok for row in report.rows)
+    assert report.delta_ok
     assert report.max_ratio > 0
-    counts = [report.exceptional_count(Fraction(a)) for a in (Fraction(1, 100), 1, 100)]
+    counts = report.exceptional
     assert counts[0] >= counts[1] >= counts[2]
+
+
+def row_bound_statistics(ctx, c_max, alphas):
+    """Reference for bound_statistics: one (|S|, ratio, delta_ok) row per
+    swept matrix, d from the canonical witness, and L(alpha, C) counted over
+    the rows after the sweep."""
+    rows = []
+    trivial_ok = True
+    for c in range(ctx.n, c_max + 1, ctx.n):
+        pairs = [(a, c) for a in range(1, c) if math.gcd(a, c) == 1]
+        values = dk.sweep_S_tilde_rational(ctx, pairs)
+        ck = Fraction(c) ** (ctx.k - 2)
+        bound = Fraction(trivial_bound(ctx, c))
+        c_prime = c // ctx.q2
+        log_sq = math.log(c_prime) ** 2
+        for (a, _), v in zip(pairs, values):
+            s_abs = abs(v / ck)
+            trivial_ok = trivial_ok and s_abs <= bound
+            m_a = partial_quotient_max(Fraction(a, c_prime))
+            m_d = partial_quotient_max(Fraction(g_witness(a, c, 1).d % c_prime, c_prime))
+            rows.append((s_abs, float(s_abs) / (m_a * log_sq), abs(m_a - m_d) <= 1))
+    log_cubed = Fraction(math.log(c_max)) ** 3
+    return (
+        len(rows),
+        max([0.0] + [ratio for _, ratio, _ in rows]),
+        trivial_ok,
+        all(ok for _, _, ok in rows),
+        [sum(1 for s_abs, _, _ in rows if s_abs > Fraction(alpha) * log_cubed) for alpha in alphas],
+    )
+
+
+BOUND_CELLS = [
+    (pair, k)
+    for pairs, weights in (
+        (analysis.TABLE1_PAIRS + analysis.TABLE2_PAIRS, analysis.EVEN_WEIGHTS),
+        (analysis.TABLE3_PAIRS, analysis.ODD_WEIGHTS),
+    )
+    for pair in pairs
+    for k in weights
+    if k <= 8
+]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    cell=st.sampled_from(BOUND_CELLS),
+    data=st.data(),
+    alphas=st.lists(
+        st.one_of(st.just(Fraction(0)), st.fractions(-2, 4, max_denominator=1000)), max_size=4
+    ),
+)
+def test_bound_statistics_matches_row_sweep(cell, data, alphas):
+    # the folded statistics against the per-matrix rows they replaced
+    ctx = context_for(*cell)
+    c_max = data.draw(st.integers(ctx.n, 8 * ctx.n))
+    report = analysis.bound_statistics(ctx, c_max, alphas)
+    folded = (
+        report.count,
+        report.max_ratio,
+        report.trivial_bound_ok,
+        report.delta_ok,
+        report.exceptional,
+    )
+    assert folded == row_bound_statistics(ctx, c_max, alphas)
 
 
 def test_bound_statistics_validates_inputs():

@@ -221,7 +221,8 @@ def test_loose_tol_does_not_loosen_the_series(tol):
     + [["bounds", "--pair", "chi3,chi3", "--k", "2", "--alpha", "1", a] for a in ("inf", "nan")]
     + [["table", "--j", j] for j in ("1", "0", "-3")]
     + [["table", "--jobs", n] for n in ("0", "-4")]
-    + [["plotdata", "--pair", "chi3,chi3", "--k", "2", "--j", j] for j in ("1", "0", "-3")],
+    + [["plotdata", "--pair", "chi3,chi3", "--k", "2", "--j", j] for j in ("1", "0", "-3")]
+    + [["bounds", "--pair", "chi3,chi3", "--k", "2", "--cmax", c] for c in ("8", "0", "-5")],
 )
 def test_bad_numeric_option_is_usage_error(argv, monkeypatch):
     # rejected before any work: the sum, suite or sweep would raise here
