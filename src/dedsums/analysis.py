@@ -181,7 +181,8 @@ def gamma1_h_table(ctx: SumContext, progress=None) -> list[Poly]:
     h_u1|u2...uL + ... + h_uL = 0, folded left to right as acc <- acc|u + h_u.
     So a relation whose generators are all known but one, v, fixes it:
     rotated to end in v, it gives h_v = -(fold of the rest)|v.  The cheapest
-    generator no relation has fixed is fitted by ``h_interpolate``, then
+    generator no relation has fixed is fitted by ``h_interpolate`` (the finite
+    sum formula, certified at one node), then
     every relation left with one unknown is used, until all are known.  Each
     h is an integer vector over one denominator and each slash one integer
     matrix per generator.  Every relation not used for a derivation must
@@ -226,8 +227,9 @@ def gamma1_h_table(ctx: SumContext, progress=None) -> list[Poly]:
         if progress:
             progress(settled, len(gens))
 
-    # a fit's cost: the denominators of its nodes and their images grow with
-    # |c| and |d| (see interpolation_nodes)
+    # roughly the cheapest fits first: a fit's kernel work grows with |c| (its
+    # sums sit at |c|, near |c| and at N; see h_interpolate).  The order only
+    # moves which generators are fitted and which derived, not the table.
     for g in sorted(range(len(gens)), key=lambda i: abs(gens[i].c) + abs(gens[i].d)):
         if known[g] is not None:
             continue

@@ -188,8 +188,7 @@ def cmd_bounds(args) -> int:
     ctx = _context(args.pair, args.k)
     if args.cmax < ctx.n:  # no c <= C is a multiple of N, so the sweep is empty
         raise OptionError(f"--cmax must be at least q1*q2 = {ctx.n}, got {args.cmax}")
-    alphas = [Fraction(alpha).limit_denominator(10**6) for alpha in args.alpha]
-    report = analysis.bound_statistics(ctx, args.cmax, alphas)
+    report = analysis.bound_statistics(ctx, args.cmax, [Fraction(alpha) for alpha in args.alpha])
     print(f"matrices swept: {report.count}")
     print(f"trivial bound respected: {report.trivial_bound_ok}")
     print(f"max |S| / (M(a/c') log^2 c'): {report.max_ratio:.6f}")
@@ -247,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true", help="include wall times (breaks byte-identical output)")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("hpoly", help="interpolate the polynomial h_gamma")
+    p = sub.add_parser("hpoly", help="the polynomial h_gamma from the finite sum formula")
     p.add_argument("--pair", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--matrix", required=True, help='e.g. "[[51,104],[25,51]]"')

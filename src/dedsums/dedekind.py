@@ -12,17 +12,18 @@ root-of-unity exponent classes that are only expanded into a cyclotomic
 number at the very end.  The kernel evaluates the pieces by Horner; the
 sweep builds its table of V over [0, c) from running-sum passes over the
 difference triangle of the scaled Bernoulli polynomial and phi(q1)
-rotations of the result.
+rotations of the result.  The mixed sums S_r of h_gamma's finite sum formula
+run through the same kernel, with the outer weight B_r(j/c) in place of
+B_1(j/c) and pieces of degree k-r.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import gcd
+from math import comb, gcd
 from operator import add, neg, sub
 from typing import Sequence
 
@@ -31,7 +32,6 @@ from .bernoulli import periodic_bernoulli, scaled_int_poly
 from .characters import DirichletCharacter
 from .exactnum import CertificateError, CyclotomicElement, euler_phi, lcm
 from .modgroup import (
-    CUSP_INF,
     Cusp,
     Mat2,
     Poly,
@@ -126,13 +126,13 @@ class SumContext:
 
     @cached_property
     def sum_memo(self) -> dict:
-        """S by (a mod c, c), filled by :func:`sum_S`: each distinct sum is
-        computed once for the life of this context."""
+        """S_r by (a mod c, c, r), filled by :func:`_mixed_sum`: each distinct
+        sum is computed once for the life of this context."""
         return {}
 
     @cached_property
     def pieces_memo(self) -> dict:
-        """:func:`_twisted_pieces` by c, filled by :func:`sum_S`."""
+        """:func:`_twisted_pieces` by (c, degree), filled by the sums."""
         return {}
 
     def swap(self) -> "SumContext":
@@ -164,13 +164,13 @@ def _taylor_shift(coeffs: list[int], delta: int) -> list[int]:
     return p
 
 
-def _twisted_pieces(ctx: SumContext, c: int) -> tuple[list, int]:
+def _twisted_pieces(ctx: SumContext, c: int, degree: int) -> tuple[list, int]:
     """The twisted Bernoulli values V_t(r), r in [0, c), as q1 polynomial pieces.
 
-    V_t(r) = sum over units n mod q1 of [conj(chi1)(n)]_t * s*B_{k-1}({(r + n m)/c}),
+    V_t(r) = sum over units n mod q1 of [conj(chi1)(n)]_t * s*B_degree({(r + n m)/c}),
     where m = c/q1, [x]_t is the coordinate of x at zeta_o1^t in the power
     basis of Q(zeta_o1), and s is the scale of :func:`bernoulli.scaled_int_poly`
-    at denominator c (a piece of Berndt's B_{k-1, conj chi1}).  Returns
+    at denominator c (a piece of Berndt's B_{degree, conj chi1}).  Returns
     ``pieces`` and s: pieces[t][i] holds the descending integer coefficients of
     V_t(i m + rho) in rho, exact for 0 < rho < m.  At a boundary r = i m the
     term of n = -i mod q1 sits at an integer, where the periodic polynomial is
@@ -179,7 +179,7 @@ def _twisted_pieces(ctx: SumContext, c: int) -> tuple[list, int]:
     """
     q1 = ctx.q1
     m = c // q1
-    ints, scale = scaled_int_poly(ctx.k - 1, c)
+    ints, scale = scaled_int_poly(degree, c)
     # the term of n on piece i is P(((i + n) mod q1) m + rho)
     shifted = [_taylor_shift(ints[::-1], g * m) for g in range(q1)]
     deg = len(ints)
@@ -193,30 +193,22 @@ def _twisted_pieces(ctx: SumContext, c: int) -> tuple[list, int]:
     return pieces, scale
 
 
-def _value_table(ctx: SumContext, c: int) -> tuple[list[int], int]:
-    """The twisted Bernoulli values V(r), r in [0, c), of a quadratic chi1, and the scale s.
+def _tabulate(ints: Sequence[int], last: int) -> list[int]:
+    """P(t) for t in [0, last], P given by its ascending integer coefficients.
 
-    V(r) = sum over units n mod q1 of chi1(n) P((r + n m) mod c), m = c/q1
-    and P, s from :func:`bernoulli.scaled_int_poly` at denominator c: entry
-    for entry the value of the pieces of :func:`_twisted_pieces`, boundary
-    points r = i m included (the term with i + n = 0 mod q1 reads P(0), as the
-    piece does).  P is tabulated over [0, c/2] from its difference triangle
-    at 0..d, d = deg P, by d running-sum passes (Horner at every point when
-    there are at most d + 1), and mirrored onto (c/2, c) by
-    P(c - t) = (-1)^d P(t), the symmetry of B_d; V is then one rotation of
-    that table per unit n, summed with its sign.
+    Horner at the first d + 1 points, d = deg P (at every point when there
+    are no more), then d running-sum passes over the difference triangle
+    taken there.
     """
-    ints, scale = scaled_int_poly(ctx.k - 1, c)
     d = len(ints) - 1
     coeffs = ints[::-1]
-    half = c // 2
     ys = []
-    for t in range(min(half, d) + 1):
+    for t in range(min(last, d) + 1):
         v = 0
         for cf in coeffs:
             v = v * t + cf
         ys.append(v)
-    if half > d:
+    if last > d:
         # leading entries of the forward differences of order 0..d at t = 0
         heads = []
         row = ys
@@ -224,11 +216,29 @@ def _value_table(ctx: SumContext, c: int) -> tuple[list[int], int]:
             heads.append(row[0])
             row = list(map(sub, row[1:], row[:-1]))
         # the order-d difference is constant; each pass integrates one order
-        ys = [heads[d]] * (half + 1 - d)
+        ys = [heads[d]] * (last + 1 - d)
         for head in reversed(heads[:d]):
             ys = list(accumulate(ys, initial=head))
+    return ys
+
+
+def _value_table(ctx: SumContext, c: int) -> tuple[list[int], int]:
+    """The twisted Bernoulli values V(r), r in [0, c), of a quadratic chi1, and the scale s.
+
+    V(r) = sum over units n mod q1 of chi1(n) P((r + n m) mod c), m = c/q1
+    and P, s from :func:`bernoulli.scaled_int_poly` at denominator c: entry
+    for entry the value of the pieces of :func:`_twisted_pieces` of degree
+    k-1, boundary points r = i m included (the term with i + n = 0 mod q1
+    reads P(0), as the piece does).  P is tabulated over [0, c/2] by
+    :func:`_tabulate` and mirrored onto (c/2, c) by P(c - t) = (-1)^d P(t),
+    d = k-1, the symmetry of B_d; V is then one rotation of that table per
+    unit n, summed with its sign.
+    """
+    ints, scale = scaled_int_poly(ctx.k - 1, c)
+    half = c // 2
+    ys = _tabulate(ints, half)
     mirror = ys[c - half - 1 : 0 : -1]
-    ys += mirror if d % 2 == 0 else map(neg, mirror)
+    ys += mirror if ctx.k % 2 == 1 else map(neg, mirror)
     # twice over, so ys[s : s + c] is P((r + s) mod c) for r in [0, c)
     ys += ys
     m = c // ctx.q1
@@ -240,17 +250,20 @@ def _value_table(ctx: SumContext, c: int) -> tuple[list[int], int]:
     return table, scale
 
 
-def _accumulate(ctx: SumContext, a: int, c: int, pieces: list) -> list[list[int]]:
+def _accumulate(ctx: SumContext, a: int, c: int, pieces: list, weight: Sequence[int]) -> list[list[int]]:
     """Coordinate-class accumulation of the double sum.
 
     Returns a phi(o1) x o2 integer matrix acc with
-    S = sum(acc[t][v] zeta_o1^t zeta_o2^v) / (2 c s), s the scale that comes
-    with ``pieces`` from :func:`_twisted_pieces`: the inner n-sum at
-    r = j a mod c is one Horner evaluation of V_t per coordinate t.
+    sum over j mod c of conj(chi2)(j) weight[j] V_t(j a mod c) / s
+    = sum(acc[t][v] zeta_o1^t zeta_o2^v) / s, s the scale that comes with
+    ``pieces`` from :func:`_twisted_pieces`: the inner n-sum at r = j a mod c
+    is one Horner evaluation of V_t per coordinate t.  ``weight[j]``, j up to
+    c/2, is the outer weight, an integer multiple of B_r(j/c); each class of
+    j mod q2 walks its slice of it.
 
     Only j up to c/2 is swept; the pairing j -> c-j contributes the same
-    total (the three sign flips cancel against the parity constraint), so the
-    result is doubled.
+    total (the three sign flips, (-1)^r, (-1)^(deg V) and chi1 chi2(-1),
+    cancel against the parity constraint), so the result is doubled.
     """
     q2, o2 = ctx.q2, ctx.o2
     m = c // ctx.q1
@@ -265,12 +278,12 @@ def _accumulate(ctx: SumContext, a: int, c: int, pieces: list) -> list[list[int]
         for row, pieces_t in zip(acc, pieces):
             total = 0
             r = u * a % c
-            for j in range(u, half + 1, q2):
+            for w in weight[u : half + 1 : q2]:
                 i, rho = divmod(r, m)
                 v = 0
                 for cf in pieces_t[i]:
                     v = v * rho + cf
-                total += (2 * j - c) * v
+                total += w * v
                 r += step
                 if r >= c:
                     r -= c
@@ -285,24 +298,40 @@ def _combine(ctx: SumContext, acc, denom: int) -> CyclotomicElement:
     return CyclotomicElement.from_terms(m, terms, denom)
 
 
+def _mixed_sum(ctx: SumContext, a: int, c: int, r: int) -> CyclotomicElement:
+    """S_r(a, c) = sum over j mod c, n mod q1 of
+    conj(chi1)(n) conj(chi2)(j) B_r({j/c}) B_{k-r}({a j/c + n/q1}), 1 <= r < k,
+    for a reduced mod c and the pair validated; S_1 is S.
+
+    The kernel over the twisted pieces of degree k-r, kept in
+    ``ctx.pieces_memo`` under (c, k-r), with the outer weight s_r B_r(j/c)
+    tabulated from :func:`bernoulli.scaled_int_poly`.  The value is kept in
+    ``ctx.sum_memo`` under (a, c, r).
+    """
+    value = ctx.sum_memo.get((a, c, r))
+    if value is None:
+        degree = ctx.k - r
+        entry = ctx.pieces_memo.get((c, degree))
+        if entry is None:
+            entry = ctx.pieces_memo[c, degree] = _twisted_pieces(ctx, c, degree)
+        pieces, scale = entry
+        ints, weight_scale = scaled_int_poly(r, c)
+        # s_1 B_1(j/c) = 2j - c: a range stands in for the table at r = 1
+        weight = range(-c, c, 2) if r == 1 else _tabulate(ints, (c - 1) // 2)
+        acc = _accumulate(ctx, a, c, pieces, weight)
+        value = ctx.sum_memo[a, c, r] = _combine(ctx, acc, weight_scale * scale)
+    return value
+
+
 def sum_S(ctx: SumContext, a: int, c: int) -> CyclotomicElement:
     """The finite double sum at the cusp data (a, c), c > 0 divisible by q1 q2.
 
     For a quadratic pair the value is rational; ``rational_value()`` gives it
-    as a Fraction.  S depends on a only mod c, so the value is kept in
-    ``ctx.sum_memo`` under (a mod c, c), and the twisted pieces of c in
-    ``ctx.pieces_memo``; the pair is validated on every call.
+    as a Fraction.  S depends on a only mod c, so :func:`_mixed_sum` keeps it
+    in ``ctx.sum_memo`` under (a mod c, c, 1); the pair is validated on every
+    call.
     """
-    a = _validate_pair(ctx, a, c)
-    value = ctx.sum_memo.get((a, c))
-    if value is None:
-        entry = ctx.pieces_memo.get(c)
-        if entry is None:
-            entry = ctx.pieces_memo[c] = _twisted_pieces(ctx, c)
-        pieces, scale = entry
-        acc = _accumulate(ctx, a, c, pieces)
-        value = ctx.sum_memo[a, c] = _combine(ctx, acc, 2 * c * scale)
-    return value
+    return _mixed_sum(ctx, _validate_pair(ctx, a, c), c, 1)
 
 
 def sum_S_tilde(ctx: SumContext, a: int, c: int) -> CyclotomicElement:
@@ -388,76 +417,47 @@ def h_eval(ctx: SumContext, gamma: Mat2, cusp: Cusp) -> CyclotomicElement:
     return base - shat(ctx, image) * jpow
 
 
-def interpolation_nodes(ctx: SumContext, gamma: Mat2, count: int) -> list[Cusp]:
-    """The ``count`` cheapest nodes for h_gamma, cheapest first.
-
-    A node x = p/q costs q + |c p + d q| for gamma = (a b; c d): den x plus
-    den gamma x, to which the kernel work of the two sums in :func:`h_eval`
-    is proportional.  The candidates are the cusps p/q with N | q,
-    gcd(p, q) = 1 and p = 1 mod N, plus the pole gamma^-1(inf) = -d/c at cost
-    |c| (only S-hat at the node is summed there).  Ties go by (cost, q, p).
-    """
-    n = ctx.n
-    c, d = gamma.c, gamma.d
-    if c == 0:
-        # a translation: every node p/N costs 2N
-        return [Cusp(1 + i * n, n) for i in range(count)]
-    pole = cusp_apply(gamma.inverse(), CUSP_INF)
-    best = [(abs(c), pole.q, pole.p)] if c % n == 0 else []
-    q = n
-    while len(best) < count or q <= best[-1][0]:
-        # p = 1 + n t on either side of the zero -d q / c of c p + d q; the
-        # cost grows along each walk, so it stops at the k-th best key
-        t_lo = (-d * q - c) // (c * n)
-        for t, step in ((t_lo, -1), (t_lo + 1, 1)):
-            while True:
-                p = 1 + n * t
-                t += step
-                slash = abs(c * p + d * q)
-                key = (q + slash, q, p)
-                if len(best) == count and key >= best[-1]:
-                    break
-                if slash and gcd(p, q) == 1:
-                    insort(best, key)
-                    del best[count:]
-        q += n
-    return [Cusp(p, q) for _, q, p in best]
-
-
 def h_interpolate(ctx: SumContext, gamma: Mat2) -> Poly:
-    """The degree <= k-2 polynomial h_gamma, fitted and certified at k nodes.
+    """The degree <= k-2 polynomial h_gamma from the finite sum formula,
+    certified at one node.
 
-    Requires psi(gamma) = 1 (otherwise h is not a polynomial).  Newton's
-    divided differences of h over the k nodes of :func:`interpolation_nodes`
-    are built in place; the one of order k-1 must be exactly 0, else
-    CertificateError.  The certificate is symmetric in the nodes: a wrong
-    value delta at node i moves it by delta / prod_{j != i} (x_i - x_j).  The
-    Newton form on the first k-1 entries is expanded by Horner into
-    descending coefficients.
+    Requires psi(gamma) = 1 (otherwise h is not a polynomial).  For
+    gamma = (a b; c d) with c != 0 and e = sign(c),
+
+        h_gamma(x) = e^k sum over 1 <= r < k of
+                     (-1)^r C(k, r)/k S_r(e a, |c|) (e c x + e d)^(k-1-r),
+
+    S_r as in :func:`_mixed_sum`; for c = 0, h = 0.  The certificate: at the
+    node x = gamma^-1(t/N) = (d t - b N)/(a N - c t), t the unit mod N nearest
+    a N/c with a N != c t, the polynomial must equal :func:`h_eval` exactly,
+    else CertificateError.  An error delta in S_r moves h(x) by
+    delta C(k, r)/k j(gamma, x)^(k-1-r), never 0.
     """
     if not ctx.psi_is_one(gamma):
         raise ValueError("psi(gamma) != 1: h_gamma is not polynomial")
-    k = ctx.k
-    nodes = interpolation_nodes(ctx, gamma, k)
-    xs = [node.to_fraction() for node in nodes]
-    ys = [h_eval(ctx, gamma, node) for node in nodes]
+    k, n = ctx.k, ctx.n
+    a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
+    if c == 0:
+        return Poly.zero(k)
+    e = 1 if c > 0 else -1
+    a_red = _validate_pair(ctx, e * a, e * c)
+    sums = [_mixed_sum(ctx, a_red, e * c, r) for r in range(1, k)]
     if ctx.quadratic:
-        ys = [y.rational_value() for y in ys]
-    # ys[i] becomes the divided difference h[x_0, ..., x_i]
-    for order in range(1, k):
-        for i in range(k - 1, order - 1, -1):
-            ys[i] = (ys[i] - ys[i - 1]) / (xs[i] - xs[i - order])
-    if ys[k - 1] != 0:
-        raise CertificateError(
-            f"h at the nodes {', '.join(map(str, nodes))} is no polynomial of degree <= {k - 2}"
-        )
-    # coeffs <- coeffs * (x - x_i) + ys[i], from the top entry down
-    coeffs = [ys[k - 2]]
-    for i in reversed(range(k - 2)):
-        x = xs[i]
-        coeffs = [
-            coeffs[0],
-            *(b - x * a for a, b in zip(coeffs, coeffs[1:])),
-            ys[i] - x * coeffs[-1],
-        ]
-    return Poly(k, coeffs)
+        sums = [s.rational_value() for s in sums]
+    # (|c| x + e d)^p contributes C(p, i) |c|^i (e d)^(p-i) at x^i, index k-2-i
+    coeffs = [0] * (k - 1)
+    for r, s in enumerate(sums, 1):
+        p = k - 1 - r
+        for i in range(p + 1):
+            factor = e**k * (-1) ** r * comb(k, r) * comb(p, i) * (e * c) ** i * (e * d) ** (p - i)
+            coeffs[k - 2 - i] += s * Fraction(factor, k)
+    poly = Poly(k, coeffs)
+    t0 = a * n // c
+    t = min(
+        (t for t in range(t0 - n, t0 + n + 2) if gcd(t, n) == 1 and a * n != c * t),
+        key=lambda t: abs(a * n - c * t),
+    )
+    node = Cusp(d * t - b * n, a * n - c * t)
+    if h_eval(ctx, gamma, node) != poly.eval(node.to_fraction()):
+        raise CertificateError(f"h_gamma from the sum formula misses h at the node {node}")
+    return poly

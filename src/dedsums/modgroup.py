@@ -78,10 +78,6 @@ MAT_S = Mat2(0, -1, 1, 0)
 MAT_T = Mat2(1, 1, 0, 1)
 
 
-def translation(n: int) -> Mat2:
-    return Mat2(1, n, 0, 1)
-
-
 def in_gamma0(gamma: Mat2, n: int) -> bool:
     return gamma.c % n == 0
 
@@ -190,17 +186,15 @@ def _coset_key(g: Mat2, n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class _Gamma1Cosets:
-    """One level's coset BFS: the transversal, its Schreier generators and the
-    S/T edges between cosets.
+    """One level's coset BFS: its Schreier generators and the S/T edges
+    between cosets.
 
     ``edges[2 i + x]`` is (target coset, generator index) for coset i of the
-    transversal and letter x (0 = S, 1 = T); the index is -1 where the edge
-    reads the identity.
+    BFS transversal and letter x (0 = S, 1 = T); the index is -1 where the
+    edge reads the identity.
     """
 
-    reps: dict[tuple[int, int], Mat2]
     generators: tuple[Mat2, ...]
-    generator_set: frozenset[Mat2]
     edges: tuple[tuple[int, int], ...]
 
 
@@ -238,12 +232,7 @@ def _gamma1_cosets(n: int) -> _Gamma1Cosets:
                         raise CertificateError(f"Schreier generator {u} is not in Gamma_1({n})")
                     label = gens[u] = len(gens)
             edges.append((position[key], label))
-    return _Gamma1Cosets(reps, tuple(gens), frozenset(gens), tuple(edges))
-
-
-def gamma1_coset_table(n: int) -> dict[tuple[int, int], Mat2]:
-    """BFS transversal of Gamma_1(N)\\SL2(Z), keyed by bottom row mod N (a copy)."""
-    return dict(_gamma1_cosets(n).reps)
+    return _Gamma1Cosets(tuple(gens), tuple(edges))
 
 
 def gamma1_generators(n: int) -> list[Mat2]:
@@ -283,73 +272,6 @@ def gamma1_relations(n: int) -> tuple[tuple[int, ...], ...]:
             if word:
                 words[min(tuple(word[i:] + word[:i]) for i in range(len(word)))] = None
     return tuple(words)
-
-
-def word_in_ST(m: Mat2) -> list[Mat2]:
-    """Factor m exactly into a list of S / T^(+-1) letters (left-to-right product)."""
-    letters: list[Mat2] = []
-    cur = m
-    t_inv = MAT_T.inverse()
-    s_inv = MAT_S.inverse()
-
-    def emit_T(power: int):
-        letter = MAT_T if power > 0 else t_inv
-        for _ in range(abs(power)):
-            letters.append(letter)
-
-    while cur.c != 0:
-        q = cur.a // cur.c
-        emit_T(q)
-        cur = translation(-q) * cur
-        letters.append(MAT_S)
-        cur = s_inv * cur
-    if cur.a == 1:
-        emit_T(cur.b)
-    else:
-        # residual is -T^(-b); -I = S^2
-        letters.append(MAT_S)
-        letters.append(MAT_S)
-        emit_T(-cur.b)
-    check = MAT_I
-    for w in letters:
-        check = check * w
-    if check != m:
-        raise CertificateError(f"S/T word multiplies to {check}, not {m}")
-    return letters
-
-
-def express_in_gamma1_generators(m: Mat2, n: int) -> list[Mat2]:
-    """Rewrite m in Gamma_1(N) as a product of Schreier generators and inverses.
-
-    Standard Reidemeister rewriting through the coset table: each emitted
-    factor is a Schreier generator (letters S, T) or the inverse of one
-    (letters T^-1).  The word multiplies back to m exactly (checked, else
-    CertificateError), certifying membership in the generated subgroup.
-    """
-    if not in_gamma1(m, n):
-        raise ValueError(f"matrix is not in Gamma_1({n})")
-    cosets = _gamma1_cosets(n)
-    reps, gens = cosets.reps, cosets.generator_set
-    word = word_in_ST(m)
-    r = MAT_I
-    used: list[Mat2] = []
-    for x in word:
-        g = r * x
-        rep = reps[_coset_key(g, n)]
-        u = g * rep.inverse()
-        if u != MAT_I:
-            if u not in gens and u.inverse() not in gens:
-                raise CertificateError(f"{u} is not a Schreier generator of Gamma_1({n}) or an inverse")
-            used.append(u)
-        r = rep
-    if r != MAT_I:
-        raise CertificateError(f"coset walk for {m} ends at {r}, not the identity coset")
-    prod = MAT_I
-    for u in used:
-        prod = prod * u
-    if prod != m:
-        raise CertificateError(f"generator word multiplies to {prod}, not {m}")
-    return used
 
 
 # -- polynomials of degree <= k-2 and the weight (2-k) slash -----------------

@@ -154,8 +154,10 @@ CHI5_K4_POLYNOMIALS = "a2f7ffac0759571c512282a425c4af6c49e5bf85b60863736269b14d0
 
 def test_containment_runs_each_distinct_sum_once(monkeypatch):
     # 54 of the 197 generators are fitted, the rest derived from the coset
-    # relations; the fits ask for 379 sums, 234 distinct (a mod c, c) over 52
-    # distinct c, and the context's memo runs the kernel once for each
+    # relations; the 53 fits with c != 0 each take S_1, S_2 and S_3 at their
+    # own (a, c) and ask sum_S for the two sums at the certificate node.  The
+    # context's memo runs the kernel once per distinct (a mod c, c, r), 209
+    # times, over 65 distinct (c, degree)
     calls = {"h_interpolate": 0, "sum_S": 0, "_accumulate": 0, "_twisted_pieces": 0}
     for name in calls:
         def counted(*args, name=name, original=getattr(dk, name)):
@@ -164,7 +166,7 @@ def test_containment_runs_each_distinct_sum_once(monkeypatch):
 
         monkeypatch.setattr(dk, name, counted)
     report = containment_m(context_for(("chi5", "chi5"), 4))
-    assert calls == {"h_interpolate": 54, "sum_S": 379, "_accumulate": 234, "_twisted_pieces": 52}
+    assert calls == {"h_interpolate": 54, "sum_S": 106, "_accumulate": 209, "_twisted_pieces": 65}
     assert report.generator_count == 197
     assert report.m == 6
     text = "\n".join(f"{g} {','.join(map(str, h.coeffs))}" for g, h in report.polynomials)
@@ -205,8 +207,8 @@ def test_cocycle_table_matches_direct_fits(pair, k):
 
 # Corrupts the first fit, the cheapest generator: its h is also fixed by
 # relations through later fits, so the relation certificate sees it.  (A fit
-# on a free basis of the group is pinned by no relation; its own
-# divided-difference certificate in h_interpolate is what checks it.)
+# on a free basis of the group is pinned by no relation; its own one-node
+# certificate in h_interpolate is what checks it.)
 CORRUPT_FIRST_FIT = """
 from dedsums import dedekind as dk
 from dedsums.modgroup import Poly

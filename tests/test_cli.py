@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
@@ -140,6 +141,26 @@ def test_bounds_command():
     assert "L(0.5, 100)" in out
 
 
+def test_bounds_hands_each_alpha_over_exactly(monkeypatch):
+    # an alpha below 5e-7 reaches the sweep as itself, not rounded to 0
+    from dedsums import analysis
+
+    seen = []
+    real = analysis.bound_statistics
+
+    def recording(ctx, c_max, alphas=()):
+        seen.extend(alphas)
+        return real(ctx, c_max, alphas)
+
+    monkeypatch.setattr(analysis, "bound_statistics", recording)
+    code, out, _ = run_cli(
+        "bounds", "--pair", "chi3,chi3", "--k", "2", "--cmax", "90", "--alpha", "1e-7", "0.5"
+    )
+    assert code == cli.EXIT_OK
+    assert seen == [Fraction(1e-7), Fraction(1, 2)]
+    assert "L(1e-07, 90)" in out
+
+
 def test_verify_single_suite():
     code, out, _ = run_cli("verify", "--suite", "poly-space", "--seed", "7")
     assert code == cli.EXIT_OK
@@ -178,7 +199,7 @@ def test_periodicity_suite_compares_the_shifted_value_with_a_cold_run(monkeypatc
         ctx = fresh(pair, k)
         if not made:
             a, c = next(iter_G_pairs(ctx.n, 13))
-            ctx.sum_memo[a % c, c] = dedekind.sum_S(fresh(pair, k), a, c) + 1
+            ctx.sum_memo[a % c, c, 1] = dedekind.sum_S(fresh(pair, k), a, c) + 1
         made.append(ctx)
         return ctx
 

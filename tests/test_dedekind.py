@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -19,7 +22,6 @@ from dedsums.modgroup import (
     iter_G_pairs,
     random_gamma0,
     random_gamma1,
-    translation,
 )
 
 
@@ -177,7 +179,7 @@ def test_gamma_infinity_invariance():
     rng = random.Random(15)
     for _ in range(10):
         g = random_gamma0(rng, 21)
-        shifted = translation(rng.randint(-4, 4)) * g
+        shifted = Mat2(1, rng.randint(-4, 4), 0, 1) * g
         assert (dk.sum_S_matrix(ctx, shifted) - dk.sum_S_matrix(ctx, g)).is_zero()
 
 
@@ -235,7 +237,7 @@ def test_sweep_matches_single_calls(cell, t, data):
 def horner_table(ctx: SumContext, c: int) -> tuple[list[int], int]:
     """Reference for the sweep's table: V over [0, c) by Horner over the
     pieces of _twisted_pieces."""
-    pieces, scale = dk._twisted_pieces(ctx, c)
+    pieces, scale = dk._twisted_pieces(ctx, c, ctx.k - 1)
     table = []
     for coeffs in pieces[0]:
         for rho in range(c // ctx.q1):
@@ -291,7 +293,9 @@ def test_sweep_builds_no_twisted_pieces(monkeypatch):
     # no piece tables, and one scaled polynomial per distinct c
     pieces_calls, poly_calls = [], []
     twisted_pieces = dk._twisted_pieces
-    monkeypatch.setattr(dk, "_twisted_pieces", lambda ctx, c: pieces_calls.append(c) or twisted_pieces(ctx, c))
+    monkeypatch.setattr(
+        dk, "_twisted_pieces", lambda ctx, c, degree: pieces_calls.append(c) or twisted_pieces(ctx, c, degree)
+    )
     monkeypatch.setattr(dk, "scaled_int_poly", lambda k, c: poly_calls.append(c) or scaled_int_poly(k, c))
     ctx = ctx_for("chi5", "chi5", 4)
     pairs = list(iter_G_pairs(25, 8))
@@ -410,7 +414,7 @@ def test_sum_at_interval_boundary_matches_slow_loop(tag1, tag2, k, a, c):
     # only from a j with q2 | j, where chi2(j) = 0, and the sum stays exact.
     ctx = ctx_for(tag1, tag2, k)
     m = c // ctx.q1
-    pieces, scale = dk._twisted_pieces(ctx, c)
+    pieces, scale = dk._twisted_pieces(ctx, c, k - 1)
     hits = [j for j in range(1, (c - 1) // 2 + 1) if (j * a) % c % m == 0]
     assert hits
     for j in hits:
@@ -478,8 +482,8 @@ def test_shat_rejects_omega_orbit():
 def test_h_of_translation_vanishes():
     ctx = ctx_for("chi5", "chi5", 4)
     for a, c in [(1, 25), (26, 25), (1, 50)]:
-        assert dk.h_eval(ctx, translation(1), Cusp(a, c)).is_zero()
-    assert dk.h_interpolate(ctx, translation(1)).is_zero()
+        assert dk.h_eval(ctx, Mat2(1, 1, 0, 1), Cusp(a, c)).is_zero()
+    assert dk.h_interpolate(ctx, Mat2(1, 1, 0, 1)).is_zero()
 
 
 def test_h_eval_matches_reference_polynomial():
@@ -558,8 +562,8 @@ def ring_order_fit(ctx: SumContext, gamma: Mat2) -> Poly:
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 4))
 def test_h_eval_at_pole_matches_interpolant(tag1, tag2, k, seed, size):
-    # the pole is a cheap node only because the slash term drops there and the
-    # value is still the polynomial's; the reference fit never uses the pole
+    # at the pole the slash term drops out and the value is still the
+    # polynomial's; the reference fit never uses the pole
     ctx = ctx_for(tag1, tag2, k)
     gamma = random_gamma1(random.Random(seed), ctx.n, size)
     pole = cusp_apply(gamma.inverse(), CUSP_INF)
@@ -576,6 +580,7 @@ def test_h_eval_at_pole_matches_interpolant(tag1, tag2, k, seed, size):
         ("chi3", "chi4", 4),
         ("chi4", "chi5", 5),
         ("chi3", "chi3", 6),
+        ("chi3", "chi5", 7),
         # cyclotomic values: chi of order 4, 3 and 6
         ("5:1", "5:1", 4),
         ("7:2", "7:2", 6),
@@ -593,46 +598,78 @@ def test_h_interpolate_matches_ring_order_fit(tag1, tag2, k, seed):
     assert dk.h_interpolate(ctx, gamma) == ring_order_fit(ctx, gamma)
 
 
-@pytest.mark.parametrize(
-    "gamma", [Mat2(51, -4, 625, -49), Mat2(-74, 7, -275, 26), Mat2(-24, 1, -25, 1)]
-)
-def test_interpolation_nodes_are_cheapest(gamma):
-    # brute force over a box that holds every node of cost <= the k-th best
-    ctx = ctx_for("chi5", "chi5", 4)
-    nodes = dk.interpolation_nodes(ctx, gamma, 4)
-    pole = cusp_apply(gamma.inverse(), CUSP_INF)
+# Every way the sum formula can go wrong must fail the one-node certificate:
+# a wrong h_eval at the node, or +1 in any one mixed sum S_r of gamma's own
+# (a, c).  Run in-process and under python -O, where asserts are stripped.
+CERTIFICATE_CHECKS = """
+from dedsums import dedekind as dk
+from dedsums.characters import parse_character
+from dedsums.exactnum import CertificateError
+from dedsums.modgroup import Mat2
 
-    def cost(x):
-        return x.q + abs(gamma.c * x.p + gamma.d * x.q)
-
-    assert pole in nodes
-    worst = max(cost(x) for x in nodes)
-    box = [
-        Cusp(p, q)
-        for q in range(25, worst + 1, 25)
-        for p in range(1 - 25 * (worst // 25 + 2), 25 * (worst // 25 + 2), 25)
-        if gcd(p, q) == 1
-    ]
-    cheapest = sorted({pole, *box}, key=lambda x: (cost(x), x.q, x.p))[:4]
-    assert sorted(nodes, key=lambda x: (cost(x), x.q, x.p)) == cheapest
-    assert [x.q for x in dk.interpolation_nodes(ctx, translation(3), 3)] == [25, 25, 25]
+CASES = [
+    (("chi5", "chi5"), 4, Mat2(51, 104, 25, 51)),
+    (("chi5", "chi5"), 4, Mat2(-24, 1, -25, 1)),
+    (("7:1", "7:1"), 6, Mat2(50, 1, 49, 1)),
+]
 
 
-def test_h_interpolate_check_failure_raises_certificate_error(monkeypatch):
-    # a wrong value at any one of the k nodes, the pole among them, moves the
-    # order k-1 divided difference off 0
-    ctx = ctx_for("chi5", "chi5", 4)
-    gamma = Mat2(51, 104, 25, 51)
-    real_h_eval = dk.h_eval
-    for bad_node in dk.interpolation_nodes(ctx, gamma, ctx.k):
+def context(pair, k):
+    return dk.SumContext(parse_character(pair[0]), parse_character(pair[1]), k)
 
-        def corrupted(ctx_, gamma_, cusp, bad_node=bad_node):
-            value = real_h_eval(ctx_, gamma_, cusp)
-            return value + 1 if cusp == bad_node else value
 
-        monkeypatch.setattr(dk, "h_eval", corrupted)
-        with pytest.raises(dk.CertificateError):
-            dk.h_interpolate(ctx, gamma)
+def uncaught_corruptions():
+    real_h_eval, real_mixed_sum = dk.h_eval, dk._mixed_sum
+    missed = []
+    for pair, k, gamma in CASES:
+        dk.h_interpolate(context(pair, k), gamma)  # the true fit passes
+        dk.h_eval = lambda *args: real_h_eval(*args) + 1
+        try:
+            dk.h_interpolate(context(pair, k), gamma)
+            missed.append((pair, k, str(gamma), "h_eval"))
+        except CertificateError:
+            pass
+        finally:
+            dk.h_eval = real_h_eval
+        # the kernel's (a, c) for gamma: (e a mod |c|, |c|), e = sign(c)
+        c_abs = abs(gamma.c)
+        own = (gamma.a * c_abs // gamma.c % c_abs, c_abs)
+        for bad_r in range(1, k):
+
+            def corrupted(ctx, a, c, r, target=(*own, bad_r)):
+                value = real_mixed_sum(ctx, a, c, r)
+                return value + 1 if (a, c, r) == target else value
+
+            dk._mixed_sum = corrupted
+            try:
+                dk.h_interpolate(context(pair, k), gamma)
+                missed.append((pair, k, str(gamma), bad_r))
+            except CertificateError:
+                pass
+            finally:
+                dk._mixed_sum = real_mixed_sum
+    return missed
+"""
+
+
+def test_h_interpolate_check_failure_raises_certificate_error():
+    scope = {}
+    exec(CERTIFICATE_CHECKS, scope)
+    assert scope["uncaught_corruptions"]() == []
+    script = CERTIFICATE_CHECKS + (
+        "import sys\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "missed = uncaught_corruptions()\n"
+        "sys.exit(repr(missed) if missed else 0)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dk.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONOPTIMIZE", None)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_h_weight2_is_constant_minus_S():

@@ -18,9 +18,7 @@ from dedsums.modgroup import (
     Poly,
     cocycle_j,
     cusp_apply,
-    express_in_gamma1_generators,
     g_witness,
-    gamma1_coset_table,
     gamma1_generators,
     gamma1_index,
     gamma1_relations,
@@ -30,9 +28,6 @@ from dedsums.modgroup import (
     partial_quotient_max,
     partial_quotients,
     random_gamma0,
-    random_gamma1,
-    translation,
-    word_in_ST,
 )
 
 
@@ -89,7 +84,7 @@ def test_G_witnesses_in_gamma1():
 def test_cusp_apply():
     g = Mat2(2, 1, 9, 5)
     assert cusp_apply(g, CUSP_INF) == Cusp(2, 9)
-    assert cusp_apply(translation(3), Cusp(2, 7)) == Cusp(23, 7)
+    assert cusp_apply(Mat2(1, 3, 0, 1), Cusp(2, 7)) == Cusp(23, 7)
     inv = Mat2(26, 1, 25, 1).inverse()
     assert inv == Mat2(1, -1, -25, 26)
     assert cusp_apply(inv, CUSP_INF) == Cusp(-1, 25)
@@ -121,8 +116,11 @@ def test_cocycle_j():
 
 
 def test_coset_counts_match_index_formula():
+    # the relator walks start at every coset the BFS found, two S/T edges each
     for n in (9, 12, 15, 21, 24, 25):
-        assert len(gamma1_coset_table(n)) == gamma1_index(n)
+        gamma1_generators(n)
+        gamma1_relations(n)
+        assert len(modgroup._gamma1_cosets(n).edges) == 2 * gamma1_index(n)
     assert gamma1_index(25) == 600
 
 
@@ -141,10 +139,10 @@ def test_coset_certificate_survives_optimize_flag():
         "    sys.exit('not running under -O')\n"
         "modgroup.gamma1_index = lambda n: 601\n"
         "try:\n"
-        "    modgroup.gamma1_coset_table(25)\n"
+        "    modgroup.gamma1_generators(25)\n"
         "except CertificateError:\n"
         "    sys.exit(0)\n"
-        "sys.exit('gamma1_coset_table accepted a wrong coset count')\n"
+        "sys.exit('gamma1_generators accepted a wrong coset count')\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(dedsums.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
@@ -165,9 +163,10 @@ def test_gamma1_generators_live_in_gamma1():
 
 def test_coset_bfs_runs_once_per_level():
     modgroup._gamma1_cosets.cache_clear()
+    gamma1_relations.cache_clear()
     gens = gamma1_generators(25)
-    express_in_gamma1_generators(Mat2(26, 1, 25, 1), 25)
-    express_in_gamma1_generators(Mat2(51, 104, 25, 51), 25)
+    gamma1_relations(25)
+    gamma1_generators(25)
     info = modgroup._gamma1_cosets.cache_info()
     assert (info.misses, info.hits) == (1, 2)
     # each call hands out a new list; changing one leaves the next intact
@@ -197,42 +196,6 @@ def test_gamma1_relations_multiply_to_the_identity():
 def test_gamma1_generators_need_n_at_least_5():
     with pytest.raises(ValueError):
         gamma1_generators(4)
-
-
-def test_word_in_ST_random():
-    rng = random.Random(8)
-    mats = [Mat2(26, 1, 25, 1), Mat2(0, -1, 1, 0), Mat2(-1, 0, 0, -1)]
-    mats += [random_gamma0(rng, 3) for _ in range(20)]
-    for m in mats:
-        prod = Mat2.identity()
-        for w in word_in_ST(m):
-            prod = prod * w
-        assert prod == m
-
-
-def test_membership_certificate_reference_matrix():
-    # the Schreier set generates: rewrite (26 1; 25 1) through the coset table
-    m = Mat2(26, 1, 25, 1)
-    gens = set(gamma1_generators(25))
-    word = express_in_gamma1_generators(m, 25)
-    prod = Mat2.identity()
-    for u in word:
-        assert u in gens or u.inverse() in gens
-        prod = prod * u
-    assert prod == m
-
-
-def test_membership_certificate_random():
-    rng = random.Random(21)
-    gens = set(gamma1_generators(9))
-    for _ in range(10):
-        m = random_gamma1(rng, 9, 4)
-        word = express_in_gamma1_generators(m, 9)
-        prod = Mat2.identity()
-        for u in word:
-            assert u in gens or u.inverse() in gens
-            prod = prod * u
-        assert prod == m
 
 
 # -- polynomials -------------------------------------------------------------
