@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -315,21 +316,53 @@ class BoundReport:
     exceptional: list[int]  # L(alpha, C), one per alpha given to bound_statistics
 
 
+# significant digits of the first bracket on ln C, and of the last one that
+# _above_alpha_log_cubed tries (ln at 2,560 digits takes about 0.5 s)
+_LOG_DIGITS = 40
+_LOG_DIGITS_MAX = 2560
+
+
+def _alpha_log_cubed(alpha: Fraction, c: int, digits: int) -> list[Fraction]:
+    """Rationals [low, high] with low <= alpha ln^3 c <= high, equal only at
+    alpha = 0, from Decimal's correctly rounded ln c at ``digits`` digits."""
+    with localcontext() as dctx:
+        dctx.prec = digits
+        ln = Decimal(c).ln()
+    ulp = Fraction(10) ** (ln.adjusted() - digits + 1)
+    return sorted(alpha * (Fraction(ln) + err) ** 3 for err in (-ulp, ulp))
+
+
+def _above_alpha_log_cubed(s: Fraction, alpha: Fraction, c: int) -> bool:
+    """Whether s > alpha ln^3 c, exactly: the bracket is narrowed at doubled
+    precision until it decides, which it does since ln c is transcendental."""
+    digits = _LOG_DIGITS
+    while digits <= _LOG_DIGITS_MAX:
+        low, high = _alpha_log_cubed(alpha, c, digits)
+        if not low < s <= high:
+            return s > high
+        digits *= 2
+    raise dk.CertificateError(
+        f"|S| = {s} against {alpha} ln^3 {c} is undecided at {_LOG_DIGITS_MAX} digits"
+    )
+
+
 def bound_statistics(ctx: SumContext, c_max: int, alphas=()) -> BoundReport:
     """Sweep coprime (a, c) with 1 <= a < c <= C and N | c, exactly.
 
     Folds each modulus into the statistics as its sums arrive and keeps no
     record per matrix.  ``exceptional`` holds L(alpha, C), the number of
-    entries with |S| > alpha log^3 C, for each alpha in ``alphas``.  log C is
-    the rounded float ``math.log(C)``, so each threshold is that float's exact
-    rational value cubed times alpha; the comparison of each exact |S| against
-    it is exact, but the threshold is not the real alpha log^3 C.
+    entries with |S| > alpha ln^3 C, for each alpha in ``alphas``, decided
+    exactly for every rational alpha (any sign): each |S| is compared with a
+    rational bracket on the threshold, and one inside the bracket is decided
+    by :func:`_above_alpha_log_cubed`.
     """
     if c_max < ctx.n:
         raise ValueError("C must be at least q1*q2")
     if not ctx.quadratic:
         raise ValueError("bound sweeps use the exact rational path (quadratic pairs)")
-    thresholds = [Fraction(alpha) * Fraction(math.log(c_max)) ** 3 for alpha in alphas]
+    thresholds = [
+        (alpha, *_alpha_log_cubed(alpha, c_max, _LOG_DIGITS)) for alpha in map(Fraction, alphas)
+    ]
     exceptional = [0] * len(thresholds)
     count = 0
     max_ratio = 0.0
@@ -346,13 +379,13 @@ def bound_statistics(ctx: SumContext, c_max: int, alphas=()) -> BoundReport:
             s_abs = abs(v / ck)
             if s_abs > bound:
                 trivial_ok = False
-            m_a = partial_quotient_max(Fraction(a, c_prime))
-            m_d = partial_quotient_max(Fraction(pow(a, -1, c) % c_prime, c_prime))
+            m_a = partial_quotient_max(a, c_prime)
+            m_d = partial_quotient_max(pow(a, -1, c) % c_prime, c_prime)
             if abs(m_a - m_d) > 1:
                 delta_ok = False
             max_ratio = max(max_ratio, float(s_abs) / (m_a * log_sq))
-            for i, threshold in enumerate(thresholds):
-                if s_abs > threshold:
+            for i, (alpha, low, high) in enumerate(thresholds):
+                if s_abs > low and (s_abs > high or _above_alpha_log_cubed(s_abs, alpha, c_max)):
                     exceptional[i] += 1
     return BoundReport(
         count=count,

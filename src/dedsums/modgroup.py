@@ -1,8 +1,9 @@
 """SL2(Z) matrices, congruence subgroups, cusps, polynomial slash actions.
 
-Also holds the Fricke flip on cusps, the G_j(N) matrix families, Schreier
-generators of Gamma_1(N) from one coset BFS per level (built once and cached),
-and continued-fraction partial quotients.
+Also holds the Fricke flip on cusps, the G_j(N) matrix families, a
+presentation of Gamma_1(N) (Schreier generators and Reidemeister-Schreier
+relations) from one cached coset walk per level, and continued-fraction
+partial quotients.
 """
 
 from __future__ import annotations
@@ -184,24 +185,23 @@ def _coset_key(g: Mat2, n: int) -> tuple[int, int]:
     return (g.c % n, g.d % n)
 
 
-@dataclass(frozen=True)
-class _Gamma1Cosets:
-    """One level's coset BFS: its Schreier generators and the S/T edges
-    between cosets.
-
-    ``edges[2 i + x]`` is (target coset, generator index) for coset i of the
-    BFS transversal and letter x (0 = S, 1 = T); the index is -1 where the
-    edge reads the identity.
-    """
-
-    generators: tuple[Mat2, ...]
-    edges: tuple[tuple[int, int], ...]
+# the relators of SL2(Z) = <S, T | S^4, (ST)^3 S^2> in the letters 0 = S, 1 = T
+_RELATORS = ((0, 0, 0, 0), (0, 1, 0, 1, 0, 1, 0, 0))
 
 
 @lru_cache(maxsize=None)
-def _gamma1_cosets(n: int) -> _Gamma1Cosets:
-    """BFS over S, T, T^-1 from the identity coset, then the Schreier
-    generators r x rep(r x)^-1 for x in S, T in transversal order."""
+def _gamma1_presentation(n: int) -> tuple[tuple[Mat2, ...], tuple[tuple[int, ...], ...]]:
+    """Schreier generators of Gamma_1(N) and the relations among them, from
+    one coset walk.
+
+    BFS over S, T, T^-1 from the identity coset; the Schreier generators are
+    r x rep(r x)^-1 for x in S, T in transversal order.  Reidemeister-Schreier:
+    a relator w walked from coset r along those S/T edges reads generators
+    u_1 ... u_L with u_1 ... u_L = r w r^-1 = I (an edge inside the
+    transversal reads I and is dropped).  The walks from every coset, each
+    word kept once up to rotation (at its least rotation), in order of first
+    appearance, present Gamma_1(N) on the Schreier generators.
+    """
     if n < 5:
         raise ValueError("coset keying by bottom row needs N >= 5 (so -I is not in Gamma_1)")
     reps: dict[tuple[int, int], Mat2] = {_coset_key(MAT_I, n): MAT_I}
@@ -218,6 +218,8 @@ def _gamma1_cosets(n: int) -> _Gamma1Cosets:
         raise CertificateError(f"coset BFS found {len(reps)} cosets of Gamma_1({n}), not the index")
     position = {key: i for i, key in enumerate(reps)}
     gens: dict[Mat2, int] = {}
+    # edges[2 i + x] is (target coset, generator index) for coset i and letter
+    # x; the index is -1 where the edge reads the identity
     edges = []
     for r in reps.values():
         for x in (MAT_S, MAT_T):
@@ -232,33 +234,8 @@ def _gamma1_cosets(n: int) -> _Gamma1Cosets:
                         raise CertificateError(f"Schreier generator {u} is not in Gamma_1({n})")
                     label = gens[u] = len(gens)
             edges.append((position[key], label))
-    return _Gamma1Cosets(tuple(gens), tuple(edges))
-
-
-def gamma1_generators(n: int) -> list[Mat2]:
-    """Schreier generating set of Gamma_1(N) from the coset BFS (N >= 5), as a new list."""
-    return list(_gamma1_cosets(n).generators)
-
-
-# the relators of SL2(Z) = <S, T | S^4, (ST)^3 S^2> in the letters 0 = S, 1 = T
-_RELATORS = ((0, 0, 0, 0), (0, 1, 0, 1, 0, 1, 0, 0))
-
-
-@lru_cache(maxsize=None)
-def gamma1_relations(n: int) -> tuple[tuple[int, ...], ...]:
-    """Relations among the Schreier generators of Gamma_1(N) (N >= 5), as
-    words of indices into :func:`gamma1_generators`.
-
-    Reidemeister-Schreier: a relator w walked from coset r along the S/T
-    edges of the coset BFS reads generators u_1 ... u_L with
-    u_1 ... u_L = r w r^-1 = I (an edge inside the transversal reads I and is
-    dropped).  Walks from every coset, each word kept once up to rotation (at
-    its least rotation), in order of first appearance.  Together they present
-    Gamma_1(N) on the Schreier generators.
-    """
-    edges = _gamma1_cosets(n).edges
     words: dict[tuple[int, ...], None] = {}
-    for start in range(len(edges) // 2):
+    for start in range(len(reps)):
         for relator in _RELATORS:
             coset, word = start, []
             for letter in relator:
@@ -271,7 +248,18 @@ def gamma1_relations(n: int) -> tuple[tuple[int, ...], ...]:
                 )
             if word:
                 words[min(tuple(word[i:] + word[:i]) for i in range(len(word)))] = None
-    return tuple(words)
+    return tuple(gens), tuple(words)
+
+
+def gamma1_generators(n: int) -> list[Mat2]:
+    """Schreier generating set of Gamma_1(N) from the coset BFS (N >= 5), as a new list."""
+    return list(_gamma1_presentation(n)[0])
+
+
+def gamma1_relations(n: int) -> tuple[tuple[int, ...], ...]:
+    """Relations among the Schreier generators of Gamma_1(N) (N >= 5), as
+    words of indices into :func:`gamma1_generators` whose products are I."""
+    return _gamma1_presentation(n)[1]
 
 
 # -- polynomials of degree <= k-2 and the weight (2-k) slash -----------------
@@ -388,10 +376,10 @@ def _poly_mul(p: list[int], q: list[int]) -> list[int]:
 # -- continued fractions -----------------------------------------------------
 
 
-def partial_quotients(x) -> list[int]:
-    """Canonical continued fraction [a0; a1, ..., an] with final quotient >= 2."""
-    x = Fraction(x)
-    p, q = x.numerator, x.denominator
+def partial_quotients(p: int, q: int) -> list[int]:
+    """Canonical continued fraction [a0; a1, ..., an] of p/q, final quotient >= 2."""
+    if q == 0:
+        raise ZeroDivisionError("continued fraction of p/0")
     out = []
     while q:
         a = p // q
@@ -400,9 +388,9 @@ def partial_quotients(x) -> list[int]:
     return out
 
 
-def partial_quotient_max(x) -> int:
-    """M(x) = max of a1..an; integers have no partial quotients and get 1."""
-    quots = partial_quotients(x)[1:]
+def partial_quotient_max(p: int, q: int) -> int:
+    """M(p/q) = max of a1..an; integers have no partial quotients and get 1."""
+    quots = partial_quotients(p, q)[1:]
     return max(quots) if quots else 1
 
 

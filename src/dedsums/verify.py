@@ -4,7 +4,9 @@ Each suite takes ``(seed, tol)``, checks one identity on a seeded sample and
 returns ``(passed, detail)``.  A failed check returns ``False`` instead of
 asserting, so the suites fail loudly under ``python -O`` too.  Fricke
 reciprocity is checked exactly at weight 2 and numerically in general, every
-term of the identity evaluated through the truncated-series S-hat.
+term of the identity evaluated through the truncated-series S-hat.  Only
+checks that a suite runs live here; the numeric three-term identity is
+checked by the tests.
 """
 
 from __future__ import annotations
@@ -110,33 +112,6 @@ def reciprocity_general(
         + (1 - psi_g) * fricke_slashed_shat(nctx, cusp, policy.for_factor(1 - psi_g))
     )
     return abs(lhs - rhs), max(1.0, abs(lhs), abs(rhs))
-
-
-def three_term_residual(
-    nctx: oc.NumericContext, gamma: Mat2, cusp: Cusp, policy: oc.TruncationPolicy = oc.DEFAULT_POLICY
-) -> float:
-    """Residual of 0 = h_gamma|omega - h_gamma' + (h_omega - h_omega|gamma'),
-    with every h evaluated through the numeric S-hat on both orbits.  Each
-    h is a difference of two values within its policy's tol, and the slashed
-    ones are cut for their factor, so the residual is below 8 policy.tol plus
-    rounding."""
-    n, k = nctx.n_level, nctx.k
-    gamma_p = conjugate_pair(gamma, n)
-
-    def h_gamma_at(g: Mat2, c: Cusp, policy: oc.TruncationPolicy) -> complex:
-        return oc.shat_numeric(nctx, c, policy) - slashed_shat(nctx, g, c, policy)
-
-    def h_omega_at(c: Cusp, policy: oc.TruncationPolicy) -> complex:
-        return oc.shat_numeric(nctx, c, policy) - fricke_slashed_shat(nctx, c, policy)
-
-    a_val = cusp.p / cusp.q
-    f_omega = ((n**0.5) * a_val) ** (k - 2)
-    term1 = f_omega * h_gamma_at(gamma, fricke_apply(n, cusp), policy.for_factor(f_omega))
-    term2 = h_gamma_at(gamma_p, cusp, policy)
-    f_gp = (gamma_p.c * a_val + gamma_p.d) ** (k - 2)
-    term3 = h_omega_at(cusp, policy)
-    term4 = f_gp * h_omega_at(cusp_apply(gamma_p, cusp), policy.for_factor(f_gp))
-    return abs(term1 - term2 + (term3 - term4))
 
 
 # -- verification suites -----------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -19,12 +20,11 @@ from dedsums.analysis import (
     divisibility_tables,
     trivial_bound,
 )
-from dedsums.exactnum import rational_gcd_set
+from dedsums.exactnum import CertificateError, rational_gcd_set
 from dedsums.modgroup import (
     Poly,
     g_witness,
     gamma1_generators,
-    partial_quotient_max,
     random_gamma0,
     random_gamma1,
 )
@@ -332,10 +332,26 @@ def test_bound_statistics():
     assert counts[0] >= counts[1] >= counts[2]
 
 
+def fraction_quotient_max(x: Fraction) -> int:
+    """M(x) = max of a1..an from floors and reciprocals of the Fraction x."""
+    quots = [math.floor(x)]
+    while x != quots[-1]:
+        x = 1 / (x - quots[-1])
+        quots.append(math.floor(x))
+    return max(quots[1:], default=1)
+
+
+def log_cubed(c, digits=100):
+    """ln^3 c from Decimal's ln at ``digits`` digits, as a Fraction."""
+    with localcontext() as dctx:
+        dctx.prec = digits
+        return Fraction(Decimal(c).ln()) ** 3
+
+
 def row_bound_statistics(ctx, c_max, alphas):
     """Reference for bound_statistics: one (|S|, ratio, delta_ok) row per
     swept matrix, d from the canonical witness, and L(alpha, C) counted over
-    the rows after the sweep."""
+    the rows after the sweep, against ln C rounded at 100 digits."""
     rows = []
     trivial_ok = True
     for c in range(ctx.n, c_max + 1, ctx.n):
@@ -348,16 +364,16 @@ def row_bound_statistics(ctx, c_max, alphas):
         for (a, _), v in zip(pairs, values):
             s_abs = abs(v / ck)
             trivial_ok = trivial_ok and s_abs <= bound
-            m_a = partial_quotient_max(Fraction(a, c_prime))
-            m_d = partial_quotient_max(Fraction(g_witness(a, c, 1).d % c_prime, c_prime))
+            m_a = fraction_quotient_max(Fraction(a, c_prime))
+            m_d = fraction_quotient_max(Fraction(g_witness(a, c, 1).d % c_prime, c_prime))
             rows.append((s_abs, float(s_abs) / (m_a * log_sq), abs(m_a - m_d) <= 1))
-    log_cubed = Fraction(math.log(c_max)) ** 3
+    threshold = log_cubed(c_max)
     return (
         len(rows),
         max([0.0] + [ratio for _, ratio, _ in rows]),
         trivial_ok,
         all(ok for _, _, ok in rows),
-        [sum(1 for s_abs, _, _ in rows if s_abs > Fraction(alpha) * log_cubed) for alpha in alphas],
+        [sum(1 for s_abs, _, _ in rows if s_abs > Fraction(alpha) * threshold) for alpha in alphas],
     )
 
 
@@ -394,6 +410,30 @@ def test_bound_statistics_matches_row_sweep(cell, data, alphas):
         report.exceptional,
     )
     assert folded == row_bound_statistics(ctx, c_max, alphas)
+
+
+def test_exceptional_count_uses_the_exact_logarithm():
+    # math.log(180) is 4.2e-17 above ln 180, so at this alpha the rounded
+    # threshold alpha * fl(ln 180)^3 is exactly 40/3, while the exact
+    # alpha ln^3 180 lies below the four swept entries with |S| = 40/3
+    ctx = context_for(("chi3", "chi3"), 2)
+    alpha = Fraction(40, 3) / Fraction(math.log(180)) ** 3
+    assert alpha * log_cubed(180) < Fraction(40, 3)
+    # here ln 180 at 60 digits puts the threshold inside the first 40-digit
+    # bracket, so the entries at 40/3 are decided by a narrower one
+    close = Fraction(40, 3) / log_cubed(180, 60)
+    report = analysis.bound_statistics(ctx, 180, [alpha, close, 0, -1])
+    rows = row_bound_statistics(ctx, 180, [alpha, close, 0, -1])
+    assert report.exceptional[0] == 4
+    assert report.exceptional == rows[4]
+    assert report.exceptional[3] == report.count  # every |S| >= 0 > -ln^3 C
+
+
+def test_exceptional_count_past_the_precision_cap_raises(monkeypatch):
+    ctx = context_for(("chi3", "chi3"), 2)
+    monkeypatch.setattr(analysis, "_LOG_DIGITS_MAX", 80)
+    with pytest.raises(CertificateError):
+        analysis.bound_statistics(ctx, 180, [Fraction(40, 3) / log_cubed(180, 200)])
 
 
 def test_bound_statistics_validates_inputs():

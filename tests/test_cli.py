@@ -7,8 +7,10 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dedsums import cli
 
@@ -306,3 +308,123 @@ def test_reader_closing_the_pipe_early_exits_cleanly():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == cli.EXIT_OK, err
     assert "Traceback" not in err
+
+
+# -- every subcommand under fuzzed input ----------------------------------------
+
+NAMED = st.sampled_from(["chi3", "chi4", "chi5", "chi7", "chi8a", "chi8b"])
+TAG = st.one_of(
+    NAMED,
+    st.builds("{}:{}".format, st.integers(1, 20), st.integers(0, 8)),
+    st.sampled_from(["chi6", "", " chi3", "5:x", "x:1", "-5:1", "5:-1", "0:0"]),
+)
+# containment walks Gamma_1(q1 q2) and fits its generators, so its levels stay small
+SMALL_NAMED = st.sampled_from(["chi3", "chi4", "chi5", "5:2"])
+SMALL_TAG = st.sampled_from(["chi3", "chi4", "chi5", "3:1", "4:1", "5:1", "5:2", "1:0", "chi6", "5:x"])
+JUNK = ["", "x", "1.5", "nan", "1e3", "+3", "--", "-", "0x10"]
+
+
+def pair_of(named, tag):
+    return st.one_of(
+        st.builds("{},{}".format, named, named),
+        st.builds("{},{}".format, tag, tag),
+        st.sampled_from(["chi3", "chi3,chi4,chi5", ","]),
+    )
+
+
+def ints(lo, hi):
+    return st.one_of(st.integers(lo, hi).map(str), st.sampled_from(JUNK))
+
+
+def sl2(a, c, negate):
+    """A det-1 matrix with first column (a, c) when gcd(a, c) = 1, else one of det a."""
+    if gcd(a, c) != 1:
+        rows = [[a, 0], [c, 1]]
+    elif c == 0:
+        rows = [[a, 0], [0, a]]
+    else:
+        d = pow(a, -1, abs(c))
+        rows = [[a, (a * d - 1) // c], [c, d]]
+    sign = -1 if negate else 1
+    return json.dumps([[sign * x for x in row] for row in rows])
+
+
+K = st.integers(-2, 8).map(str)
+FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["1e-300", "-0.0", "1e-8"] + JUNK),
+)
+MATRIX = st.one_of(
+    st.builds(sl2, st.integers(-100, 100), st.integers(-600, 600), st.booleans()),
+    st.sampled_from(
+        ["[[1,2],[3,4]]", "[[1.5,0],[0,1]]", "[[1,0]]", "[[true,0],[0,1]]", "[[1,0],[0,1]"] + JUNK
+    ),
+)
+# multiples of the common levels, so that some sums and oracle runs do work
+C = st.one_of(ints(-600, 600), st.sampled_from(["225", "420", "441", "504", "600"]))
+
+
+def command(name, required, optional=None):
+    """argv of one subcommand: every required option, any of the optional
+    ones; True marks a switch and a list several values."""
+
+    def to_argv(opts):
+        argv = [name]
+        for flag, value in opts.items():
+            argv.append(f"--{flag}")
+            if isinstance(value, list):
+                argv.extend(value)
+            elif value is not True:
+                argv.append(value)
+        return argv
+
+    return st.fixed_dictionaries(required, optional=optional or {}).map(to_argv)
+
+
+ARGV = st.one_of(
+    command(
+        "sum",
+        {"pair": pair_of(NAMED, TAG), "k": K, "a": ints(-100, 100), "c": C},
+        {"tilde": st.just(True), "oracle": st.just(True), "tol": FLOAT},
+    ),
+    command(
+        "table",
+        {"j": ints(-3, 3)},
+        {
+            "format": st.sampled_from(["pretty", "csv", "json", "xml"]),
+            "jobs": st.sampled_from(["1", "0", "-2"] + JUNK),  # no worker processes
+            "timings": st.just(True),
+        },
+    ),
+    command("hpoly", {"pair": pair_of(NAMED, TAG), "k": K, "matrix": MATRIX}),
+    command("gens", {"n": ints(-3, 40)}),
+    command("contain", {"pair": pair_of(SMALL_NAMED, SMALL_TAG), "k": K}, {"polys": st.just(True)}),
+    command(
+        "bounds",
+        {"pair": pair_of(NAMED, TAG), "k": K},
+        {"cmax": ints(-10, 150), "alpha": st.lists(FLOAT, max_size=3)},
+    ),
+    # one suite at a time: "all" runs them together and is run on its own elsewhere
+    command(
+        "verify",
+        {"suite": st.sampled_from(list(cli.SUITES) + ["nope"])},
+        {"seed": ints(-5, 10**6), "tol": FLOAT},
+    ),
+    command("plotdata", {"pair": pair_of(NAMED, TAG), "k": K}, {"j": ints(-3, 3)}),
+    st.lists(st.sampled_from(["sum", "gens", "--pair", "chi3,chi3", "--k", "2", "--n", "9", "-h"] + JUNK)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=ARGV)
+def test_every_input_ends_in_a_documented_exit_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's own exit, 2 for a malformed command line
+            code = exc.code
+    assert code in range(5), argv
+    out = out.getvalue()
+    if code == cli.EXIT_USAGE:
+        assert out == "", argv

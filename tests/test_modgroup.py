@@ -116,11 +116,10 @@ def test_cocycle_j():
 
 
 def test_coset_counts_match_index_formula():
-    # the relator walks start at every coset the BFS found, two S/T edges each
+    # the BFS certifies its coset count against the index at every level
     for n in (9, 12, 15, 21, 24, 25):
         gamma1_generators(n)
         gamma1_relations(n)
-        assert len(modgroup._gamma1_cosets(n).edges) == 2 * gamma1_index(n)
     assert gamma1_index(25) == 600
 
 
@@ -162,19 +161,23 @@ def test_gamma1_generators_live_in_gamma1():
 
 
 def test_coset_bfs_runs_once_per_level():
-    modgroup._gamma1_cosets.cache_clear()
-    gamma1_relations.cache_clear()
+    # one walk gives both readers their level; a second level is its own miss
+    modgroup._gamma1_presentation.cache_clear()
     gens = gamma1_generators(25)
     gamma1_relations(25)
     gamma1_generators(25)
-    info = modgroup._gamma1_cosets.cache_info()
+    info = modgroup._gamma1_presentation.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+    gamma1_relations(9)
+    gamma1_generators(9)
+    info = modgroup._gamma1_presentation.cache_info()
+    assert (info.misses, info.hits) == (2, 3)
     # each call hands out a new list; changing one leaves the next intact
     expected = list(gens)
     gens.reverse()
     gens.append(Mat2.identity())
     assert gamma1_generators(25) == expected
-    assert modgroup._gamma1_cosets.cache_info().misses == 1
+    assert modgroup._gamma1_presentation.cache_info().misses == 2
 
 
 def test_gamma1_relations_multiply_to_the_identity():
@@ -241,24 +244,26 @@ def test_poly_eval_and_str():
 
 
 def test_partial_quotients_examples():
-    assert partial_quotients(Fraction(7, 5)) == [1, 2, 2]
-    assert partial_quotient_max(Fraction(7, 5)) == 2
-    assert partial_quotient_max(Fraction(1, 2)) == 2
-    assert partial_quotient_max(7) == 1
-    assert partial_quotient_max(Fraction(-3)) == 1
+    assert partial_quotients(7, 5) == [1, 2, 2]
+    assert partial_quotient_max(7, 5) == 2
+    assert partial_quotient_max(1, 2) == 2
+    assert partial_quotient_max(7, 1) == 1
+    assert partial_quotient_max(-3, 1) == 1
+    with pytest.raises(ZeroDivisionError):
+        partial_quotients(7, 0)
 
 
 def test_partial_quotients_canonical_last_geq_2():
     rng = random.Random(40)
     for _ in range(200):
-        x = Fraction(rng.randint(-400, 400), rng.randint(1, 300))
-        quots = partial_quotients(x)
+        p, q = rng.randint(-400, 400), rng.randint(1, 300)
+        quots = partial_quotients(p, q)
         assert sum(Fraction(1) for _ in quots) > 0
         # rebuild the value
         val = Fraction(quots[-1])
         for a in reversed(quots[:-1]):
             val = a + 1 / val
-        assert val == x
+        assert val == Fraction(p, q)
         if len(quots) > 1:
             assert quots[-1] >= 2
 
@@ -276,8 +281,8 @@ def test_partial_quotient_difference_bound():
         c_prime = c // q2
         if c_prime <= 1:
             continue
-        m_a = partial_quotient_max(Fraction(a % c_prime, c_prime)) if a % c_prime else 1
-        m_d = partial_quotient_max(Fraction(d % c_prime, c_prime)) if d % c_prime else 1
+        m_a = partial_quotient_max(a % c_prime, c_prime) if a % c_prime else 1
+        m_d = partial_quotient_max(d % c_prime, c_prime) if d % c_prime else 1
         assert abs(m_a - m_d) <= 1
 
 
