@@ -56,18 +56,23 @@ def periodic_bernoulli(k: int, x) -> Fraction:
 
 
 @lru_cache(maxsize=None)
+def _int_numerators(k: int) -> tuple[tuple[int, ...], int]:
+    """Ascending integer coefficients of L*B_k(x), L the lcm of their denominators."""
+    coeffs = bernoulli_poly_coeffs(k)
+    L = lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (L // c.denominator) for c in coeffs), L
+
+
+@lru_cache(maxsize=None)
 def scaled_int_poly(k: int, denom: int) -> tuple[tuple[int, ...], int]:
     """Integer polynomial P and scale s with B_k(t/denom) = P(t)/s for integer t.
 
-    Lets the character double sums run entirely over Python ints.
+    P(t) = L denom^k B_k(t/denom): the numerators of L*B_k, taken once per k,
+    times powers of denom, so a new denom costs integer products only.  Lets
+    the character double sums run entirely over Python ints.
     """
-    coeffs = bernoulli_poly_coeffs(k)
-    L = lcm(*(c.denominator for c in coeffs))
-    scale = L * denom**k
-    ints = tuple(
-        int(coeffs[i] * L) * denom ** (k - i) for i in range(k + 1)
-    )
-    return ints, scale
+    nums, L = _int_numerators(k)
+    return tuple(x * denom ** (k - i) for i, x in enumerate(nums)), L * denom**k
 
 
 def char_bernoulli(k: int, chi: DirichletCharacter, x) -> CyclotomicElement:

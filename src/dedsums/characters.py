@@ -9,7 +9,7 @@ k >= 3.  Values are exact cyclotomic numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, prod
 
@@ -103,29 +103,35 @@ class DirichletCharacter:
     def group(self) -> UnitGroup:
         return unit_group(self.modulus)
 
-    @property
+    @cached_property
     def order(self) -> int:
         return lcm(*(d // gcd(e, d) for e, d in zip(self.exponents, self.group.orders)))
 
-    def value_exponent(self, n: int):
-        """r with chi(n) = zeta_order^r, or None when gcd(n, q) > 1."""
-        q = self.modulus
-        n %= q
+    @cached_property
+    def value_exponents(self) -> tuple:
+        """value_exponent(n) for every n mod q, from the dlog table once per character."""
         group = self.group
-        exps = group.dlog.get(n)
-        if exps is None:
-            return None
         # chi(n) = prod zeta_d^(e*t); collect in zeta_L with L the group exponent,
         # then rescale to the character's own order.
         o = self.order
         L = lcm(*group.orders)
-        big = 0
-        for e, t, d in zip(self.exponents, exps, group.orders):
-            big += e * t * (L // d)
-        big %= L
-        if big * o % L:
-            raise CertificateError(f"chi({n}) is not an {o}-th root of unity")
-        return big * o // L % o
+        steps = [e * (L // d) for e, d in zip(self.exponents, group.orders)]
+        out = []
+        for n in range(self.modulus):
+            exps = group.dlog.get(n)
+            if exps is None:
+                out.append(None)
+                continue
+            big = sum(s * t for s, t in zip(steps, exps)) % L
+            if big * o % L:
+                raise CertificateError(f"chi({n}) is not an {o}-th root of unity")
+            out.append(big * o // L % o)
+        return tuple(out)
+
+    def value_exponent(self, n: int):
+        """r with chi(n) = zeta_order^r, or None when gcd(n, q) > 1: one lookup
+        in :attr:`value_exponents`."""
+        return self.value_exponents[n % self.modulus]
 
     def __call__(self, n: int) -> CyclotomicElement:
         r = self.value_exponent(n)
@@ -227,8 +233,13 @@ class UnknownCharacterError(ValueError):
 
 
 def named_character(tag: str) -> DirichletCharacter:
-    """The quadratic primitive characters chi3, chi4, chi5, chi7, chi8a, chi8b."""
-    tag = tag.replace("χ", "chi").strip()
+    """The quadratic primitive characters chi3, chi4, chi5, chi7, chi8a, chi8b,
+    one object per tag."""
+    return _named_character(tag.replace("χ", "chi").strip())
+
+
+@lru_cache(maxsize=None)
+def _named_character(tag: str) -> DirichletCharacter:
     if tag not in _NAMED_BASE:
         raise UnknownCharacterError(f"unknown character tag {tag!r}")
     q = _NAMED_BASE[tag]

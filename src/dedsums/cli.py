@@ -49,14 +49,17 @@ def _progress(msg: str):
 
 def _check_options(args):
     """Reject a non-finite or non-positive --tol, a non-finite --alpha, a
-    radius --j below 2 (G_j is empty there) and --jobs below 1 before any
-    work."""
+    weight --k below 2, a radius --j below 2 (G_j is empty there) and --jobs
+    below 1 before any work."""
     tol = getattr(args, "tol", None)
     if tol is not None and not 0 < tol < float("inf"):
         raise OptionError(f"--tol must be a positive finite number, got {tol}")
     for alpha in getattr(args, "alpha", None) or ():
         if not abs(alpha) < float("inf"):
             raise OptionError(f"--alpha must be finite, got {alpha}")
+    k = getattr(args, "k", None)
+    if k is not None and k < 2:
+        raise OptionError(f"--k must be at least 2, got {k}")
     j = getattr(args, "j", None)
     if j is not None and j < 2:
         raise OptionError(f"--j must be at least 2, got {j}")

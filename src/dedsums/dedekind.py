@@ -12,9 +12,10 @@ root-of-unity exponent classes that are only expanded into a cyclotomic
 number at the very end.  The kernel evaluates the pieces by Horner; the
 sweep builds its table of V over [0, c) from running-sum passes over the
 difference triangle of the scaled Bernoulli polynomial and phi(q1)
-rotations of the result.  The mixed sums S_r of h_gamma's finite sum formula
-run through the same kernel, with the outer weight B_r(j/c) in place of
-B_1(j/c) and pieces of degree k-r.
+rotations of the result over [0, c/2], mirrored onto the other half.  The
+mixed sums S_r of h_gamma's finite sum formula run through the same kernel,
+with the outer weight B_r(j/c) in place of B_1(j/c) and pieces of degree
+k-r.
 """
 
 from __future__ import annotations
@@ -108,19 +109,11 @@ class SumContext:
         return self.o1 == 2 and self.o2 == 2
 
     @cached_property
-    def chi1_exps(self) -> tuple:
-        return tuple(self.chi1.value_exponent(n) for n in range(self.q1))
-
-    @cached_property
-    def chi2_exps(self) -> tuple:
-        return tuple(self.chi2.value_exponent(n) for n in range(self.q2))
-
-    @cached_property
     def chi1_conj_coords(self) -> tuple:
         """(n, power-basis coordinates of conj(chi1)(n) in Q(zeta_o1)) over the units n mod q1."""
         return tuple(
             (n, tuple(int(x) for x in CyclotomicElement.root_of_unity(self.o1, -e).coeffs))
-            for n, e in enumerate(self.chi1_exps)
+            for n, e in enumerate(self.chi1.value_exponents)
             if e is not None
         )
 
@@ -231,22 +224,34 @@ def _value_table(ctx: SumContext, c: int) -> tuple[list[int], int]:
     k-1, boundary points r = i m included (the term with i + n = 0 mod q1
     reads P(0), as the piece does).  P is tabulated over [0, c/2] by
     :func:`_tabulate` and mirrored onto (c/2, c) by P(c - t) = (-1)^d P(t),
-    d = k-1, the symmetry of B_d; V is then one rotation of that table per
-    unit n, summed with its sign.
+    d = k-1, the symmetry of B_d.  V over [0, c/2] is one rotation of that
+    table per unit n, summed with its sign, and is mirrored onto (c/2, c) by
+    V(c - r) = (-1)^d chi1(-1) V(r) (substitute n -> -n).  That takes P(0)
+    for (-1)^d P(0), which fails only at d = 1, where B_1(0) = -B_1(1): at
+    k = 2 the mirrored boundary points r = i m are summed directly.
     """
     ints, scale = scaled_int_poly(ctx.k - 1, c)
     half = c // 2
     ys = _tabulate(ints, half)
     mirror = ys[c - half - 1 : 0 : -1]
     ys += mirror if ctx.k % 2 == 1 else map(neg, mirror)
-    # twice over, so ys[s : s + c] is P((r + s) mod c) for r in [0, c)
-    ys += ys
+    # once more up to c/2, so ys[s : s + half + 1] is P((r + s) mod c) for r in [0, c/2]
+    ys += ys[: half + 1]
     m = c // ctx.q1
+    exps = ctx.chi1.value_exponents
     # n = 1 is a unit with chi1(1) = 1
-    table = ys[m : m + c]
-    for n, e in enumerate(ctx.chi1_exps[2:], 2):
+    table = ys[m : m + half + 1]
+    for n, e in enumerate(exps[2:], 2):
         if e is not None:
-            table = list(map(sub if e else add, table, ys[n * m : n * m + c]))
+            table = list(map(sub if e else add, table, ys[n * m : n * m + half + 1]))
+    mirror = table[c - half - 1 : 0 : -1]
+    # (-1)^d chi1(-1) = +1 exactly when k - 1 and the exponent of chi1(-1) have one parity
+    table += mirror if (ctx.k - 1 + exps[-1]) % 2 == 0 else map(neg, mirror)
+    if ctx.k == 2:
+        for r in range((half // m + 1) * m, c, m):
+            table[r] = sum(
+                (-1) ** e * ys[(r + n * m) % c] for n, e in enumerate(exps) if e is not None
+            )
     return table, scale
 
 
@@ -271,7 +276,7 @@ def _accumulate(ctx: SumContext, a: int, c: int, pieces: list, weight: Sequence[
     step = a * q2 % c
     acc = [[0] * o2 for _ in pieces]
     # j runs class by class mod q2, so chi2(j) is fixed along each inner loop
-    for u, e2 in enumerate(ctx.chi2_exps):
+    for u, e2 in enumerate(ctx.chi2.value_exponents):
         if e2 is None:
             continue
         col = (-e2) % o2
@@ -358,7 +363,7 @@ def sweep_S_tilde_rational(ctx: SumContext, pairs: Sequence[tuple[int, int]]) ->
     for idx, (a, c) in enumerate(pairs):
         by_c.setdefault(c, []).append(idx)
     out: list[Fraction] = [Fraction(0)] * len(pairs)
-    chi2_exps, q2 = ctx.chi2_exps, ctx.q2
+    chi2_exps, q2 = ctx.chi2.value_exponents, ctx.q2
     for c, indices in by_c.items():
         units = [_validate_pair(ctx, pairs[idx][0], c) for idx in indices]
         table, scale = _value_table(ctx, c)

@@ -59,7 +59,8 @@ class Mat2:
 
     @classmethod
     def from_str(cls, s: str) -> "Mat2":
-        """Parse ``[[a,b],[c,d]]``; anything but a 2x2 array of ints is a MatrixFormatError."""
+        """Parse ``[[a,b],[c,d]]``; anything but a 2x2 array of ints of
+        determinant 1 is a MatrixFormatError."""
         try:
             rows = json.loads(s)
         except ValueError:
@@ -71,7 +72,10 @@ class Mat2:
             and all(type(x) is int for row in rows for x in row)
         ):
             raise MatrixFormatError(f"expected a 2x2 array of integers, got {s!r}")
-        return cls(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
+        try:
+            return cls(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
+        except ValueError as exc:
+            raise MatrixFormatError(str(exc)) from None
 
 
 MAT_I = Mat2.identity()

@@ -57,8 +57,10 @@ class NumericContext:
         self.k = ctx.k
         self.n_level = ctx.n
         q1, q2 = ctx.q1, ctx.q2
-        self.chi1 = [_unit(e, ctx.o1) for e in ctx.chi1_exps]
-        self.chi2_bar = [None if e is None else _unit(-e, ctx.o2) for e in ctx.chi2_exps]
+        self.chi1 = [_unit(e, ctx.o1) for e in ctx.chi1.value_exponents]
+        self.chi2_bar = [
+            None if e is None else _unit(-e, ctx.o2) for e in ctx.chi2.value_exponents
+        ]
         self.q1, self.q2 = q1, q2
         self._sigma: list[complex] = [0j, 1 + 0j]  # sigma[0] unused, sigma(1) = 1
         self._swap: "NumericContext | None" = None
@@ -88,11 +90,6 @@ class NumericContext:
         t2 = gauss_sum(self.ctx.chi2).to_complex()
         sign = self.chi1[(-1) % self.q1]
         return sign * (t1 / t2) * (self.q2 / self.q1) ** (self.k / 2)
-
-    def sigma(self, n: int) -> complex:
-        """sum over A | n of chi1(A) conj(chi2)(n/A) (n/A)^(k-1)."""
-        self._grow_sigma(n)
-        return self._sigma[n]
 
     def _grow_sigma(self, upto: int):
         """Extend sigma to at least ``upto`` terms by the Hecke recurrence.

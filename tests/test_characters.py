@@ -210,6 +210,46 @@ def test_named_characters():
     assert prod.is_trivial()
 
 
+def test_named_character_is_one_object_per_tag():
+    assert named_character(" chi3") is named_character("chi3")
+    assert named_character("χ8b") is named_character("chi8b")
+
+
+def test_cached_values_leave_equality_and_hash_alone():
+    # equality and hash read modulus and exponents only, whichever of two
+    # equal characters has filled its cached tables
+    filled, fresh = DirichletCharacter(35, (1, 2)), DirichletCharacter(35, (1, 2))
+    assert filled.value_exponents and filled.order
+    assert "value_exponents" in vars(filled) and "value_exponents" not in vars(fresh)
+    assert filled == fresh and hash(filled) == hash(fresh)
+    assert len({filled, fresh}) == 1
+
+
+def per_call_value_exponent(chi, n):
+    """r with chi(n) = zeta_order^r by the per-call dlog arithmetic that the
+    cached exponent tuple replaced, with its order."""
+    group = unit_group(chi.modulus)
+    order = lcm(*(d // gcd(e, d) for e, d in zip(chi.exponents, group.orders)))
+    exps = group.dlog.get(n % chi.modulus)
+    if exps is None:
+        return None, order
+    L = lcm(*group.orders)
+    big = sum(e * t * (L // d) for e, t, d in zip(chi.exponents, exps, group.orders)) % L
+    assert big * order % L == 0
+    return big * order // L % order, order
+
+
+@pytest.mark.parametrize("q", range(1, 41))
+def test_value_exponents_match_the_per_call_dlog(q):
+    # every character mod q, every n in [-2q, 2q], the non-units included
+    for chi in characters_mod(q):
+        for n in range(-2 * q, 2 * q + 1):
+            r, order = per_call_value_exponent(chi, n)
+            assert chi.value_exponent(n) == r, (chi, n)
+        assert chi.order == order
+        assert len(chi.value_exponents) == q
+
+
 def test_gamma1_central_character_trivial():
     rng = random.Random(2)
     chi3, chi4 = named_character("chi3"), named_character("chi4")

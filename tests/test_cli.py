@@ -74,7 +74,12 @@ def test_hpoly_reference_value():
     assert out.strip() == "h_gamma(x) = -24/5*x^2 - 96/5*x - 96/5"
 
 
-@pytest.mark.parametrize("matrix", ["[[1,2]]", "[[1.5,0],[0,1]]", "[[1,0],[0,true]]", "not json"])
+@pytest.mark.parametrize(
+    "matrix",
+    ["[[1,2]]", "[[1.5,0],[0,1]]", "[[1,0],[0,true]]", "not json"]
+    # determinant other than 1
+    + ["[[1,2],[3,4]]", "[[-1,0],[0,1]]", "[[0,0],[0,0]]"],
+)
 def test_hpoly_malformed_matrix_is_usage_error(matrix):
     code, out, err = run_cli("hpoly", "--pair", "chi5,chi5", "--k", "4", "--matrix", matrix)
     assert code == cli.EXIT_USAGE
@@ -245,7 +250,9 @@ def test_loose_tol_does_not_loosen_the_series(tol):
     + [["table", "--j", j] for j in ("1", "0", "-3")]
     + [["table", "--jobs", n] for n in ("0", "-4")]
     + [["plotdata", "--pair", "chi3,chi3", "--k", "2", "--j", j] for j in ("1", "0", "-3")]
-    + [["bounds", "--pair", "chi3,chi3", "--k", "2", "--cmax", c] for c in ("8", "0", "-5")],
+    + [["bounds", "--pair", "chi3,chi3", "--k", "2", "--cmax", c] for c in ("8", "0", "-5")]
+    + [["sum", "--pair", "chi3,chi3", "--k", k, "--a", "1", "--c", "9"] for k in ("1", "0", "-2")]
+    + [["contain", "--pair", "chi5,chi5", "--k", "0"]],
 )
 def test_bad_numeric_option_is_usage_error(argv, monkeypatch):
     # rejected before any work: the sum, suite or sweep would raise here

@@ -263,6 +263,14 @@ VALUE_TABLE_CELLS = [
 @settings(max_examples=300, deadline=None)
 @given(cell=st.sampled_from(VALUE_TABLE_CELLS), t=st.integers(1, 8))
 @example(cell=(("chi3", "chi3"), 12), t=1)  # c = 9, c/2 <= k - 1: Horner at every point
+# k = 2, where the mirrored boundary points r = i c/q1 are summed directly,
+# at t = 1 and at odd c (the mirror then starts at index c - c//2 - 1 = c//2)
+@example(cell=(("chi3", "chi3"), 2), t=1)
+@example(cell=(("chi3", "chi3"), 2), t=3)
+@example(cell=(("chi5", "chi5"), 2), t=1)
+@example(cell=(("chi3", "chi7"), 2), t=1)
+@example(cell=(("chi3", "chi7"), 2), t=2)
+@example(cell=(("chi4", "chi8b"), 2), t=1)
 def test_value_table_matches_horner_over_pieces(cell, t):
     # entry for entry, the boundary points r = i c/q1 included
     ctx = analysis.context_for(*cell)
@@ -310,8 +318,8 @@ def old_accumulate(ctx: SumContext, a: int, c: int, p_table=None):
     q1, q2 = ctx.q1, ctx.q2
     o1, o2 = ctx.o1, ctx.o2
     d_mod = c * q1
-    chi2_exps = ctx.chi2_exps
-    inner = [(n * c, (-e) % o1) for n, e in enumerate(ctx.chi1_exps) if e is not None]
+    chi2_exps = ctx.chi2.value_exponents
+    inner = [(n * c, (-e) % o1) for n, e in enumerate(ctx.chi1.value_exponents) if e is not None]
     if p_table is None:
         coeffs = list(reversed(scaled_int_poly(ctx.k - 1, d_mod)[0]))
     acc = [[0] * o2 for _ in range(o1)]
