@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd, lcm
@@ -16,7 +15,7 @@ from operator import mul
 from . import dedekind as dk
 from .characters import named_character
 from .dedekind import SumContext
-from .exactnum import _numerators, rational_gcd_set
+from .exactnum import Record, _numerators, rational_gcd_set
 from .modgroup import (
     Mat2,
     Poly,
@@ -46,22 +45,26 @@ EVEN_WEIGHTS = (2, 4, 6, 8)
 ODD_WEIGHTS = (3, 5, 7, 9)
 
 
-@dataclass
-class TableCell:
-    r: Fraction
-    display: str
-    count: int
-    seconds: float
+class TableCell(Record):
+    _fields = ("r", "display", "count", "seconds")
+
+    def __init__(self, r: Fraction, display: str, count: int, seconds: float):
+        self._set_fields(r, display, count, seconds)
 
 
-@dataclass
-class ContainmentReport:
-    pair: tuple[str, str]
-    k: int
-    generator_count: int
-    polynomials: list[tuple[Mat2, Poly]]
-    m: Fraction
-    bound: Fraction  # image contained in bound * Z
+class ContainmentReport(Record):
+    _fields = ("pair", "k", "generator_count", "polynomials", "m", "bound")
+
+    def __init__(
+        self,
+        pair: tuple[str, str],
+        k: int,
+        generator_count: int,
+        polynomials: list[tuple[Mat2, Poly]],
+        m: Fraction,
+        bound: Fraction,  # image contained in bound * Z
+    ):
+        self._set_fields(pair, k, generator_count, polynomials, m, bound)
 
     def conjectured_d(self) -> Fraction:
         """The d of the conjectured shapes d*Z and d*Z/q1 for the image.
@@ -116,11 +119,16 @@ def _compute_spec(spec: tuple[tuple[str, str], int, int]) -> TableCell:
     return image_scale(context_for(pair, k), j)
 
 
-@dataclass
-class DivisibilityTable:
-    pairs: list[tuple[str, str]]
-    weights: tuple[int, ...]
-    cells: dict[tuple[tuple[str, str], int], TableCell] = field(default_factory=dict)
+class DivisibilityTable(Record):
+    _fields = ("pairs", "weights", "cells")
+
+    def __init__(
+        self,
+        pairs: list[tuple[str, str]],
+        weights: tuple[int, ...],
+        cells: dict[tuple[tuple[str, str], int], TableCell] | None = None,
+    ):
+        self._set_fields(pairs, weights, {} if cells is None else cells)
 
     def display_rows(self) -> list[list[str]]:
         rows = []
@@ -307,13 +315,18 @@ def trivial_bound(ctx: SumContext, c: int) -> float:
     )
 
 
-@dataclass
-class BoundReport:
-    count: int  # matrices swept
-    max_ratio: float  # largest |S| / (M(a/c') log^2 c')
-    trivial_bound_ok: bool
-    delta_ok: bool  # |M(a/c') - M(d/c')| <= 1 at every a/c, d = a^-1 mod c
-    exceptional: list[int]  # L(alpha, C), one per alpha given to bound_statistics
+class BoundReport(Record):
+    _fields = ("count", "max_ratio", "trivial_bound_ok", "delta_ok", "exceptional")
+
+    def __init__(
+        self,
+        count: int,  # matrices swept
+        max_ratio: float,  # largest |S| / (M(a/c') log^2 c')
+        trivial_bound_ok: bool,
+        delta_ok: bool,  # |M(a/c') - M(d/c')| <= 1 at every a/c, d = a^-1 mod c
+        exceptional: list[int],  # L(alpha, C), one per alpha given to bound_statistics
+    ):
+        self._set_fields(count, max_ratio, trivial_bound_ok, delta_ok, exceptional)
 
 
 # significant digits of the first bracket on ln C, and of the last one that

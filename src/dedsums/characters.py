@@ -8,12 +8,11 @@ k >= 3.  Values are exact cyclotomic numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, prod
 
-from .exactnum import CertificateError, CyclotomicElement, euler_phi, factorize, lcm
+from .exactnum import CertificateError, CyclotomicElement, FrozenRecord, euler_phi, factorize, lcm
 
 
 def _multiplicative_order(a: int, m: int) -> int:
@@ -84,20 +83,19 @@ class UnitGroup:
         self.dlog = table
 
 
-@dataclass(frozen=True)
-class DirichletCharacter:
-    """A Dirichlet character mod q given by exponents on the unit-group generators."""
+class DirichletCharacter(FrozenRecord):
+    """A Dirichlet character mod q given by exponents on the unit-group generators.
 
-    modulus: int
-    exponents: tuple[int, ...]
+    Equality and hash read ``modulus`` and ``exponents`` only, not the cached
+    properties."""
 
-    def __post_init__(self):
-        group = unit_group(self.modulus)
-        if len(self.exponents) != len(group.orders):
+    _fields = ("modulus", "exponents")
+
+    def __init__(self, modulus: int, exponents: tuple[int, ...]):
+        group = unit_group(modulus)
+        if len(exponents) != len(group.orders):
             raise ValueError("exponent vector does not match the group structure")
-        object.__setattr__(
-            self, "exponents", tuple(e % d for e, d in zip(self.exponents, group.orders))
-        )
+        self._set_fields(modulus, tuple(e % d for e, d in zip(exponents, group.orders)))
 
     @property
     def group(self) -> UnitGroup:
@@ -166,13 +164,20 @@ def characters_mod(q: int) -> list[DirichletCharacter]:
     return [DirichletCharacter(q, exps) for exps in product(*map(range, group.orders))]
 
 
+@lru_cache(maxsize=None)
 def character_by_index(q: int, index: int) -> DirichletCharacter:
+    """characters_mod(q)[index], one object per (q, index): the index is read
+    as mixed-radix digits over the factor orders, the last factor fastest."""
     if q < 1:
         raise UnknownCharacterError(f"modulus {q} is not positive")
-    chars = characters_mod(q)
-    if not 0 <= index < len(chars):
+    orders = unit_group(q).orders
+    if not 0 <= index < prod(orders):
         raise UnknownCharacterError(f"character index {index} out of range for modulus {q}")
-    return chars[index]
+    exps = []
+    for d in reversed(orders):
+        index, e = divmod(index, d)
+        exps.append(e)
+    return DirichletCharacter(q, tuple(reversed(exps)))
 
 
 def conductor(chi: DirichletCharacter) -> int:

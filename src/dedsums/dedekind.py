@@ -20,7 +20,6 @@ k-r.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -31,7 +30,7 @@ from typing import Sequence
 from . import characters as chars
 from .bernoulli import periodic_bernoulli, scaled_int_poly
 from .characters import DirichletCharacter
-from .exactnum import CertificateError, CyclotomicElement, euler_phi, lcm
+from .exactnum import CertificateError, CyclotomicElement, FrozenRecord, euler_phi, lcm
 from .modgroup import (
     Cusp,
     Mat2,
@@ -58,15 +57,13 @@ def classical_s(h: int, k: int) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class SumContext:
+class SumContext(FrozenRecord):
     """A pair of primitive nontrivial characters and a weight k >= 2."""
 
-    chi1: DirichletCharacter
-    chi2: DirichletCharacter
-    k: int
+    _fields = ("chi1", "chi2", "k")
 
-    def __post_init__(self):
+    def __init__(self, chi1: DirichletCharacter, chi2: DirichletCharacter, k: int):
+        self._set_fields(chi1, chi2, k)
         if self.k < 2:
             raise ValueError("weight k must be >= 2")
         for chi in (self.chi1, self.chi2):

@@ -21,6 +21,46 @@ class CertificateError(AssertionError):
     """An exact certificate failed; raised explicitly, so ``python -O`` keeps it."""
 
 
+class Record:
+    """A plain class with the attributes named in ``_fields``, which each
+    subclass's ``__init__`` sets through ``_set_fields``: equality (within one
+    class) and the repr read them in that order.  Unhashable, since the
+    fields may change."""
+
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def _set_fields(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A Record whose fields are set once, by ``__init__``: assignment raises
+    AttributeError, and the hash reads the fields."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as ascending (p, e) pairs, by trial division."""
     out = []

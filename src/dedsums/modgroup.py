@@ -10,30 +10,26 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Iterator, Sequence
 
-from .exactnum import CertificateError, CyclotomicElement, factorize
+from .exactnum import CertificateError, CyclotomicElement, FrozenRecord, factorize
 
 
 class MatrixFormatError(ValueError):
     """Matrix text that is not a 2x2 array of integers."""
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(FrozenRecord):
     """Integer matrix (a b; c d) with det 1, enforced at construction."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    _fields = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
+    def __init__(self, a: int, b: int, c: int, d: int):
+        self._set_fields(a, b, c, d)
+        if a * d - b * c != 1:
             raise ValueError(f"determinant of {self} is not 1")
 
     def __mul__(self, other: "Mat2") -> "Mat2":
@@ -78,7 +74,6 @@ class Mat2:
             raise MatrixFormatError(str(exc)) from None
 
 
-MAT_I = Mat2.identity()
 MAT_S = Mat2(0, -1, 1, 0)
 MAT_T = Mat2(1, 1, 0, 1)
 
@@ -91,23 +86,19 @@ def in_gamma1(gamma: Mat2, n: int) -> bool:
     return gamma.c % n == 0 and gamma.a % n == 1 and gamma.d % n == 1
 
 
-@dataclass(frozen=True)
-class Cusp:
+class Cusp(FrozenRecord):
     """Reduced point p/q of P^1(Q) with q >= 0; (1, 0) encodes infinity."""
 
-    p: int
-    q: int
+    _fields = ("p", "q")
 
-    def __post_init__(self):
-        p, q = self.p, self.q
+    def __init__(self, p: int, q: int):
         if q == 0:
             p = 1
         else:
             g = gcd(p, q) if q > 0 else -gcd(p, q)
             p //= g
             q //= g
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        self._set_fields(p, q)
 
     @classmethod
     def infinity(cls) -> "Cusp":
@@ -184,11 +175,6 @@ def gamma1_index(n: int) -> int:
     return index
 
 
-def _coset_key(g: Mat2, n: int) -> tuple[int, int]:
-    # right cosets Gamma_1(N) g are classified by the bottom row mod N
-    return (g.c % n, g.d % n)
-
-
 # the relators of SL2(Z) = <S, T | S^4, (ST)^3 S^2> in the letters 0 = S, 1 = T
 _RELATORS = ((0, 0, 0, 0), (0, 1, 0, 1, 0, 1, 0, 0))
 
@@ -204,40 +190,42 @@ def _gamma1_presentation(n: int) -> tuple[tuple[Mat2, ...], tuple[tuple[int, ...
     u_1 ... u_L with u_1 ... u_L = r w r^-1 = I (an edge inside the
     transversal reads I and is dropped).  The walks from every coset, each
     word kept once up to rotation (at its least rotation), in order of first
-    appearance, present Gamma_1(N) on the Schreier generators.
+    appearance, present Gamma_1(N) on the Schreier generators.  The walk runs
+    on integer tuples (a, b, c, d); only the generators become Mat2s.
     """
     if n < 5:
         raise ValueError("coset keying by bottom row needs N >= 5 (so -I is not in Gamma_1)")
-    reps: dict[tuple[int, int], Mat2] = {_coset_key(MAT_I, n): MAT_I}
-    queue = deque([MAT_I])
+    # right cosets Gamma_1(N) g are keyed by the bottom row (c, d) mod N
+    reps: dict[tuple[int, int], tuple[int, int, int, int]] = {(0, 1): (1, 0, 0, 1)}
+    queue = deque(reps.values())
     while queue:
-        r = queue.popleft()
-        for x in (MAT_S, MAT_T, MAT_T.inverse()):
-            g = r * x
-            key = _coset_key(g, n)
+        a, b, c, d = queue.popleft()
+        # r S, r T and r T^-1
+        for g in ((b, -a, d, -c), (a, a + b, c, c + d), (a, b - a, c, d - c)):
+            key = (g[2] % n, g[3] % n)
             if key not in reps:
                 reps[key] = g
                 queue.append(g)
     if len(reps) != gamma1_index(n):
         raise CertificateError(f"coset BFS found {len(reps)} cosets of Gamma_1({n}), not the index")
     position = {key: i for i, key in enumerate(reps)}
-    gens: dict[Mat2, int] = {}
+    gens: dict[tuple[int, int, int, int], int] = {}
     # edges[2 i + x] is (target coset, generator index) for coset i and letter
     # x; the index is -1 where the edge reads the identity
     edges = []
-    for r in reps.values():
-        for x in (MAT_S, MAT_T):
-            g = r * x
-            key = _coset_key(g, n)
-            u = g * reps[key].inverse()
-            label = -1
-            if u != MAT_I:
-                label = gens.get(u, -1)
-                if label < 0:
-                    if not in_gamma1(u, n):
-                        raise CertificateError(f"Schreier generator {u} is not in Gamma_1({n})")
-                    label = gens[u] = len(gens)
+    for a, b, c, d in reps.values():
+        for g in ((b, -a, d, -c), (a, a + b, c, c + d)):
+            key = (g[2] % n, g[3] % n)
+            # u = g rep^-1, with rep^-1 = (d', -b'; -c', a')
+            ra, rb, rc, rd = reps[key]
+            u = (g[0] * rd - g[1] * rc, g[1] * ra - g[0] * rb,
+                 g[2] * rd - g[3] * rc, g[3] * ra - g[2] * rb)
+            label = -1 if u == (1, 0, 0, 1) else gens.setdefault(u, len(gens))
             edges.append((position[key], label))
+    generators = tuple(Mat2(*u) for u in gens)
+    for u in generators:
+        if not in_gamma1(u, n):
+            raise CertificateError(f"Schreier generator {u} is not in Gamma_1({n})")
     words: dict[tuple[int, ...], None] = {}
     for start in range(len(reps)):
         for relator in _RELATORS:
@@ -252,7 +240,7 @@ def _gamma1_presentation(n: int) -> tuple[tuple[Mat2, ...], tuple[tuple[int, ...
                 )
             if word:
                 words[min(tuple(word[i:] + word[:i]) for i in range(len(word)))] = None
-    return tuple(gens), tuple(words)
+    return generators, tuple(words)
 
 
 def gamma1_generators(n: int) -> list[Mat2]:

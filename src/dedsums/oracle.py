@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from operator import mul, truediv
 
 from .characters import gauss_sum
 from .dedekind import SumContext
-from .exactnum import CertificateError
+from .exactnum import CertificateError, FrozenRecord
 from .modgroup import Cusp, Mat2, fricke_apply, g_witness
 
 TWO_PI_I = 2j * math.pi
@@ -33,17 +32,18 @@ class TruncationError(RuntimeError):
     """The tail bound could not be pushed under the target tolerance."""
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(FrozenRecord):
     """An error budget for one oracle value, and the series length cap."""
 
-    tol: float = 1e-8
-    n_cap: int = 400_000
+    _fields = ("tol", "n_cap")
+
+    def __init__(self, tol: float = 1e-8, n_cap: int = 400_000):
+        self._set_fields(tol, n_cap)
 
     def for_factor(self, factor: complex) -> "TruncationPolicy":
         """The budget of a value that is about to be multiplied by ``factor``:
         tol / |factor| when |factor| > 1, so the product keeps ``tol``."""
-        return replace(self, tol=self.tol / max(1.0, abs(factor)))
+        return TruncationPolicy(self.tol / max(1.0, abs(factor)), self.n_cap)
 
 
 DEFAULT_POLICY = TruncationPolicy()

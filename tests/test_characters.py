@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dedsums.characters import (
     DirichletCharacter,
+    UnknownCharacterError,
     central_character,
     character_by_index,
     characters_mod,
@@ -213,6 +214,21 @@ def test_named_characters():
 def test_named_character_is_one_object_per_tag():
     assert named_character(" chi3") is named_character("chi3")
     assert named_character("χ8b") is named_character("chi8b")
+
+
+def test_index_spec_is_one_object_per_q_and_index():
+    chi = parse_character("25:1")
+    assert parse_character(" 25:1") is chi is character_by_index(25, 1)
+    assert chi == characters_mod(25)[1]
+    assert characters_mod(25) is not characters_mod(25)
+    for spec in ("25:20", "25:-1", "0:0", "-5:1"):
+        with pytest.raises(UnknownCharacterError):
+            parse_character(spec)
+
+
+@pytest.mark.parametrize("q", range(1, 41))
+def test_character_by_index_follows_characters_mod(q):
+    assert [character_by_index(q, i) for i in range(euler_phi(q))] == characters_mod(q)
 
 
 def test_cached_values_leave_equality_and_hash_alone():

@@ -1,6 +1,10 @@
 import ast
 import cmath
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from pathlib import Path
@@ -9,6 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dedsums
+from dedsums.analysis import TableCell
+from dedsums.characters import DirichletCharacter, named_character
+from dedsums.dedekind import SumContext
 from dedsums.exactnum import (
     CyclotomicElement,
     _poly_divmod,
@@ -18,6 +25,8 @@ from dedsums.exactnum import (
     factorize,
     rational_gcd_set,
 )
+from dedsums.modgroup import Cusp, Mat2
+from dedsums.oracle import TruncationPolicy
 
 Z = CyclotomicElement.root_of_unity
 
@@ -53,6 +62,69 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+def test_importing_the_package_and_cli_skips_dataclasses_and_inspect():
+    # both cost start-up time that no dedsums code path needs
+    script = (
+        "import sys\n"
+        "import dedsums, dedsums.cli\n"
+        "loaded = [name for name in ('dataclasses', 'inspect') if name in sys.modules]\n"
+        "sys.exit(f'imported {loaded}' if loaded else 0)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dedsums.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+
+
+# two objects with equal fields of each immutable value type, and one field
+VALUE_TYPE_PAIRS = [
+    (Mat2(2, 1, 5, 3), Mat2(a=2, b=1, c=5, d=3), "a"),
+    (Cusp(2, 4), Cusp(p=-1, q=-2), "q"),
+    (DirichletCharacter(35, (1, 2)), DirichletCharacter(modulus=35, exponents=(5, 8)), "exponents"),
+    (
+        SumContext(named_character("chi5"), named_character("chi5"), 4),
+        SumContext(chi1=DirichletCharacter(5, (2,)), chi2=named_character("chi5"), k=4),
+        "k",
+    ),
+    (TruncationPolicy(), TruncationPolicy(tol=1e-8, n_cap=400_000), "tol"),
+]
+
+
+@pytest.mark.parametrize(
+    "x, y, name", VALUE_TYPE_PAIRS, ids=[type(x).__name__ for x, _, _ in VALUE_TYPE_PAIRS]
+)
+def test_immutable_value_types(x, y, name):
+    assert x == y and x is not y and hash(x) == hash(y) and len({x, y}) == 1
+    with pytest.raises(AttributeError):
+        setattr(x, name, getattr(y, name))
+    with pytest.raises(AttributeError):
+        delattr(x, name)
+    with pytest.raises(AttributeError):
+        x.extra = 1
+
+
+def test_value_type_equality_is_per_class():
+    assert Mat2(1, 0, 0, 1) != (1, 0, 0, 1)
+    assert (1, 0, 0, 1) != Mat2(1, 0, 0, 1)
+    assert Cusp(1, 2) != Mat2(1, 0, 2, 1) and Cusp(1, 2) != Cusp(1, 3)
+
+
+def test_truncation_policy_for_factor_keeps_the_cap():
+    policy = TruncationPolicy(tol=1e-8, n_cap=500).for_factor(10)
+    assert policy.n_cap == 500 and policy.tol == 1e-9
+    assert TruncationPolicy(tol=1e-8, n_cap=500).for_factor(0.5).tol == 1e-8
+
+
+def test_table_cell_survives_pickling():
+    # cells cross the process pool of `table --jobs`
+    cell = TableCell(r=Fraction(4, 3), display="4/3", count=17, seconds=0.25)
+    back = pickle.loads(pickle.dumps(cell))
+    assert back == cell and back is not cell
+    assert (back.r, back.display, back.count, back.seconds) == (Fraction(4, 3), "4/3", 17, 0.25)
 
 
 # every order up to 120 plus the largest fields of the crosscheck workload

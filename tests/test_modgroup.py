@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import deque
 from fractions import Fraction
 from math import gcd
 
@@ -199,6 +200,55 @@ def test_gamma1_relations_multiply_to_the_identity():
                 prod = prod * gens[u]
             assert prod == Mat2.identity(), (n, word)
     assert len(gamma1_relations(25)) == 256
+
+
+def mat2_presentation(n):
+    """Schreier generators and relations of Gamma_1(N) by the coset walk on
+    Mat2 objects: the BFS, the Schreier edges and the relator walks of the
+    library's integer-tuple walk, with every product a det-checked Mat2."""
+
+    def key(g):
+        return (g.c % n, g.d % n)
+
+    reps = {key(Mat2.identity()): Mat2.identity()}
+    queue = deque([Mat2.identity()])
+    while queue:
+        r = queue.popleft()
+        for x in (MAT_S, MAT_T, MAT_T.inverse()):
+            g = r * x
+            if key(g) not in reps:
+                reps[key(g)] = g
+                queue.append(g)
+    assert len(reps) == gamma1_index(n)
+    position = {k: i for i, k in enumerate(reps)}
+    gens, edges = {}, []
+    for r in reps.values():
+        for x in (MAT_S, MAT_T):
+            g = r * x
+            u = g * reps[key(g)].inverse()
+            label = -1 if u == Mat2.identity() else gens.setdefault(u, len(gens))
+            edges.append((position[key(g)], label))
+    words = {}
+    for start in range(len(reps)):
+        for relator in ((0, 0, 0, 0), (0, 1, 0, 1, 0, 1, 0, 0)):
+            coset, word = start, []
+            for letter in relator:
+                coset, label = edges[2 * coset + letter]
+                if label >= 0:
+                    word.append(label)
+            assert coset == start
+            if word:
+                words[min(tuple(word[i:] + word[:i]) for i in range(len(word)))] = None
+    return tuple(gens), tuple(words)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 12, 16, 21, 25, 28, 32])
+def test_tuple_walk_matches_the_mat2_walk(n):
+    gens, relations = modgroup._gamma1_presentation(n)
+    want_gens, want_relations = mat2_presentation(n)
+    assert all(type(g) is Mat2 for g in gens)
+    assert gens == want_gens
+    assert relations == want_relations
 
 
 def test_gamma1_generators_need_n_at_least_5():
