@@ -373,10 +373,13 @@ def bound_statistics(ctx: SumContext, c_max: int, alphas=()) -> BoundReport:
         raise ValueError("C must be at least q1*q2")
     if not ctx.quadratic:
         raise ValueError("bound sweeps use the exact rational path (quadratic pairs)")
-    thresholds = [
-        (alpha, *_alpha_log_cubed(alpha, c_max, _LOG_DIGITS)) for alpha in map(Fraction, alphas)
-    ]
-    exceptional = [0] * len(thresholds)
+    # |S| = num/den is compared with each rational bound p/q as the integer
+    # cross-product num q > p den, with no Fraction per matrix
+    brackets = []
+    for alpha in map(Fraction, alphas):
+        low, high = _alpha_log_cubed(alpha, c_max, _LOG_DIGITS)
+        brackets.append((alpha, *low.as_integer_ratio(), *high.as_integer_ratio()))
+    exceptional = [0] * len(brackets)
     count = 0
     max_ratio = 0.0
     trivial_ok = delta_ok = True
@@ -384,21 +387,24 @@ def bound_statistics(ctx: SumContext, c_max: int, alphas=()) -> BoundReport:
         pairs = [(a, c) for a in range(1, c) if gcd(a, c) == 1]
         values = dk.sweep_S_tilde_rational(ctx, pairs)  # k-2 power of c folded in
         count += len(pairs)
-        ck = Fraction(c) ** (ctx.k - 2)
-        bound = Fraction(trivial_bound(ctx, c))
+        ck = c ** (ctx.k - 2)
+        bound_num, bound_den = trivial_bound(ctx, c).as_integer_ratio()
         c_prime = c // ctx.q2  # at least q1 >= 3, so log c' > 0
         log_sq = math.log(c_prime) ** 2
         for (a, _), v in zip(pairs, values):
-            s_abs = abs(v / ck)
-            if s_abs > bound:
+            num, den = abs(v.numerator), v.denominator * ck  # |S| = num / den
+            if num * bound_den > bound_num * den:
                 trivial_ok = False
             m_a = partial_quotient_max(a, c_prime)
             m_d = partial_quotient_max(pow(a, -1, c) % c_prime, c_prime)
             if abs(m_a - m_d) > 1:
                 delta_ok = False
-            max_ratio = max(max_ratio, float(s_abs) / (m_a * log_sq))
-            for i, (alpha, low, high) in enumerate(thresholds):
-                if s_abs > low and (s_abs > high or _above_alpha_log_cubed(s_abs, alpha, c_max)):
+            max_ratio = max(max_ratio, num / den / (m_a * log_sq))
+            for i, (alpha, low_num, low_den, high_num, high_den) in enumerate(brackets):
+                if num * low_den > low_num * den and (
+                    num * high_den > high_num * den
+                    or _above_alpha_log_cubed(Fraction(num, den), alpha, c_max)
+                ):
                     exceptional[i] += 1
     return BoundReport(
         count=count,

@@ -14,7 +14,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class CertificateError(AssertionError):
@@ -88,39 +88,33 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _poly_divmod(num: Sequence, den: Sequence[int]) -> tuple[list, list]:
-    """Divide by a monic integer polynomial; coefficients ascending.
-
-    Exact over Z and over Q: integer input gives integer output.
-    """
-    num = list(num)
-    dden = len(den) - 1
-    if den[dden] != 1:
-        raise ValueError("divisor must be monic")
-    quot = [0] * max(len(num) - dden, 0)
-    for i in range(len(num) - 1, dden - 1, -1):
-        c = num[i]
-        if c:
-            quot[i - dden] = c
-            for j in range(dden + 1):
-                num[i - dden + j] -= c * den[j]
-    return quot, num[:dden]
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the m-th cyclotomic polynomial Phi_m."""
     if m < 1:
         raise ValueError("order must be positive")
-    # x^m - 1 divided by Phi_d for all proper divisors d of m; every divisor
-    # is monic with integer coefficients, so the long division stays in Z.
-    num = [-1] + [0] * (m - 1) + [1]
-    for d in range(1, m):
-        if m % d == 0:
-            num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
-            if any(rem):
-                raise CertificateError(f"Phi_{d} does not divide x^{m} - 1 exactly")
-    return tuple(num)
+    # Phi_m = prod over d | m of (x^d - 1)^mu(m/d), and mu(m/d) != 0 only
+    # for m/d a product of distinct primes of m: multiply by the binomials
+    # with mu = +1, then divide exactly by those with mu = -1.
+    mobius = [(1, 1)]
+    for p, _ in factorize(m):
+        mobius += [(e * p, -mu) for e, mu in mobius]
+    poly = [1]
+    for e, mu in mobius:
+        if mu > 0:  # times x^d - 1
+            d = m // e
+            poly = [a - b for a, b in zip([0] * d + poly, poly + [0] * d)]
+    for e, mu in mobius:
+        if mu < 0:  # divided by x^d - 1: quot[i] = quot[i - d] - poly[i]
+            d = m // e
+            quot = [-c for c in poly[: len(poly) - d]]
+            for i in range(d, len(quot)):
+                quot[i] += quot[i - d]
+            # the top d coefficients of quot * (x^d - 1) must be poly's
+            if poly[len(quot) :] != ([0] * d + quot)[-d:]:
+                raise CertificateError(f"x^{d} - 1 does not divide the product for Phi_{m} exactly")
+            poly = quot
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)

@@ -239,7 +239,9 @@ def _gamma1_presentation(n: int) -> tuple[tuple[Mat2, ...], tuple[tuple[int, ...
                     f"relator walk from coset {start} of Gamma_1({n}) does not close"
                 )
             if word:
-                words[min(tuple(word[i:] + word[:i]) for i in range(len(word)))] = None
+                # only a rotation that starts at the least label can be least
+                least = min(word)
+                words[min(tuple(word[i:] + word[:i]) for i, u in enumerate(word) if u == least)] = None
     return generators, tuple(words)
 
 

@@ -20,7 +20,6 @@ from fractions import Fraction
 from itertools import accumulate, islice, repeat
 from operator import mul, truediv
 
-from .characters import gauss_sum
 from .dedekind import SumContext
 from .exactnum import CertificateError, FrozenRecord
 from .modgroup import Cusp, Mat2, fricke_apply, g_witness
@@ -81,13 +80,13 @@ class NumericContext:
 
     def s_scale(self) -> complex:
         """(-1)^k tau(conj(chi1)) (k-1), the factor from integral to sum."""
-        tau_bar = gauss_sum(self.ctx.chi1.conjugate()).to_complex()
+        tau_bar = _gauss_sum([None if v is None else v.conjugate() for v in self.chi1])
         return (-1) ** self.k * tau_bar * (self.k - 1)
 
     def fricke_R(self) -> complex:
         """chi1(-1) (tau(chi1)/tau(chi2)) (q2/q1)^(k/2)."""
-        t1 = gauss_sum(self.ctx.chi1).to_complex()
-        t2 = gauss_sum(self.ctx.chi2).to_complex()
+        t1 = _gauss_sum(self.chi1)
+        t2 = _gauss_sum([None if v is None else v.conjugate() for v in self.chi2_bar])
         sign = self.chi1[(-1) % self.q1]
         return sign * (t1 / t2) * (self.q2 / self.q1) ** (self.k / 2)
 
@@ -143,57 +142,74 @@ def _unit(e, order: int):
     return cmath.exp(TWO_PI_I * (e % order) / order)
 
 
+def _gauss_sum(values: list) -> complex:
+    """tau = sum over n mod q of values[n] e(n/q), q = len(values), from the
+    complex character values (None off the units)."""
+    q = len(values)
+    return sum(v * cmath.exp(TWO_PI_I * n / q) for n, v in enumerate(values) if v is not None)
+
+
 def numeric_context(ctx: SumContext) -> NumericContext:
     return NumericContext(ctx)
 
 
-def _poly_weight(k: int, z: complex, x: complex, y: complex) -> float:
-    """sup over n of |P^(n)(z)| / (2 pi)^(n+1), P(z) = (xz+y)^(k-2)."""
+def _poly_weight(k: int, z: complex, x: complex, y: complex) -> tuple[float, ...]:
+    """|P^(n)(z)| / (2 pi)^(n+1) for n = 0..k-2, P(z) = (xz+y)^(k-2)."""
     base = abs(x * z + y)
     fac = 1.0  # falling factorial (k-2)(k-3)...(k-1-n)
-    best = 0.0
+    weights = []
     for n in range(k - 1):
-        term = fac * abs(x) ** n * base ** (k - n - 2) / (2 * math.pi) ** (n + 1)
-        best = max(best, term)
-        fac *= k - 2 - n if k - 2 - n > 0 else 1
-    return best
+        weights.append(fac * abs(x) ** n * base ** (k - n - 2) / (2 * math.pi) ** (n + 1))
+        fac *= k - 2 - n
+    return tuple(weights)
 
 
-def _tail_terms(y: float, k: int, tol: float, weight: float, cap: int) -> tuple[int, float]:
-    """Least M >= 8 with C weight sum_{N>M} N^p e^(-2 pi N y) below tol.
+def _tail_terms(
+    y: float, k: int, tol: float, weights: tuple[float, ...], cap: int
+) -> tuple[int, float]:
+    """Least M >= 8 with the proven bound on the series tail past M below tol.
 
-    With x = e^(-2 pi y), term N of the antiderivative series is
-    2 sigma(N) e(Nz) sum_n P^(n)(z) / (-2 pi i N)^(n+1), and
-    sum_{n>=0} N^-(n+1) = 1/(N-1), so it is at most
-    2 weight |sigma(N)| x^N / (N-1) <= (9/4) weight |sigma(N)| x^N / N,
-    since N/(N-1) <= 9/8 for N >= 9.  The character values have modulus at
-    most 1, so |sigma(N)| <= sigma_{k-1}(N).  For k >= 3,
-    sigma_{k-1}(N) = N^(k-1) sum_{A|N} A^(1-k) <= zeta(2) N^(k-1): p = k-2
-    and C = (9/4) zeta(2) = 3 pi^2/8.  For k = 2, sigma_1(N) <= d(N) N <=
-    2 N^(3/2), since the divisors pair off across sqrt(N): p = 1/2 and
-    C = 9/2.  tail_at(M) sums C weight N^p x^N over N > M as a geometric
-    series in its first ratio x ((M+2)/(M+1))^p, which majorizes every later
-    ratio.  It is non-increasing in M (the ratio falls with M, and tail_at is
-    infinite while the ratio is near 1), so after growing M by half at a time
-    until the bound holds, a bisection finds the least such M.  No M above
-    ``cap`` is tried: if tail_at(cap) misses tol, it raises.
+    With x = e^(-2 pi y) and w_n = weights[n], term N of the antiderivative
+    series, 2 sigma(N) e(Nz) sum_n P^(n)(z) / (-2 pi i N)^(n+1), is at most
+    2 |sigma(N)| x^N sum_n w_n N^-(n+1).  The character values have modulus
+    at most 1, so |sigma(N)| <= sigma_{k-1}(N).  For k >= 3,
+    sigma_{k-1}(N) = N^(k-1) sum_{A|N} A^(1-k) <= zeta(2) N^(k-1), so pass n
+    contributes at most C w_n h_n(N) x^N with C = 2 zeta(2) = pi^2/3 and
+    h_n(N) = N^(k-2-n).  For k = 2 (only n = 0), sigma_1(N) <= N H_N <=
+    N (1 + ln N): C = 2 and h_0(N) = 1 + ln N.  Each h_n(N+1)/h_n(N) falls
+    with N, so the tail of pass n past M is majorized by a geometric series
+    in its first ratio x h_n(M+2)/h_n(M+1), and tail_at(M) sums those.  Each
+    such majorant is non-increasing in M (its ratio falls with M, and it is
+    infinite while the ratio is near 1), so after growing M by half at a
+    time until the bound holds, a bisection finds the least such M.  No M
+    above ``cap`` is tried: if tail_at(cap) misses tol, it raises.
     """
     if y <= 0:
         raise ValueError("evaluation point must be in the upper half plane")
     x = math.exp(-2 * math.pi * y)
     if k >= 3:
-        power, const = k - 2, 3 * math.pi**2 / 8
+        const = math.pi**2 / 3
+        passes = [(k - 2 - n, w) for n, w in enumerate(weights) if w]
     else:
-        power, const = 0.5, 4.5
+        const = 2.0
+        passes = [(None, weights[0])] if weights[0] else []  # h_0(N) = 1 + ln N
+    top = max((p for p, _ in passes if p is not None), default=0)
 
     def tail_at(m: int) -> float:
-        t = const * weight * (m + 1) ** power * x ** (m + 1)
-        ratio = x * ((m + 2) / (m + 1)) ** power
-        if ratio >= 0.9999:
-            return math.inf
-        return t / (1 - ratio)
+        total = 0.0
+        lead = x ** (m + 1)
+        for power, w in passes:
+            if power is None:
+                h1, h2 = 1 + math.log(m + 1), 1 + math.log(m + 2)
+            else:
+                h1, h2 = float(m + 1) ** power, float(m + 2) ** power
+            ratio = x * h2 / h1
+            if ratio >= 0.9999:
+                return math.inf
+            total += w * h1 * lead / (1 - ratio)
+        return const * total
 
-    lo, m = 7, min(max(8, int(power / (2 * math.pi * y))), cap)
+    lo, m = 7, min(max(8, int(top / (2 * math.pi * y))), cap)
     while tail_at(m) > tol:
         if m >= cap:
             # keep growing off the books to suggest a workable cutoff
@@ -236,8 +252,8 @@ def antiderivative_at(
     """
     k = nctx.k
     x, y = complex(x), complex(y)
-    weight = _poly_weight(k, z, x, y)
-    terms, _ = _tail_terms(z.imag, k, policy.tol * 0.25, weight, policy.n_cap)
+    weights = _poly_weight(k, z, x, y)
+    terms, _ = _tail_terms(z.imag, k, policy.tol * 0.25, weights, policy.n_cap)
     series = _series_terms(nctx, z, terms)
     total = 0j
     fac = 1.0  # P^(n)(z) = (k-2)...(k-1-n) x^n (xz+y)^(k-2-n)

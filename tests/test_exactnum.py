@@ -17,8 +17,9 @@ from dedsums.analysis import TableCell
 from dedsums.characters import DirichletCharacter, named_character
 from dedsums.dedekind import SumContext
 from dedsums.exactnum import (
+    CertificateError,
     CyclotomicElement,
-    _poly_divmod,
+    _zeta_rows,
     common_order,
     cyclotomic_polynomial,
     euler_phi,
@@ -38,6 +39,61 @@ def test_cyclotomic_polynomials_small():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def _poly_divmod(num, den):
+    """Divide by a monic integer polynomial; coefficients ascending.
+
+    Exact over Z and over Q: integer input gives integer output.
+    """
+    num = list(num)
+    dden = len(den) - 1
+    assert den[dden] == 1, "divisor must be monic"
+    quot = [0] * max(len(num) - dden, 0)
+    for i in range(len(num) - 1, dden - 1, -1):
+        c = num[i]
+        if c:
+            quot[i - dden] = c
+            for j in range(dden + 1):
+                num[i - dden + j] -= c * den[j]
+    return quot, num[:dden]
+
+
+def long_division_cyclotomic(limit):
+    """Phi_m for m <= limit as x^m - 1 divided by Phi_d for every proper
+    divisor d of m, the construction the binomial products replaced."""
+    phis = {}
+    for m in range(1, limit + 1):
+        num = [-1] + [0] * (m - 1) + [1]
+        for d in range(1, m):
+            if m % d == 0:
+                num, rem = _poly_divmod(num, phis[d])
+                assert not any(rem), (m, d)
+        phis[m] = tuple(num)
+    return phis
+
+
+def test_binomial_cyclotomic_polynomials_match_long_division():
+    for m, phi in long_division_cyclotomic(500).items():
+        assert cyclotomic_polynomial(m) == phi, m
+        assert len(phi) == euler_phi(m) + 1
+        # the rows of Q(zeta_m) close on zeta^m = 1 (uncached: 500 tables)
+        rows = _zeta_rows.__wrapped__(m)
+        assert len(rows) == m and rows[0] == ((0, 1),)
+
+
+def test_cyclotomic_polynomial_certifies_each_division(monkeypatch):
+    # with a wrong factorization the product is not divisible by its
+    # binomials, and the exact division raises instead of truncating
+    from dedsums import exactnum
+
+    cyclotomic_polynomial.cache_clear()
+    try:
+        monkeypatch.setattr(exactnum, "factorize", lambda n: [(2, 1)] if n == 9 else factorize(n))
+        with pytest.raises(CertificateError):
+            cyclotomic_polynomial(9)
+    finally:
+        cyclotomic_polynomial.cache_clear()
 
 
 def test_euler_phi():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dedsums import dedekind as dk, fricke as fr, oracle as oc
-from dedsums.characters import characters_mod, is_primitive, named_character, parity
+from dedsums.characters import characters_mod, gauss_sum, is_primitive, named_character, parity
 from dedsums.modgroup import CUSP_INF, Cusp, Mat2, cusp_apply, fricke_apply, g_witness, random_gamma0
 
 
@@ -20,10 +20,10 @@ def eisenstein_eval(nctx, z, policy=oc.DEFAULT_POLICY):
 
     Its terms are N times those of the antiderivative series, so its tail
     needs its own bound: 2 |sigma(N)| is at most 2 zeta(2) N^(k-1) for k >= 3
-    and 4 N^(3/2) for k = 2, both under (3 pi^2/8) N^k for N >= 9, which is
-    the bound oracle._tail_terms uses when given k + 2 and weight 1.
+    and 2 N (1 + ln N) for k = 2, both under 2 zeta(2) N^k, which is the
+    bound oracle._tail_terms uses when given k + 2 and the one weight 1.
     """
-    terms, _ = oc._tail_terms(z.imag, nctx.k + 2, policy.tol * 0.5, 1.0, policy.n_cap)
+    terms, _ = oc._tail_terms(z.imag, nctx.k + 2, policy.tol * 0.5, (1.0,), policy.n_cap)
     return 2 * sum(oc._series_terms(nctx, z, terms))
 
 
@@ -250,8 +250,8 @@ def test_omega_twisted_cocycle_identity():
     swap = nctx.swap()
     k = ctx.k
     rng = random.Random(40)
-    tau1 = oc.gauss_sum(ctx.chi1.conjugate()).to_complex()
-    tau2 = oc.gauss_sum(ctx.chi2.conjugate()).to_complex()
+    tau1 = gauss_sum(ctx.chi1.conjugate()).to_complex()
+    tau2 = gauss_sum(ctx.chi2.conjugate()).to_complex()
     for cusp in (Cusp(1, 25), Cusp(1, 3)):
         gamma = random_gamma0(rng, n_level, 2)
         while gamma.c <= 0:
@@ -337,8 +337,8 @@ def old_antiderivative_at(nctx, z, x, y, policy=oc.DEFAULT_POLICY):
     """
     k = nctx.k
     x, y = complex(x), complex(y)
-    weight = oc._poly_weight(k, z, x, y)
-    terms, _ = oc._tail_terms(z.imag, k, policy.tol * 0.25, weight, policy.n_cap)
+    weights = oc._poly_weight(k, z, x, y)
+    terms, _ = oc._tail_terms(z.imag, k, policy.tol * 0.25, weights, policy.n_cap)
     derivs = []
     fac = 1.0
     for n in range(k - 1):
@@ -363,16 +363,26 @@ def old_antiderivative_at(nctx, z, x, y, policy=oc.DEFAULT_POLICY):
     return -2 * total, 2 * scale
 
 
-def tail_bound(y, k, weight, m):
-    """The tail bound of oracle._tail_terms at M = m, written out again:
-    3 pi^2/8 weight N^(k-2) for k >= 3 and 9/2 weight N^(1/2) for k = 2,
+def tail_bound(y, k, weights, m):
+    """The tail bound of oracle._tail_terms at M = m, written out again: pass
+    n is (pi^2/3) w_n N^(k-2-n) for k >= 3 and 2 w_0 (1 + ln N) for k = 2,
     times x^N, summed over N > m as a geometric series in its first ratio."""
     x = math.exp(-2 * math.pi * y)
-    power, const = (k - 2, 3 * math.pi**2 / 8) if k >= 3 else (0.5, 4.5)
-    ratio = x * ((m + 2) / (m + 1)) ** power
-    if ratio >= 0.9999:
-        return math.inf
-    return const * weight * (m + 1) ** power * x ** (m + 1) / (1 - ratio)
+    if k >= 3:
+        const = math.pi**2 / 3
+        growth = [(w, lambda n, p=k - 2 - i: float(n) ** p) for i, w in enumerate(weights)]
+    else:
+        const = 2.0
+        growth = [(weights[0], lambda n: 1 + math.log(n))]
+    total = 0.0
+    for w, h in growth:
+        if not w:
+            continue
+        ratio = x * h(m + 2) / h(m + 1)
+        if ratio >= 0.9999:
+            return math.inf
+        total += w * h(m + 1) * x ** (m + 1) / (1 - ratio)
+    return const * total
 
 
 PRIME_POWER_CHARACTERS = [
@@ -429,22 +439,23 @@ def test_antiderivative_matches_per_term_loop(nctx, re_z, height, xy):
     assert abs(new - old) <= 1e-12 * max(abs(old), scale)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
-    nctx=numeric_contexts(QUADRATIC_AND_MIXED, range(2, 8)),
+    nctx=numeric_contexts(QUADRATIC_AND_MIXED, range(2, 10)),
     re_z=st.floats(-1, 1),
     height=st.floats(0.02, 1.5),
-    xy=st.tuples(st.floats(-2, 2), st.floats(-2, 2)),
+    # X = 0 leaves the one weight w_0; X != 0 spreads them over every n
+    xy=st.tuples(st.one_of(st.just(0.0), st.floats(-2, 2)), st.floats(-2, 2)),
     tol=st.sampled_from([1e-4, 1e-8, 1e-11]),
 )
 def test_tail_terms_is_least_and_bounds_the_tail(nctx, re_z, height, xy, tol):
     k = nctx.k
     z = complex(re_z, height)
     x, y = complex(xy[0]), complex(xy[1])
-    weight = oc._poly_weight(k, z, x, y)
-    m, tail = oc._tail_terms(height, k, tol, weight, 400_000)
-    assert tail == tail_bound(height, k, weight, m) <= tol
-    assert m == 8 or tail_bound(height, k, weight, m - 1) > tol
+    weights = oc._poly_weight(k, z, x, y)
+    m, tail = oc._tail_terms(height, k, tol, weights, 400_000)
+    assert tail == tail_bound(height, k, weights, m) <= tol
+    assert m == 8 or tail_bound(height, k, weights, m - 1) > tol
     # the series terms past M, summed in absolute value far beyond it
     derivs, fac = [], 1.0
     for n in range(k - 1):
@@ -456,6 +467,44 @@ def test_tail_terms_is_least_and_bounds_the_tail(nctx, re_z, height, xy, tol):
         inner = sum(d / denom ** (n + 1) for n, d in enumerate(derivs))
         past += abs(2 * sigma(nctx, big) * cmath.exp(2j * math.pi * big * z) * inner)
     assert past <= tail
+
+
+PRIMITIVE_UP_TO_32 = [chi for q in range(1, 33) for chi in characters_mod(q) if is_primitive(chi)]
+
+
+def test_float_gauss_sums_match_the_exact_ones():
+    assert len({chi.modulus for chi in PRIMITIVE_UP_TO_32}) > 20
+    for chi in PRIMITIVE_UP_TO_32:
+        values = [oc._unit(e, chi.order) for e in chi.value_exponents]
+        assert abs(oc._gauss_sum(values) - gauss_sum(chi).to_complex()) < 1e-12, chi
+
+
+def test_scale_and_fricke_factor_match_the_exact_gauss_sums():
+    chi5_4 = [c for c in characters_mod(5) if c.order == 4][0]
+    for ctx in (
+        ctx_for("chi3", "chi5", 3),
+        ctx_for("chi8a", "chi7", 3),
+        dk.SumContext(chi5_4, named_character("chi3"), 2),
+        dk.SumContext(named_character("chi4"), chi5_4.conjugate(), 4),
+    ):
+        k, nctx = ctx.k, oc.NumericContext(ctx)
+        scale = (-1) ** k * gauss_sum(ctx.chi1.conjugate()).to_complex() * (k - 1)
+        assert abs(nctx.s_scale() - scale) < 1e-12 * abs(scale)
+        t1, t2 = gauss_sum(ctx.chi1).to_complex(), gauss_sum(ctx.chi2).to_complex()
+        r = parity(ctx.chi1) * (t1 / t2) * (ctx.q2 / ctx.q1) ** (k / 2)
+        assert abs(nctx.fricke_R() - r) < 1e-12 * abs(r)
+
+
+def test_oracle_shares_no_exact_gauss_sum_code():
+    # the check stays independent of the cyclotomic values it checks
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(oc))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert "gauss_sum" not in names
+    assert not hasattr(oc, "gauss_sum")
 
 
 def old_integral_to_zero(nctx, y_spec, policy=oc.DEFAULT_POLICY):
