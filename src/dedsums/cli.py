@@ -5,9 +5,11 @@ plot-data emission.
 Structured output (CSV/JSON) goes to stdout; progress chatter stays on
 stderr so piped output is clean.  Exit codes: 0 success, 1 failed checks,
 2 usage errors, 3 parity violations, 4 domain errors (an oracle series that
-cannot reach its tolerance is one).  A reader that closes the pipe early
-(``| head``) is not an error: the rest of stdout goes to the null device and
-the exit code is 0.
+cannot reach its tolerance is one).  Every usage error, argparse's own
+included, is one ``bad option:`` line on stderr with exit 2, before any
+work: each option's domain is its argparse type.  A reader that closes the
+pipe early (``| head``) is not an error: the rest of stdout goes to the null
+device and the exit code is 0.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -40,39 +43,43 @@ EXIT_DOMAIN = 4
 
 
 class OptionError(ValueError):
-    """A numeric option outside its domain; a usage error."""
+    """A malformed command line or an option outside its domain; a usage error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose errors are OptionErrors: main reports every usage error alike."""
+
+    def error(self, message):
+        raise OptionError(message)
 
 
 def _progress(msg: str):
     print(msg, file=sys.stderr, flush=True)
 
 
-def _check_options(args):
-    """Reject a non-finite or non-positive --tol, a non-finite --alpha, a
-    weight --k below 2, a radius --j below 2 (G_j is empty there) and --jobs
-    below 1 before any work."""
-    tol = getattr(args, "tol", None)
-    if tol is not None and not 0 < tol < float("inf"):
-        raise OptionError(f"--tol must be a positive finite number, got {tol}")
-    for alpha in getattr(args, "alpha", None) or ():
-        if not abs(alpha) < float("inf"):
-            raise OptionError(f"--alpha must be finite, got {alpha}")
-    k = getattr(args, "k", None)
-    if k is not None and k < 2:
-        raise OptionError(f"--k must be at least 2, got {k}")
-    j = getattr(args, "j", None)
-    if j is not None and j < 2:
-        raise OptionError(f"--j must be at least 2, got {j}")
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None and jobs < 1:
-        raise OptionError(f"--jobs must be at least 1, got {jobs}")
+def _argtype(convert, ok=lambda value: True, domain=""):
+    """argparse type: the text through ``convert``, rejected unless ``ok``.
+    A malformed pair or matrix keeps its own message in the usage error."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except (UnknownCharacterError, MatrixFormatError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {domain}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value: 'x'"
+    return parse
 
 
-def _context(pair_spec: str, k: int) -> SumContext:
-    tags = [t.strip() for t in pair_spec.split(",")]
+def _pair(spec: str):
+    """--pair "tag1,tag2": its two characters."""
+    tags = spec.split(",")
     if len(tags) != 2:
-        raise UnknownCharacterError(f"pair must be 'tag1,tag2', got {pair_spec!r}")
-    return SumContext(parse_character(tags[0]), parse_character(tags[1]), k)
+        raise UnknownCharacterError(f"pair must be 'tag1,tag2', got {spec!r}")
+    return parse_character(tags[0]), parse_character(tags[1])
 
 
 def _value_str(v) -> str:
@@ -85,7 +92,7 @@ def _value_str(v) -> str:
 
 
 def cmd_sum(args) -> int:
-    ctx = _context(args.pair, args.k)
+    ctx = SumContext(*args.pair, args.k)
     value = dk.sum_S(ctx, args.a, args.c)
     print(f"S = {_value_str(value)}")
     if args.tilde:
@@ -152,9 +159,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_hpoly(args) -> int:
-    ctx = _context(args.pair, args.k)
-    gamma = Mat2.from_str(args.matrix)
-    poly = dk.h_interpolate(ctx, gamma)
+    poly = dk.h_interpolate(SumContext(*args.pair, args.k), args.matrix)
     print(f"h_gamma(x) = {poly}")
     return EXIT_OK
 
@@ -168,10 +173,9 @@ def cmd_gens(args) -> int:
 
 
 def cmd_contain(args) -> int:
-    ctx = _context(args.pair, args.k)
+    ctx = SumContext(*args.pair, args.k)
     report = analysis.containment_m(
         ctx,
-        pair=tuple(args.pair.split(",")),
         progress=lambda i, total: _progress(f"[{i}/{total}] generators done") if i % 25 == 0 else None,
     )
     print(f"generators: {report.generator_count}")
@@ -188,9 +192,9 @@ def cmd_contain(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    ctx = _context(args.pair, args.k)
+    ctx = SumContext(*args.pair, args.k)
     if args.cmax < ctx.n:  # no c <= C is a multiple of N, so the sweep is empty
-        raise OptionError(f"--cmax must be at least q1*q2 = {ctx.n}, got {args.cmax}")
+        raise OptionError(f"argument --cmax: must be at least q1*q2 = {ctx.n}, got {args.cmax}")
     report = analysis.bound_statistics(ctx, args.cmax, [Fraction(alpha) for alpha in args.alpha])
     print(f"matrices swept: {report.count}")
     print(f"trivial bound respected: {report.trivial_bound_ok}")
@@ -202,7 +206,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    ctx = _context(args.pair, args.k)
+    ctx = SumContext(*args.pair, args.k)
     writer = csv.writer(sys.stdout)
     writer.writerow(["a_num", "a_den", "cusp", "value", "value_float"])
     for a, c in iter_G_pairs(ctx.n, args.j):
@@ -224,7 +228,12 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # no sum has a weight below 2, and G_j is empty below j = 2
+    weight = radius = _argtype(int, lambda n: n >= 2, "at least 2")
+    tol = _argtype(float, lambda t: 0 < t < math.inf, "a positive finite number")
+    pair = _argtype(_pair)
+    workers = _argtype(int, lambda n: n >= 1, "at least 1")
+    parser = _Parser(
         prog="dedsums",
         description="Generalized Dedekind sums for Dirichlet character pairs: "
         "exact values, divisibility tables, quantum-modular polynomials, "
@@ -233,26 +242,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sum", help="one exact sum S(a, c)")
-    p.add_argument("--pair", required=True, help="chi3,chi7 or generic q:index,q:index")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--pair", type=pair, required=True, help="chi3,chi7 or generic q:index,q:index")
+    p.add_argument("--k", type=weight, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--tilde", action="store_true", help="also print c^(k-2) S")
     p.add_argument("--oracle", action="store_true", help="append the numeric residual")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=tol, default=1e-8)
     p.set_defaults(func=cmd_sum)
 
     p = sub.add_parser("table", help="the three divisibility tables over G_j")
-    p.add_argument("--j", type=int, default=50)
+    p.add_argument("--j", type=radius, default=50)
     p.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=workers, default=1, help="worker processes")
     p.add_argument("--timings", action="store_true", help="include wall times (breaks byte-identical output)")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("hpoly", help="the polynomial h_gamma from the finite sum formula")
-    p.add_argument("--pair", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--matrix", required=True, help='e.g. "[[51,104],[25,51]]"')
+    p.add_argument("--pair", type=pair, required=True)
+    p.add_argument("--k", type=weight, required=True)
+    p.add_argument("--matrix", type=_argtype(Mat2.from_str), required=True, help='e.g. "[[51,104],[25,51]]"')
     p.set_defaults(func=cmd_hpoly)
 
     p = sub.add_parser("gens", help="Schreier generating set of Gamma_1(N)")
@@ -260,37 +269,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gens)
 
     p = sub.add_parser("contain", help="containment scale m from a generating set")
-    p.add_argument("--pair", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--pair", type=pair, required=True)
+    p.add_argument("--k", type=weight, required=True)
     p.add_argument("--polys", action="store_true", help="print every generator polynomial")
     p.set_defaults(func=cmd_contain)
 
     p = sub.add_parser("bounds", help="magnitude-bound sweep up to C")
-    p.add_argument("--pair", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--pair", type=pair, required=True)
+    p.add_argument("--k", type=weight, required=True)
     p.add_argument("--cmax", type=int, default=500)
-    p.add_argument("--alpha", type=float, nargs="*", default=[1.0])
+    p.add_argument("--alpha", type=_argtype(float, math.isfinite, "finite"), nargs="*", default=[1.0])
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="named verification suites")
     p.add_argument("--suite", choices=["all"] + list(SUITES), default="all")
     p.add_argument("--seed", type=int, default=20250808)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=tol, default=1e-6)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("plotdata", help="scatter data of S-hat over the cusp family")
-    p.add_argument("--pair", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--j", type=int, default=15)
+    p.add_argument("--pair", type=pair, required=True)
+    p.add_argument("--k", type=weight, required=True)
+    p.add_argument("--j", type=radius, default=15)
     p.set_defaults(func=cmd_plotdata)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        _check_options(args)
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
@@ -302,12 +310,6 @@ def main(argv=None) -> int:
     except ParityError as exc:
         print(f"parity violation: {exc}", file=sys.stderr)
         return EXIT_PARITY
-    except UnknownCharacterError as exc:
-        print(f"unknown character: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MatrixFormatError as exc:
-        print(f"bad matrix: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OptionError as exc:
         print(f"bad option: {exc}", file=sys.stderr)
         return EXIT_USAGE

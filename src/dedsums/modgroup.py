@@ -293,11 +293,6 @@ class Poly:
             raise ValueError("weights differ")
         return Poly(self.weight, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        if self.weight != other.weight:
-            raise ValueError("weights differ")
-        return Poly(self.weight, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __eq__(self, other):
         return (
             isinstance(other, Poly)

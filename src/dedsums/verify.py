@@ -229,12 +229,14 @@ def suite_reciprocity_numeric(seed: int, tol: float) -> tuple[bool, str]:
         nctx = oc.numeric_context(context_for(pair, k))
         n = nctx.n_level
         for _ in range(10):
-            gamma = random_gamma0(rng, n, 3)
-            while gamma.c == 0:
+            cusp = None  # redrawn while gamma' sends it to infinity, a limit case of the identity
+            while cusp is None or cusp_apply(conjugate_pair(gamma, n), cusp).is_infinity():
                 gamma = random_gamma0(rng, n, 3)
-            cusp = Cusp(1, n * rng.randint(1, 3)) if rng.random() < 0.5 else Cusp(
-                rng.choice([1, 2, -1]), [x for x in (3, 5, 7, 11) if math.gcd(x, n) == 1][rng.randrange(2)]
-            )
+                while gamma.c == 0:
+                    gamma = random_gamma0(rng, n, 3)
+                cusp = Cusp(1, n * rng.randint(1, 3)) if rng.random() < 0.5 else Cusp(
+                    rng.choice([1, 2, -1]), [x for x in (3, 5, 7, 11) if math.gcd(x, n) == 1][rng.randrange(2)]
+                )
             residual, magnitude = reciprocity_general(nctx, gamma, cusp, policy)
             checks += 1
             if not residual < tol * magnitude:

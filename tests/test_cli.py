@@ -252,16 +252,21 @@ def test_loose_tol_does_not_loosen_the_series(tol):
     + [["plotdata", "--pair", "chi3,chi3", "--k", "2", "--j", j] for j in ("1", "0", "-3")]
     + [["bounds", "--pair", "chi3,chi3", "--k", "2", "--cmax", c] for c in ("8", "0", "-5")]
     + [["sum", "--pair", "chi3,chi3", "--k", k, "--a", "1", "--c", "9"] for k in ("1", "0", "-2")]
-    + [["contain", "--pair", "chi5,chi5", "--k", "0"]],
+    + [["contain", "--pair", "chi5,chi5", "--k", "0"]]
+    # argparse's own errors: a missing option, a bad choice or int, no such command
+    + [["sum", "--pair", "chi3,chi3", "--a", "1", "--c", "9"], ["table", "--format", "xml"]]
+    + [["sum", "--pair", "chi3,chi3", "--k", "x", "--a", "1", "--c", "9"], ["nope"]]
+    + [["hpoly", "--pair", "chi5,chi5", "--k", "4", "--matrix", m] for m in ("[[1,1],[-1,1]]", "not json")],
 )
 def test_bad_numeric_option_is_usage_error(argv, monkeypatch):
-    # rejected before any work: the sum, suite or sweep would raise here
+    # rejected before any work: the sum, fit, suite or sweep would raise here
     from dedsums import analysis, dedekind
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the option check")
 
     monkeypatch.setattr(dedekind, "sum_S", no_work)
+    monkeypatch.setattr(dedekind, "h_interpolate", no_work)
     monkeypatch.setattr(analysis, "bound_statistics", no_work)
     monkeypatch.setattr(analysis, "divisibility_tables", no_work)
     monkeypatch.setitem(cli.SUITES, "poly-space", no_work)
@@ -429,9 +434,10 @@ def test_every_input_ends_in_a_documented_exit_code(argv):
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse's own exit, 2 for a malformed command line
-            code = exc.code
+        except SystemExit as exc:  # only the help leaves by exit
+            assert exc.code == 0 and {"-h", "--help"} & set(argv), argv
+            return
     assert code in range(5), argv
-    out = out.getvalue()
     if code == cli.EXIT_USAGE:
-        assert out == "", argv
+        assert out.getvalue() == "", argv
+        assert len(err.getvalue().splitlines()) == 1, argv

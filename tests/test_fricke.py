@@ -156,6 +156,14 @@ def test_reciprocity_general_rejects_limit_cusps():
         verify.reciprocity_general(nctx, Mat2(1, 0, 25, 1), Cusp(0, 1))
 
 
+@pytest.mark.parametrize("seed", [21, 64])
+def test_reciprocity_suite_redraws_a_cusp_that_gamma_prime_sends_to_infinity(seed):
+    # seed 21 draws gamma = [[1,1],[-24,-23]] and cusp 1/12 at level 12, seed 64
+    # [[1,2],[-25,-49]] and 1/50 at level 25: gamma' maps each cusp to infinity
+    ok, detail = verify.suite_reciprocity_numeric(seed, 1e-6)
+    assert ok, detail
+
+
 def three_term_residual(
     nctx: oc.NumericContext, gamma: Mat2, cusp: Cusp, policy: oc.TruncationPolicy = oc.DEFAULT_POLICY
 ) -> float:
