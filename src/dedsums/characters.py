@@ -12,7 +12,7 @@ from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, prod
 
-from .exactnum import CertificateError, CyclotomicElement, FrozenRecord, euler_phi, factorize, lcm
+from .exactnum import CertificateError, CyclotomicElement, Record, euler_phi, factorize, lcm
 
 
 def _multiplicative_order(a: int, m: int) -> int:
@@ -83,7 +83,7 @@ class UnitGroup:
         self.dlog = table
 
 
-class DirichletCharacter(FrozenRecord):
+class DirichletCharacter(Record):
     """A Dirichlet character mod q given by exponents on the unit-group generators.
 
     Equality and hash read ``modulus`` and ``exponents`` only, not the cached

@@ -30,7 +30,7 @@ from typing import Sequence
 from . import characters as chars
 from .bernoulli import periodic_bernoulli, scaled_int_poly
 from .characters import DirichletCharacter
-from .exactnum import CertificateError, CyclotomicElement, FrozenRecord, euler_phi, lcm
+from .exactnum import CertificateError, CyclotomicElement, Record, euler_phi, lcm
 from .modgroup import (
     Cusp,
     Mat2,
@@ -57,7 +57,7 @@ def classical_s(h: int, k: int) -> Fraction:
     return total
 
 
-class SumContext(FrozenRecord):
+class SumContext(Record):
     """A pair of primitive nontrivial characters and a weight k >= 2."""
 
     _fields = ("chi1", "chi2", "k")
@@ -218,14 +218,13 @@ def _value_table(ctx: SumContext, c: int) -> tuple[list[int], int]:
     V(r) = sum over units n mod q1 of chi1(n) P((r + n m) mod c), m = c/q1
     and P, s from :func:`bernoulli.scaled_int_poly` at denominator c: entry
     for entry the value of the pieces of :func:`_twisted_pieces` of degree
-    k-1, boundary points r = i m included (the term with i + n = 0 mod q1
-    reads P(0), as the piece does).  P is tabulated over [0, c/2] by
-    :func:`_tabulate` and mirrored onto (c/2, c) by P(c - t) = (-1)^d P(t),
-    d = k-1, the symmetry of B_d.  V over [0, c/2] is one rotation of that
-    table per unit n, summed with its sign, and is mirrored onto (c/2, c) by
-    V(c - r) = (-1)^d chi1(-1) V(r) (substitute n -> -n).  That takes P(0)
-    for (-1)^d P(0), which fails only at d = 1, where B_1(0) = -B_1(1): at
-    k = 2 the mirrored boundary points r = i m are summed directly.
+    k-1, with their contract: exact off the boundary points r = i m, which no
+    sum reads.  P is tabulated over [0, c/2] by :func:`_tabulate` and
+    mirrored onto (c/2, c) by P(c - t) = (-1)^d P(t), d = k-1, the symmetry
+    of B_d.  V over [0, c/2] is one rotation of that table per unit n, summed
+    with its sign, and is mirrored onto (c/2, c) by V(c - r) = (-1)^d
+    chi1(-1) V(r) (substitute n -> -n).  That takes P(0) for (-1)^d P(0),
+    which fails at d = 1 (B_1(0) = -B_1(1)), on boundary points only.
     """
     ints, scale = scaled_int_poly(ctx.k - 1, c)
     half = c // 2
@@ -244,11 +243,6 @@ def _value_table(ctx: SumContext, c: int) -> tuple[list[int], int]:
     mirror = table[c - half - 1 : 0 : -1]
     # (-1)^d chi1(-1) = +1 exactly when k - 1 and the exponent of chi1(-1) have one parity
     table += mirror if (ctx.k - 1 + exps[-1]) % 2 == 0 else map(neg, mirror)
-    if ctx.k == 2:
-        for r in range((half // m + 1) * m, c, m):
-            table[r] = sum(
-                (-1) ** e * ys[(r + n * m) % c] for n, e in enumerate(exps) if e is not None
-            )
     return table, scale
 
 
@@ -384,12 +378,7 @@ def sum_S_matrix(ctx: SumContext, gamma: Mat2) -> CyclotomicElement:
     """S on a Gamma_0(N) matrix; depends only on the cusp gamma(inf)."""
     if not in_gamma0(gamma, ctx.n):
         raise ValueError(f"matrix is not in Gamma_0({ctx.n})")
-    a, c = gamma.a, gamma.c
-    if c == 0:
-        return CyclotomicElement.zero(ctx.value_order)
-    if c < 0:
-        a, c = -a, -c
-    return sum_S(ctx, a, c)
+    return shat(ctx, Cusp(gamma.a, gamma.c))
 
 
 def shat(ctx: SumContext, cusp: Cusp) -> CyclotomicElement:

@@ -22,13 +22,12 @@ class CertificateError(AssertionError):
 
 
 class Record:
-    """A plain class with the attributes named in ``_fields``, which each
-    subclass's ``__init__`` sets through ``_set_fields``: equality (within one
-    class) and the repr read them in that order.  Unhashable, since the
-    fields may change."""
+    """A plain class with the attributes named in ``_fields``, set once by each
+    subclass's ``__init__`` through ``_set_fields``: equality (within one
+    class), the hash and the repr read them in that order, and assignment or
+    deletion raises AttributeError."""
 
     _fields: tuple[str, ...] = ()
-    __hash__ = None
 
     def _set_fields(self, *values):
         for name, value in zip(self._fields, values):
@@ -42,14 +41,8 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-
-class FrozenRecord(Record):
-    """A Record whose fields are set once, by ``__init__``: assignment raises
-    AttributeError, and the hash reads the fields."""
+    def __hash__(self):
+        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -57,8 +50,9 @@ class FrozenRecord(Record):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __hash__(self):
-        return hash(self._values())
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

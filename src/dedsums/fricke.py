@@ -41,23 +41,23 @@ def conjugate_pair(gamma: Mat2, n: int) -> Mat2:
     return Mat2(gamma.d, -c_small, -gamma.b * n, gamma.a)
 
 
-def slashed_shat(nctx: oc.NumericContext, gamma: Mat2, cusp: Cusp, policy) -> complex:
-    """(S-hat |_{2-k} gamma)(a) = j(gamma, a)^(k-2) S-hat(gamma a), within
-    policy.tol."""
-    image = cusp_apply(gamma, cusp)
-    j = gamma.c * (cusp.p / cusp.q) + gamma.d
+def _slashed(nctx: oc.NumericContext, image: Cusp, j: float, policy) -> complex:
+    """j^(k-2) S-hat(image) within policy.tol, 0 when image is infinity."""
     if image.is_infinity():
         return 0j
     factor = j ** (nctx.k - 2)
     return factor * oc.shat_numeric(nctx, image, policy.for_factor(factor))
+
+
+def slashed_shat(nctx: oc.NumericContext, gamma: Mat2, cusp: Cusp, policy) -> complex:
+    """(S-hat |_{2-k} gamma)(a) = j(gamma, a)^(k-2) S-hat(gamma a), within
+    policy.tol."""
+    image = cusp_apply(gamma, cusp)
+    return _slashed(nctx, image, gamma.c * (cusp.p / cusp.q) + gamma.d, policy)
 
 
 def fricke_slashed_shat(nctx: oc.NumericContext, cusp: Cusp, policy) -> complex:
     """(S-hat |_{2-k} omega)(a) = (sqrt(N) a)^(k-2) S-hat(omega a), within
     policy.tol."""
     image = fricke_apply(nctx.n_level, cusp)
-    j = (nctx.n_level**0.5) * (cusp.p / cusp.q)
-    if image.is_infinity():
-        return 0j
-    factor = j ** (nctx.k - 2)
-    return factor * oc.shat_numeric(nctx, image, policy.for_factor(factor))
+    return _slashed(nctx, image, (nctx.n_level**0.5) * (cusp.p / cusp.q), policy)

@@ -15,14 +15,14 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterator, Sequence
 
-from .exactnum import CertificateError, CyclotomicElement, FrozenRecord, factorize
+from .exactnum import CertificateError, CyclotomicElement, Record, factorize
 
 
 class MatrixFormatError(ValueError):
     """Matrix text that is not a 2x2 array of integers."""
 
 
-class Mat2(FrozenRecord):
+class Mat2(Record):
     """Integer matrix (a b; c d) with det 1, enforced at construction."""
 
     _fields = ("a", "b", "c", "d")
@@ -86,7 +86,7 @@ def in_gamma1(gamma: Mat2, n: int) -> bool:
     return gamma.c % n == 0 and gamma.a % n == 1 and gamma.d % n == 1
 
 
-class Cusp(FrozenRecord):
+class Cusp(Record):
     """Reduced point p/q of P^1(Q) with q >= 0; (1, 0) encodes infinity."""
 
     _fields = ("p", "q")
@@ -259,14 +259,14 @@ def gamma1_relations(n: int) -> tuple[tuple[int, ...], ...]:
 # -- polynomials of degree <= k-2 and the weight (2-k) slash -----------------
 
 
-class Poly:
+class Poly(Record):
     """Polynomial sum(coeffs[n] x^(k-n-2)) of degree <= k-2.
 
     coeffs[0] multiplies the top power x^(k-2).  Entries are Fractions or
     CyclotomicElements (both compare equal to 0 when they vanish).
     """
 
-    __slots__ = ("weight", "coeffs")
+    _fields = ("weight", "coeffs")
 
     def __init__(self, weight: int, coeffs: Sequence):
         if weight < 2:
@@ -274,8 +274,8 @@ class Poly:
         coeffs = list(coeffs)
         if len(coeffs) != weight - 1:
             raise ValueError(f"need {weight - 1} coefficients for weight {weight}")
-        self.weight = weight
-        self.coeffs = [c if isinstance(c, CyclotomicElement) else Fraction(c) for c in coeffs]
+        coeffs = [c if isinstance(c, CyclotomicElement) else Fraction(c) for c in coeffs]
+        self._set_fields(weight, coeffs)
 
     @classmethod
     def zero(cls, weight: int) -> "Poly":
@@ -292,13 +292,6 @@ class Poly:
         if self.weight != other.weight:
             raise ValueError("weights differ")
         return Poly(self.weight, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.weight == other.weight
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        )
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

@@ -21,7 +21,7 @@ from itertools import accumulate, islice, repeat
 from operator import mul, truediv
 
 from .dedekind import SumContext
-from .exactnum import CertificateError, FrozenRecord
+from .exactnum import CertificateError, Record
 from .modgroup import Cusp, Mat2, fricke_apply, g_witness
 
 TWO_PI_I = 2j * math.pi
@@ -31,18 +31,19 @@ class TruncationError(RuntimeError):
     """The tail bound could not be pushed under the target tolerance."""
 
 
-class TruncationPolicy(FrozenRecord):
-    """An error budget for one oracle value, and the series length cap."""
+class TruncationPolicy(Record):
+    """An error budget for one oracle value; every series stops by ``n_cap`` terms."""
 
-    _fields = ("tol", "n_cap")
+    _fields = ("tol",)
+    n_cap = 400_000
 
-    def __init__(self, tol: float = 1e-8, n_cap: int = 400_000):
-        self._set_fields(tol, n_cap)
+    def __init__(self, tol: float = 1e-8):
+        self._set_fields(tol)
 
     def for_factor(self, factor: complex) -> "TruncationPolicy":
         """The budget of a value that is about to be multiplied by ``factor``:
         tol / |factor| when |factor| > 1, so the product keeps ``tol``."""
-        return TruncationPolicy(self.tol / max(1.0, abs(factor)), self.n_cap)
+        return TruncationPolicy(self.tol / max(1.0, abs(factor)))
 
 
 DEFAULT_POLICY = TruncationPolicy()

@@ -263,8 +263,9 @@ VALUE_TABLE_CELLS = [
 @settings(max_examples=300, deadline=None)
 @given(cell=st.sampled_from(VALUE_TABLE_CELLS), t=st.integers(1, 8))
 @example(cell=(("chi3", "chi3"), 12), t=1)  # c = 9, c/2 <= k - 1: Horner at every point
-# k = 2, where the mirrored boundary points r = i c/q1 are summed directly,
-# at t = 1 and at odd c (the mirror then starts at index c - c//2 - 1 = c//2)
+# k = 2, where the mirror takes P(0) for -P(0) and so differs from the pieces
+# at the boundary points r = i c/q1, at t = 1 and at odd c (the mirror then
+# starts at index c - c//2 - 1 = c//2)
 @example(cell=(("chi3", "chi3"), 2), t=1)
 @example(cell=(("chi3", "chi3"), 2), t=3)
 @example(cell=(("chi5", "chi5"), 2), t=1)
@@ -272,10 +273,37 @@ VALUE_TABLE_CELLS = [
 @example(cell=(("chi3", "chi7"), 2), t=2)
 @example(cell=(("chi4", "chi8b"), 2), t=1)
 def test_value_table_matches_horner_over_pieces(cell, t):
-    # entry for entry, the boundary points r = i c/q1 included
+    # entry for entry off the boundary points r = i c/q1, which no sum reads
     ctx = analysis.context_for(*cell)
     c = ctx.n * t
-    assert dk._value_table(ctx, c) == horner_table(ctx, c)
+    m = c // ctx.q1
+    table, scale = dk._value_table(ctx, c)
+    want, want_scale = horner_table(ctx, c)
+    assert scale == want_scale and len(table) == len(want) == c
+    assert [v for r, v in enumerate(table) if r % m] == [v for r, v in enumerate(want) if r % m]
+
+
+@pytest.mark.parametrize(
+    "pair, k", [(("chi3", "chi3"), 2), (("chi3", "chi7"), 2), (("chi4", "chi5"), 3), (("chi8a", "chi3"), 3)]
+)
+@pytest.mark.parametrize("all_units", [False, True], ids=["G_j", "units"])
+def test_sweep_reads_no_boundary_entry_of_the_value_table(monkeypatch, pair, k, all_units):
+    # the entries r = i c/q1 are not V at k = 2; the sweep must never read them
+    ctx = analysis.context_for(pair, k)
+    n = ctx.n
+    if all_units:
+        pairs = [(a, c) for c in (n, 2 * n, 3 * n) for a in range(1, c) if gcd(a, c) == 1]
+    else:
+        pairs = list(iter_G_pairs(n, 12))
+    want = dk.sweep_S_tilde_rational(ctx, pairs)
+    value_table = dk._value_table
+
+    def poisoned(ctx, c):
+        table, scale = value_table(ctx, c)
+        return [10**30 if r % (c // ctx.q1) == 0 else v for r, v in enumerate(table)], scale
+
+    monkeypatch.setattr(dk, "_value_table", poisoned)
+    assert dk.sweep_S_tilde_rational(ctx, pairs) == want
 
 
 QUADRATIC_CHARS = [named_character(tag) for tag in ("chi3", "chi4", "chi5", "chi7", "chi8a", "chi8b")]

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import dedsums
-from dedsums.analysis import TableCell
+from dedsums.analysis import BoundReport, ContainmentReport, DivisibilityTable, TableCell
 from dedsums.characters import DirichletCharacter, named_character
 from dedsums.dedekind import SumContext
 from dedsums.exactnum import (
     CertificateError,
     CyclotomicElement,
+    Record,
     _zeta_rows,
     common_order,
     cyclotomic_polynomial,
@@ -26,7 +27,7 @@ from dedsums.exactnum import (
     factorize,
     rational_gcd_set,
 )
-from dedsums.modgroup import Cusp, Mat2
+from dedsums.modgroup import Cusp, Mat2, Poly
 from dedsums.oracle import TruncationPolicy
 
 Z = CyclotomicElement.root_of_unity
@@ -146,7 +147,7 @@ VALUE_TYPE_PAIRS = [
         SumContext(chi1=DirichletCharacter(5, (2,)), chi2=named_character("chi5"), k=4),
         "k",
     ),
-    (TruncationPolicy(), TruncationPolicy(tol=1e-8, n_cap=400_000), "tol"),
+    (TruncationPolicy(), TruncationPolicy(tol=1e-8), "tol"),
 ]
 
 
@@ -169,10 +170,41 @@ def test_value_type_equality_is_per_class():
     assert Cusp(1, 2) != Mat2(1, 0, 2, 1) and Cusp(1, 2) != Cusp(1, 3)
 
 
-def test_truncation_policy_for_factor_keeps_the_cap():
-    policy = TruncationPolicy(tol=1e-8, n_cap=500).for_factor(10)
-    assert policy.n_cap == 500 and policy.tol == 1e-9
-    assert TruncationPolicy(tol=1e-8, n_cap=500).for_factor(0.5).tol == 1e-8
+# one object of each Record subclass outside VALUE_TYPE_PAIRS: the reports and
+# Poly, most of which hold lists or dicts and so have no hash
+REPORTS_AND_POLY = [
+    TableCell(r=Fraction(4, 3), display="4/3", count=17, seconds=0.25),
+    ContainmentReport(("chi5", "chi5"), 4, 1, [(Mat2(1, 0, 0, 1), Poly.zero(4))], Fraction(6), Fraction(6, 5)),
+    DivisibilityTable([("chi3", "chi3")], (2,)),
+    BoundReport(count=3, max_ratio=0.5, trivial_bound_ok=True, delta_ok=True, exceptional=[0]),
+    Poly(3, [1, 2]),
+]
+
+
+def test_every_record_class_is_covered():
+    def subclasses(cls):
+        return {cls} | {s for sub in cls.__subclasses__() for s in subclasses(sub)}
+
+    covered = [x for x, _, _ in VALUE_TYPE_PAIRS] + REPORTS_AND_POLY
+    assert {type(x) for x in covered} == subclasses(Record) - {Record}
+
+
+@pytest.mark.parametrize("x", REPORTS_AND_POLY, ids=[type(x).__name__ for x in REPORTS_AND_POLY])
+def test_reports_and_poly_refuse_assignment(x):
+    before = repr(x)
+    for name in x._fields:
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert repr(x) == before
+
+
+def test_truncation_policy_for_factor_scales_the_tolerance():
+    assert TruncationPolicy(tol=1e-8).for_factor(10).tol == 1e-9
+    assert TruncationPolicy(tol=1e-8).for_factor(0.5).tol == 1e-8
 
 
 def test_table_cell_survives_pickling():
