@@ -201,7 +201,7 @@ def gamma1_h_table(ctx: SumContext, progress=None) -> list[Poly]:
     k = ctx.k
     gens = gamma1_generators(ctx.n)
     relations = gamma1_relations(ctx.n)
-    columns = [list(zip(*slash_matrix(g, k))) for g in gens]
+    columns = [slash_matrix(g, k) for g in gens]
     known: list[tuple[list[int], int] | None] = [None] * len(gens)
     unknown = [len(rel) for rel in relations]
     occurrences: list[list[int]] = [[] for _ in gens]

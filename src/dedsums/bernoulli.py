@@ -31,18 +31,14 @@ def bernoulli_number(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
-@lru_cache(maxsize=None)
-def bernoulli_poly_coeffs(k: int) -> tuple[Fraction, ...]:
-    """Ascending coefficients of B_k(x) = sum C(k,j) B_j x^(k-j)."""
-    return tuple(comb(k, k - i) * bernoulli_number(k - i) for i in range(k + 1))
-
-
 def bernoulli_poly(k: int, x) -> Fraction:
+    """B_k(x) by Horner on the integer numerators of L*B_k, divided by L once."""
+    nums, L = _int_numerators(k)
     x = Fraction(x)
     acc = Fraction(0)
-    for c in reversed(bernoulli_poly_coeffs(k)):
+    for c in reversed(nums):
         acc = acc * x + c
-    return acc
+    return acc / L
 
 
 def periodic_bernoulli(k: int, x) -> Fraction:
@@ -57,8 +53,9 @@ def periodic_bernoulli(k: int, x) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _int_numerators(k: int) -> tuple[tuple[int, ...], int]:
-    """Ascending integer coefficients of L*B_k(x), L the lcm of their denominators."""
-    coeffs = bernoulli_poly_coeffs(k)
+    """Ascending integer coefficients of L*B_k(x), L the lcm of the
+    denominators of B_k(x) = sum C(k,j) B_j x^(k-j)."""
+    coeffs = [comb(k, j) * bernoulli_number(j) for j in range(k, -1, -1)]
     L = lcm(*(c.denominator for c in coeffs))
     return tuple(c.numerator * (L // c.denominator) for c in coeffs), L
 

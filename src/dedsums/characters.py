@@ -24,7 +24,6 @@ def _multiplicative_order(a: int, m: int) -> int:
     return order
 
 
-@lru_cache(maxsize=None)
 def primitive_root(m: int) -> int:
     """Smallest primitive root mod m (m an odd prime power)."""
     target = euler_phi(m)
@@ -139,13 +138,6 @@ class DirichletCharacter(Record):
 
     def conjugate(self) -> "DirichletCharacter":
         return DirichletCharacter(self.modulus, tuple(-e for e in self.exponents))
-
-    def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        if self.modulus != other.modulus:
-            raise ValueError("character product needs a common modulus")
-        return DirichletCharacter(
-            self.modulus, tuple(a + b for a, b in zip(self.exponents, other.exponents))
-        )
 
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exponents)

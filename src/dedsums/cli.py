@@ -7,9 +7,10 @@ stderr so piped output is clean.  Exit codes: 0 success, 1 failed checks,
 2 usage errors, 3 parity violations, 4 domain errors (an oracle series that
 cannot reach its tolerance is one).  Every usage error, argparse's own
 included, is one ``bad option:`` line on stderr with exit 2, before any
-work: each option's domain is its argparse type.  A reader that closes the
-pipe early (``| head``) is not an error: the rest of stdout goes to the null
-device and the exit code is 0.
+work: each option's domain is its argparse type, and ``--matrix`` text is
+parsed here, not in the library.  A reader that closes the pipe early
+(``| head``) is not an error: the rest of stdout goes to the null device and
+the exit code is 0.
 """
 
 from __future__ import annotations
@@ -26,13 +27,7 @@ from fractions import Fraction
 from . import analysis, dedekind as dk, oracle as oc, verify
 from .characters import UnknownCharacterError, parse_character
 from .dedekind import ParityError, SumContext
-from .modgroup import (
-    Cusp,
-    Mat2,
-    MatrixFormatError,
-    gamma1_generators,
-    iter_G_pairs,
-)
+from .modgroup import Cusp, Mat2, gamma1_generators, iter_G_pairs
 from .verify import SUITES
 
 EXIT_OK = 0
@@ -59,12 +54,12 @@ def _progress(msg: str):
 
 def _argtype(convert, ok=lambda value: True, domain=""):
     """argparse type: the text through ``convert``, rejected unless ``ok``.
-    A malformed pair or matrix keeps its own message in the usage error."""
+    A malformed pair keeps its own message in the usage error."""
 
     def parse(text: str):
         try:
             value = convert(text)
-        except (UnknownCharacterError, MatrixFormatError) as exc:
+        except UnknownCharacterError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         if not ok(value):
             raise argparse.ArgumentTypeError(f"must be {domain}, got {value}")
@@ -80,6 +75,25 @@ def _pair(spec: str):
     if len(tags) != 2:
         raise UnknownCharacterError(f"pair must be 'tag1,tag2', got {spec!r}")
     return parse_character(tags[0]), parse_character(tags[1])
+
+
+def _matrix(text: str) -> Mat2:
+    """--matrix "[[a,b],[c,d]]": a 2x2 array of ints of determinant 1."""
+    try:
+        rows = json.loads(text)
+    except (ValueError, RecursionError):  # deep nesting exhausts the decoder
+        rows = None
+    if not (
+        isinstance(rows, list)
+        and len(rows) == 2
+        and all(isinstance(row, list) and len(row) == 2 for row in rows)
+        and all(type(x) is int for row in rows for x in row)
+    ):
+        raise argparse.ArgumentTypeError(f"expected a 2x2 array of integers, got {text!r}")
+    try:
+        return Mat2(*rows[0], *rows[1])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _value_str(v) -> str:
@@ -261,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hpoly", help="the polynomial h_gamma from the finite sum formula")
     p.add_argument("--pair", type=pair, required=True)
     p.add_argument("--k", type=weight, required=True)
-    p.add_argument("--matrix", type=_argtype(Mat2.from_str), required=True, help='e.g. "[[51,104],[25,51]]"')
+    p.add_argument("--matrix", type=_matrix, required=True, help='e.g. "[[51,104],[25,51]]"')
     p.set_defaults(func=cmd_hpoly)
 
     p = sub.add_parser("gens", help="Schreier generating set of Gamma_1(N)")

@@ -82,7 +82,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the m-th cyclotomic polynomial Phi_m."""
     if m < 1:
@@ -142,8 +141,8 @@ class CyclotomicElement:
     """An element of Q(zeta_m) as sum(coeffs[i] * zeta_m^i, i < phi(m)).
 
     Immutable.  Addition and multiplication require both operands to live in
-    the same order m; use :meth:`embed` / :func:`common_order` to lift
-    first.  Plain ints and Fractions mix freely as constants.
+    the same order m; use :meth:`embed` to lift first.  Plain ints and
+    Fractions mix freely as constants.
     """
 
     __slots__ = ("order", "coeffs")
@@ -330,12 +329,6 @@ class CyclotomicElement:
     @classmethod
     def from_json(cls, data: dict) -> "CyclotomicElement":
         return cls(data["order"], [Fraction(c) for c in data["coefficients"]])
-
-
-def common_order(x: CyclotomicElement, y: CyclotomicElement) -> tuple[CyclotomicElement, CyclotomicElement]:
-    """Lift a pair into the smallest common cyclotomic field."""
-    m = lcm(x.order, y.order)
-    return x.embed(m), y.embed(m)
 
 
 def rational_gcd_set(values) -> Fraction:

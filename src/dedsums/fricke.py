@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import oracle as oc
 from .bernoulli import char_bernoulli
 from .dedekind import SumContext
-from .exactnum import CyclotomicElement, common_order
+from .exactnum import CyclotomicElement, lcm
 from .modgroup import Cusp, Mat2, cusp_apply, fricke_apply
 
 
@@ -29,8 +29,8 @@ def shat_at_zero(ctx: SumContext) -> CyclotomicElement:
     """Exact algebraic value of S-hat at the cusp 0."""
     upper = char_bernoulli(ctx.k - 1, ctx.chi1, 0) * Fraction(1, ctx.q1 ** (ctx.k - 2))
     lower = char_bernoulli(1, ctx.chi2, 0)
-    a, b = common_order(upper, lower)
-    return a * b
+    m = lcm(upper.order, lower.order)
+    return upper.embed(m) * lower.embed(m)
 
 
 def conjugate_pair(gamma: Mat2, n: int) -> Mat2:

@@ -3,23 +3,20 @@
 Also holds the Fricke flip on cusps, the G_j(N) matrix families, a
 presentation of Gamma_1(N) (Schreier generators and Reidemeister-Schreier
 relations) from one cached coset walk per level, and continued-fraction
-partial quotients.
+partial quotients.  Matrices are built from integers; the text of a
+``--matrix`` option is parsed by the CLI.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 from typing import Iterator, Sequence
 
 from .exactnum import CertificateError, CyclotomicElement, Record, factorize
-
-
-class MatrixFormatError(ValueError):
-    """Matrix text that is not a 2x2 array of integers."""
 
 
 class Mat2(Record):
@@ -52,26 +49,6 @@ class Mat2(Record):
     @classmethod
     def identity(cls) -> "Mat2":
         return cls(1, 0, 0, 1)
-
-    @classmethod
-    def from_str(cls, s: str) -> "Mat2":
-        """Parse ``[[a,b],[c,d]]``; anything but a 2x2 array of ints of
-        determinant 1 is a MatrixFormatError."""
-        try:
-            rows = json.loads(s)
-        except ValueError:
-            rows = None
-        if not (
-            isinstance(rows, list)
-            and len(rows) == 2
-            and all(isinstance(row, list) and len(row) == 2 for row in rows)
-            and all(type(x) is int for row in rows for x in row)
-        ):
-            raise MatrixFormatError(f"expected a 2x2 array of integers, got {s!r}")
-        try:
-            return cls(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
-        except ValueError as exc:
-            raise MatrixFormatError(str(exc)) from None
 
 
 MAT_S = Mat2(0, -1, 1, 0)
@@ -299,14 +276,7 @@ class Poly(Record):
     def slash(self, gamma: Mat2) -> "Poly":
         """Weight (2-k) action: sum a_n (c x + d)^n (a x + b)^(k-n-2)."""
         k = self.weight
-        out = [Fraction(0)] * (k - 1)
-        for coeff, row in zip(self.coeffs, slash_matrix(gamma, k)):
-            if coeff == 0:
-                continue
-            for i, t in enumerate(row):
-                if t:
-                    out[i] = out[i] + coeff * t
-        return Poly(k, out)
+        return Poly(k, [sum(map(mul, self.coeffs, col)) for col in slash_matrix(gamma, k)])
 
     def __str__(self):
         out = ""
@@ -332,17 +302,21 @@ class Poly(Record):
 
 
 def slash_matrix(gamma: Mat2, k: int) -> tuple[tuple[int, ...], ...]:
-    """The weight (2-k) slash by gamma on coefficient vectors, in integers.
+    """The weight (2-k) slash by gamma on coefficient vectors, in integers,
+    as its columns.
 
-    Row n holds the descending coefficients of (c x + d)^n (a x + b)^(k-n-2),
-    so p|gamma has coefficients sum over n of p.coeffs[n] * row n.
+    Entry n of column i is the coefficient of x^(k-2-i) in
+    (c x + d)^n (a x + b)^(k-n-2), so p|gamma has coefficient i equal to
+    the sum over n of p.coeffs[n] * column i entry n.
     """
     # ascending coefficients of the powers 0..k-2 of c x + d and of a x + b
     lower, upper = [[1]], [[1]]
     for _ in range(k - 2):
         lower.append(_poly_mul(lower[-1], [gamma.d, gamma.c]))
         upper.append(_poly_mul(upper[-1], [gamma.b, gamma.a]))
-    return tuple(tuple(reversed(_poly_mul(lower[n], upper[k - 2 - n]))) for n in range(k - 1))
+    rows = [_poly_mul(lower[n], upper[k - 2 - n]) for n in range(k - 1)]
+    # the rows ascend in x, so the columns come out from x^0 up; reverse them
+    return tuple(zip(*rows))[::-1]
 
 
 def _poly_mul(p: list[int], q: list[int]) -> list[int]:

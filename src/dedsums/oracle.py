@@ -239,6 +239,11 @@ def _series_terms(nctx: NumericContext, z: complex, terms: int) -> list[complex]
     return list(map(mul, islice(nctx._sigma, 1, terms + 1), powers))
 
 
+def _ldexp(c: complex, e: int) -> complex:
+    """c * 2^e: exact unless a part lands below the normal range."""
+    return complex(math.ldexp(c.real, e), math.ldexp(c.imag, e))
+
+
 def antiderivative_at(
     nctx: NumericContext, z: complex, x, y, policy: TruncationPolicy = DEFAULT_POLICY
 ) -> complex:
@@ -249,20 +254,26 @@ def antiderivative_at(
     N: pass n divides sigma(N) e(Nz) by N once more and sums it, so F is
     -2 sum_n P^(n)(z) / (-2 pi i)^(n+1) sum_N sigma(N) e(Nz) / N^(n+1).
     When X = 0 every P^(n) with n >= 1 vanishes, so one pass is exact.  The
-    series is cut where its tail is below policy.tol / 4.
+    series is cut where its tail is below policy.tol / 4.  F is homogeneous
+    of degree k-2 in (X, Y), so the passes run on (X, Y) / 2^e with
+    max(|X|, |Y|) in [1/2, 1).  Scaling by a power of two is exact, so only
+    the final value can round, where it falls below the normal range; the
+    terms P^(n) no longer underflow on the way there.
     """
     k = nctx.k
     x, y = complex(x), complex(y)
     weights = _poly_weight(k, z, x, y)
     terms, _ = _tail_terms(z.imag, k, policy.tol * 0.25, weights, policy.n_cap)
     series = _series_terms(nctx, z, terms)
+    shift = math.frexp(max(abs(x), abs(y)))[1]
+    x, y = _ldexp(x, -shift), _ldexp(y, -shift)
     total = 0j
     fac = 1.0  # P^(n)(z) = (k-2)...(k-1-n) x^n (xz+y)^(k-2-n)
     for n in range(k - 1 if x else 1):
         series = list(map(truediv, series, range(1, terms + 1)))
         total += fac * x**n * (x * z + y) ** (k - 2 - n) / (-TWO_PI_I) ** (n + 1) * sum(series)
         fac *= k - 2 - n
-    return -2 * total
+    return -2 * _ldexp(total, shift * (k - 2))
 
 
 def phi_numeric(

@@ -19,7 +19,7 @@ from itertools import islice
 
 from . import analysis, dedekind as dk, oracle as oc
 from .analysis import TABLE1_PAIRS, TABLE2_PAIRS, TABLE3_PAIRS, context_for
-from .characters import gauss_sum, named_character, parity
+from .characters import named_character, parity
 from .dedekind import SumContext
 from .fricke import conjugate_pair, fricke_slashed_shat, shat_at_zero, slashed_shat
 from .modgroup import (
@@ -75,8 +75,6 @@ def reciprocity_general(
     psi_g = nctx.psi(gamma)
     psi_gp = nctx.psi(gamma_p)
     r_const = nctx.fricke_R()
-    tau1 = gauss_sum(nctx.ctx.chi1.conjugate()).to_complex()
-    tau2 = gauss_sum(nctx.ctx.chi2.conjugate()).to_complex()
 
     omega_cusp = fricke_apply(n, cusp)
     j_omega = (n**0.5) * a_val
@@ -102,7 +100,8 @@ def reciprocity_general(
     phi_omega_slashed = oc.integral_to_zero(
         swap, -(gp_image.p / gp_image.q), policy.for_factor(f_zero_slashed)
     )
-    f_swap = r_const * (tau1 / tau2)
+    # the two scales differ only in tau(conj chi1) against tau(conj chi2)
+    f_swap = r_const * (scale / swap.s_scale())
     swap_policy = policy.for_factor(f_swap)
     rhs = (
         f_swap

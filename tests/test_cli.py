@@ -1,8 +1,10 @@
+import argparse
 import csv
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dedsums import cli
+from dedsums.modgroup import Mat2
 
 
 def run_cli(*argv):
@@ -85,6 +88,29 @@ def test_hpoly_malformed_matrix_is_usage_error(matrix):
     assert code == cli.EXIT_USAGE
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "matrix" in err
+
+
+@pytest.mark.parametrize(
+    "m", [Mat2.identity(), Mat2(26, 1, 25, 1), Mat2(-24, 1, -25, 1), Mat2(0, -1, 1, 0), Mat2(-50, -1, -49, -1)]
+)
+def test_matrix_text_round_trips(m):
+    assert cli._matrix(str(m)) == m
+
+
+@pytest.mark.parametrize(
+    "matrix,line",
+    [
+        ("[[1,2],[3,4]]", "determinant of [[1,2],[3,4]] is not 1"),
+        ("[[1],[2,3]]", "expected a 2x2 array of integers, got '[[1],[2,3]]'"),
+        ("[[true,0],[0,1]]", "expected a 2x2 array of integers, got '[[true,0],[0,1]]'"),
+    ],
+)
+def test_matrix_usage_error_lines(matrix, line):
+    # a determinant other than 1 is an argument type error like a format error
+    with pytest.raises(argparse.ArgumentTypeError, match=re.escape(line)):
+        cli._matrix(matrix)
+    _, _, err = run_cli("hpoly", "--pair", "chi5,chi5", "--k", "4", "--matrix", matrix)
+    assert err == f"bad option: argument --matrix: {line}\n"
 
 
 def test_gens_output():
@@ -256,7 +282,13 @@ def test_loose_tol_does_not_loosen_the_series(tol):
     # argparse's own errors: a missing option, a bad choice or int, no such command
     + [["sum", "--pair", "chi3,chi3", "--a", "1", "--c", "9"], ["table", "--format", "xml"]]
     + [["sum", "--pair", "chi3,chi3", "--k", "x", "--a", "1", "--c", "9"], ["nope"]]
-    + [["hpoly", "--pair", "chi5,chi5", "--k", "4", "--matrix", m] for m in ("[[1,1],[-1,1]]", "not json")],
+    + [
+        ["hpoly", "--pair", "chi5,chi5", "--k", "4", "--matrix", m]
+        for m in (
+            "[[1,1],[-1,1]]", "not json", "[[1,2],[3,4]]", "5", "[[true,0],[0,1]]", "[[1],[2]]",
+            "[" * 100_000,  # nested past the JSON decoder's recursion limit
+        )
+    ],
 )
 def test_bad_numeric_option_is_usage_error(argv, monkeypatch):
     # rejected before any work: the sum, fit, suite or sweep would raise here
@@ -273,7 +305,7 @@ def test_bad_numeric_option_is_usage_error(argv, monkeypatch):
     code, out, err = run_cli(*argv)
     assert code == cli.EXIT_USAGE
     assert out == ""
-    assert len(err.strip().splitlines()) == 1
+    assert len(err.strip().splitlines()) == 1 and err.startswith("bad option: ")
 
 
 # sha256 of the stdout of the commands whose output is exact; the suites that

@@ -12,7 +12,7 @@ from dedsums import analysis, dedekind as dk
 from dedsums.bernoulli import periodic_bernoulli, scaled_int_poly
 from dedsums.characters import characters_mod, is_primitive, named_character, parity, parse_character
 from dedsums.dedekind import ParityError, SumContext
-from dedsums.exactnum import CyclotomicElement
+from dedsums.exactnum import CyclotomicElement, euler_phi
 from dedsums.modgroup import (
     CUSP_INF,
     Cusp,
@@ -22,6 +22,7 @@ from dedsums.modgroup import (
     iter_G_pairs,
     random_gamma0,
     random_gamma1,
+    slash_matrix,
 )
 
 
@@ -757,13 +758,48 @@ def test_h_interpolate_published_values(gamma, coeffs):
 
 
 def test_h_crossed_homomorphism_polynomials():
-    ctx = ctx_for("chi5", "chi5", 4)
-    rng = random.Random(61)
-    pairs = [(Mat2(26, 1, 25, 1), Mat2(51, 104, 25, 51))]
-    pairs += [(random_gamma1(rng, 25, 2), random_gamma1(rng, 25, 2)) for _ in range(6)]
-    for g1, g2 in pairs:
-        h12 = dk.h_interpolate(ctx, g1 * g2)
-        assert h12 == dk.h_interpolate(ctx, g1).slash(g2) + dk.h_interpolate(ctx, g2)
+    # (5:1, 5:1) has cyclotomic h coefficients, so h|g2 slashes those
+    for tags in (("chi5", "chi5"), ("5:1", "5:1")):
+        ctx = ctx_for(*tags, 4)
+        rng = random.Random(61)
+        pairs = [(Mat2(26, 1, 25, 1), Mat2(51, 104, 25, 51))]
+        pairs += [(random_gamma1(rng, 25, 2), random_gamma1(rng, 25, 2)) for _ in range(6)]
+        for g1, g2 in pairs:
+            h12 = dk.h_interpolate(ctx, g1 * g2)
+            assert h12 == dk.h_interpolate(ctx, g1).slash(g2) + dk.h_interpolate(ctx, g2), tags
+
+
+def row_slash(p: Poly, gamma: Mat2) -> Poly:
+    """Poly.slash as a loop over the rows of the slash matrix, row n scaled
+    by coefficient n; the reference for the column products."""
+    k = p.weight
+    out = [Fraction(0)] * (k - 1)
+    for coeff, row in zip(p.coeffs, zip(*slash_matrix(gamma, k))):
+        if coeff == 0:
+            continue
+        for i, t in enumerate(row):
+            if t:
+                out[i] = out[i] + coeff * t
+    return Poly(k, out)
+
+
+def test_column_slash_matches_the_row_loop():
+    rng = random.Random(29)
+
+    def coeff(order):
+        if rng.random() < 0.25:
+            return 0
+        if order == 1:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(euler_phi(order))]
+        return CyclotomicElement(order, coeffs)
+
+    for _ in range(60):
+        k = rng.choice([2, 3, 4, 6])
+        order = rng.choice([1, 1, 3, 4, 5, 12])  # order 1: Fraction coefficients
+        p = Poly(k, [coeff(order) for _ in range(k - 1)])
+        gamma = random_gamma0(rng, rng.choice([1, 5, 25]))
+        assert p.slash(gamma) == row_slash(p, gamma)
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from dedsums.exactnum import (
     CyclotomicElement,
     Record,
     _zeta_rows,
-    common_order,
     cyclotomic_polynomial,
     euler_phi,
     factorize,
@@ -88,13 +87,9 @@ def test_cyclotomic_polynomial_certifies_each_division(monkeypatch):
     # binomials, and the exact division raises instead of truncating
     from dedsums import exactnum
 
-    cyclotomic_polynomial.cache_clear()
-    try:
-        monkeypatch.setattr(exactnum, "factorize", lambda n: [(2, 1)] if n == 9 else factorize(n))
-        with pytest.raises(CertificateError):
-            cyclotomic_polynomial(9)
-    finally:
-        cyclotomic_polynomial.cache_clear()
+    monkeypatch.setattr(exactnum, "factorize", lambda n: [(2, 1)] if n == 9 else factorize(n))
+    with pytest.raises(CertificateError):
+        cyclotomic_polynomial(9)
 
 
 def test_euler_phi():
@@ -122,19 +117,24 @@ def test_no_assert_statements_in_the_package():
 
 
 def test_importing_the_package_and_cli_skips_dataclasses_and_inspect():
-    # both cost start-up time that no dedsums code path needs
-    script = (
-        "import sys\n"
-        "import dedsums, dedsums.cli\n"
-        "loaded = [name for name in ('dataclasses', 'inspect') if name in sys.modules]\n"
-        "sys.exit(f'imported {loaded}' if loaded else 0)\n"
-    )
     src = os.path.dirname(os.path.dirname(os.path.abspath(dedsums.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
+    for modules, unwanted in (
+        # both cost start-up time that no dedsums code path needs
+        ("dedsums, dedsums.cli", ("dataclasses", "inspect")),
+        # only the CLI reads or writes text; the library parses none
+        ("dedsums, dedsums.analysis, dedsums.oracle, dedsums.verify", ("json",)),
+    ):
+        script = (
+            "import sys\n"
+            f"import {modules}\n"
+            f"loaded = [name for name in {unwanted!r} if name in sys.modules]\n"
+            "sys.exit(f'imported {loaded}' if loaded else 0)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, (modules, result.stderr)
 
 
 # two objects with equal fields of each immutable value type, and one field
@@ -272,8 +272,9 @@ def test_ring_operations():
 def test_mixed_orders_require_lifting():
     with pytest.raises(ValueError):
         Z(3, 1) + Z(4, 1)
-    a, b = common_order(Z(3, 1), Z(4, 1))
+    a, b = Z(3, 1).embed(12), Z(4, 1).embed(12)
     assert a.order == b.order == 12
+    assert a * b == Z(12, 7)
 
 
 def test_embed_zeta3_into_order_12():

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dedsums import dedekind as dk, fricke as fr, oracle as oc
 from dedsums.characters import characters_mod, gauss_sum, is_primitive, named_character, parity
@@ -334,12 +334,17 @@ def old_antiderivative_at(nctx, z, x, y, policy=oc.DEFAULT_POLICY):
     """F(z; X, Y) by the per-term loop the builtin passes replaced, same M.
 
     Also returns 2 sum_N |term N|, the scale of the rounding error of any
-    order of summation.
+    order of summation.  The loop runs on (X, Y) / 2^e with max(|X|, |Y|)
+    near 1 and scales back by 2^(e(k-2)), homogeneity in exact arithmetic,
+    so tiny (X, Y) lose no digits to underflow inside the loop.
     """
     k = nctx.k
     x, y = complex(x), complex(y)
     weights = oc._poly_weight(k, z, x, y)
     terms, _ = oc._tail_terms(z.imag, k, policy.tol * 0.25, weights, policy.n_cap)
+    shift = math.frexp(max(abs(x), abs(y)))[1]
+    x = complex(math.ldexp(x.real, -shift), math.ldexp(x.imag, -shift))
+    y = complex(math.ldexp(y.real, -shift), math.ldexp(y.imag, -shift))
     derivs = []
     fac = 1.0
     for n in range(k - 1):
@@ -361,7 +366,8 @@ def old_antiderivative_at(nctx, z, x, y, policy=oc.DEFAULT_POLICY):
             power *= denom
         total += s * e_cur * inner
         scale += abs(s * e_cur * inner)
-    return -2 * total, 2 * scale
+    back = shift * (k - 2)
+    return -2 * complex(math.ldexp(total.real, back), math.ldexp(total.imag, back)), 2 * math.ldexp(scale, back)
 
 
 def tail_bound(y, k, weights, m):
@@ -431,6 +437,27 @@ QUADRATIC_AND_MIXED = [named_character(t) for t in ("chi3", "chi4", "chi5", "chi
     re_z=st.floats(-1, 1),
     height=st.floats(0.01, 1.5),
     xy=st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2)),
+)
+# F is subnormal at both examples; without the rescaling to max(|X|, |Y|)
+# near 1, the reference loop lost digits at the first and the builtin passes
+# at the second
+@example(
+    nctx=oc.NumericContext(dk.SumContext(named_character("chi7"), named_character("chi4"), 4)),
+    re_z=0.0,
+    height=0.25,
+    xy=(0.0, 0.0, 2.0102278591524258e-158),
+)
+@example(
+    nctx=oc.NumericContext(
+        dk.SumContext(
+            next(c for c in characters_mod(7) if c.exponents == (4,)),
+            next(c for c in characters_mod(5) if c.exponents == (3,)),
+            3,
+        )
+    ),
+    re_z=-0.3453087666764634,
+    height=0.29787316569668726,
+    xy=(0.0, 0.0, 1.3043959101e-313),
 )
 def test_antiderivative_matches_per_term_loop(nctx, re_z, height, xy):
     z = complex(re_z, height)
