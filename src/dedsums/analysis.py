@@ -271,7 +271,10 @@ def containment_m(
 
     m is the gcd of all q1^(n+1) a_n over the generators, so every h lies in
     the polynomial space at m and the image of S-tilde on the whole group is
-    contained in (m/q1)*Z.  The h come from :func:`gamma1_h_table`;
+    contained in (m/q1)*Z.  It is taken in integers: with L the least common
+    denominator of the a_n, m = gcd(q1^(n+1) a_n L)/L, one Fraction in all.
+    Every h must then pass :func:`poly_space_member` at m, else
+    CertificateError.  The h come from :func:`gamma1_h_table`;
     ``generators`` may list the Schreier generators in any order, and any
     other list raises ValueError.
     """
@@ -286,10 +289,12 @@ def containment_m(
         )
     table = dict(zip(schreier, gamma1_h_table(ctx, progress)))
     polys = [(gen, table[gen]) for gen in generators]
-    multiples = [
-        Fraction(a_n) * ctx.q1 ** (n + 1) for _, h in polys for n, a_n in enumerate(h.coeffs)
-    ]
-    m = rational_gcd_set(multiples)
+    coeffs = [(n, a_n) for _, h in polys for n, a_n in enumerate(h.coeffs)]
+    den = lcm(*(a_n.denominator for _, a_n in coeffs))
+    q1 = ctx.q1
+    m = Fraction(
+        gcd(*(a_n.numerator * q1 ** (n + 1) * (den // a_n.denominator) for n, a_n in coeffs)), den
+    )
     for gen, h in polys:
         if not poly_space_member(h, ctx.k, m, ctx.q1):
             raise dk.CertificateError(f"h at {gen} lies outside the polynomial space at m = {m}")

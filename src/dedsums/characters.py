@@ -210,16 +210,22 @@ def gauss_sum(chi: DirichletCharacter) -> CyclotomicElement:
     return CyclotomicElement.from_terms(m, terms)
 
 
-def central_character(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma) -> CyclotomicElement:
-    """psi(gamma) = chi1(d) * conj(chi2(d)) for gamma in Gamma_0(q1 q2): with
-    chi_i(d) = zeta_{o_i}^{e_i}, the one root zeta_m^(e1 m/o1 - e2 m/o2), m = lcm(o1, o2)."""
+def central_exponent(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma) -> tuple[int, int]:
+    """(m, e) with psi(gamma) = zeta_m^e, for gamma in Gamma_0(q1 q2): with
+    chi_i(d) = zeta_{o_i}^{e_i}, m = lcm(o1, o2) and e = e1 m/o1 - e2 m/o2."""
     n = chi1.modulus * chi2.modulus
     if gamma.c % n != 0:
         raise ValueError(f"matrix is not in Gamma_0({n})")
     o1, o2 = chi1.order, chi2.order
     m = lcm(o1, o2)
     e1, e2 = chi1.value_exponent(gamma.d), chi2.value_exponent(gamma.d)
-    return CyclotomicElement.root_of_unity(m, e1 * (m // o1) - e2 * (m // o2))
+    return m, e1 * (m // o1) - e2 * (m // o2)
+
+
+def central_character(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma) -> CyclotomicElement:
+    """psi(gamma) = chi1(d) * conj(chi2(d)) for gamma in Gamma_0(q1 q2), the
+    one root of unity of :func:`central_exponent`."""
+    return CyclotomicElement.root_of_unity(*central_exponent(chi1, chi2, gamma))
 
 
 _NAMED_BASE = {"chi3": 3, "chi4": 4, "chi5": 5, "chi7": 7, "chi8a": 8, "chi8b": 8}

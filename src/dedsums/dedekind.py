@@ -30,7 +30,7 @@ from typing import Sequence
 from . import characters as chars
 from .bernoulli import periodic_bernoulli, scaled_int_poly
 from .characters import DirichletCharacter
-from .exactnum import CertificateError, CyclotomicElement, Record, euler_phi, lcm
+from .exactnum import CertificateError, CyclotomicElement, Record, _numerators, euler_phi, lcm
 from .modgroup import (
     Cusp,
     Mat2,
@@ -132,7 +132,10 @@ class SumContext(Record):
         return chars.central_character(self.chi1, self.chi2, gamma)
 
     def psi_is_one(self, gamma: Mat2) -> bool:
-        return self.psi(gamma) == 1
+        """psi(gamma) == 1, read off its exponent: zeta_m^e = 1 exactly when
+        m | e.  ValueError off Gamma_0(N), as :meth:`psi` raises."""
+        m, e = chars.central_exponent(self.chi1, self.chi2, gamma)
+        return e % m == 0
 
 
 def _validate_pair(ctx: SumContext, a: int, c: int) -> int:
@@ -394,7 +397,11 @@ def shat(ctx: SumContext, cusp: Cusp) -> CyclotomicElement:
 
 
 def h_eval(ctx: SumContext, gamma: Mat2, cusp: Cusp) -> CyclotomicElement:
-    """h_gamma(a) = S-hat(a) - j(gamma, a)^(k-2) S-hat(gamma a), exactly."""
+    """h_gamma(a) = S-hat(a) - j(gamma, a)^(k-2) S-hat(gamma a), exactly.
+
+    When both S-hat values are rational (always for a quadratic pair) they
+    are combined as Fractions and the result is wrapped once.
+    """
     if not in_gamma0(gamma, ctx.n):
         raise ValueError(f"matrix is not in Gamma_0({ctx.n})")
     if cusp.is_infinity():
@@ -405,7 +412,24 @@ def h_eval(ctx: SumContext, gamma: Mat2, cusp: Cusp) -> CyclotomicElement:
         # j(gamma, a) vanishes there and S-hat(inf) = 0; the slash term drops out
         return base
     jpow = cocycle_j(gamma, cusp) ** (ctx.k - 2)
-    return base - shat(ctx, image) * jpow
+    top = shat(ctx, image)
+    if base.is_rational() and top.is_rational():
+        return CyclotomicElement.from_rational(base.coeffs[0] - top.coeffs[0] * jpow, base.order)
+    return base - top * jpow
+
+
+def _node_unit(an: int, c: int, n: int) -> int:
+    """The unit t mod n nearest an/c with an != c t, the lower one on a tie:
+    the integers are visited outward from an/c, nearer first."""
+    lo = an // c
+    hi = lo + 1
+    while True:
+        if abs(an - c * lo) <= abs(an - c * hi):
+            t, lo = lo, lo - 1
+        else:
+            t, hi = hi, hi + 1
+        if an != c * t and gcd(t, n) == 1:
+            return t
 
 
 def h_interpolate(ctx: SumContext, gamma: Mat2) -> Poly:
@@ -418,11 +442,15 @@ def h_interpolate(ctx: SumContext, gamma: Mat2) -> Poly:
         h_gamma(x) = e^k sum over 1 <= r < k of
                      (-1)^r C(k, r)/k S_r(e a, |c|) (e c x + e d)^(k-1-r),
 
-    S_r as in :func:`_mixed_sum`; for c = 0, h = 0.  The certificate: at the
-    node x = gamma^-1(t/N) = (d t - b N)/(a N - c t), t the unit mod N nearest
-    a N/c with a N != c t, the polynomial must equal :func:`h_eval` exactly,
-    else CertificateError.  An error delta in S_r moves h(x) by
-    delta C(k, r)/k j(gamma, x)^(k-1-r), never 0.
+    S_r as in :func:`_mixed_sum`; for c = 0, h = 0.  For a quadratic pair the
+    S_r enter the formula as integer numerators over one denominator, so the
+    coefficients are integers nums[i] over den until the one Poly is built;
+    cyclotomic S_r enter as they are, over den = k.  The certificate: at the
+    node x = gamma^-1(t/N) = p/q = (d t - b N)/(a N - c t), t the unit mod N
+    nearest a N/c with a N != c t, the polynomial must equal :func:`h_eval`
+    exactly, else CertificateError; cleared of denominators, that is
+    h_eval * den * q^(k-2) = sum nums[i] p^(k-2-i) q^i.  An error delta in
+    S_r moves h(x) by delta C(k, r)/k j(gamma, x)^(k-1-r), never 0.
     """
     if not ctx.psi_is_one(gamma):
         raise ValueError("psi(gamma) != 1: h_gamma is not polynomial")
@@ -433,22 +461,23 @@ def h_interpolate(ctx: SumContext, gamma: Mat2) -> Poly:
     e = 1 if c > 0 else -1
     a_red = _validate_pair(ctx, e * a, e * c)
     sums = [_mixed_sum(ctx, a_red, e * c, r) for r in range(1, k)]
+    den = k
     if ctx.quadratic:
-        sums = [s.rational_value() for s in sums]
+        sums, den_s = _numerators([s.rational_value() for s in sums])
+        den *= den_s
     # (|c| x + e d)^p contributes C(p, i) |c|^i (e d)^(p-i) at x^i, index k-2-i
-    coeffs = [0] * (k - 1)
+    nums = [0] * (k - 1)
     for r, s in enumerate(sums, 1):
         p = k - 1 - r
         for i in range(p + 1):
-            factor = e**k * (-1) ** r * comb(k, r) * comb(p, i) * (e * c) ** i * (e * d) ** (p - i)
-            coeffs[k - 2 - i] += s * Fraction(factor, k)
-    poly = Poly(k, coeffs)
-    t0 = a * n // c
-    t = min(
-        (t for t in range(t0 - n, t0 + n + 2) if gcd(t, n) == 1 and a * n != c * t),
-        key=lambda t: abs(a * n - c * t),
-    )
+            nums[k - 2 - i] += s * (
+                e**k * (-1) ** r * comb(k, r) * comb(p, i) * (e * c) ** i * (e * d) ** (p - i)
+            )
+    t = _node_unit(a * n, c, n)
     node = Cusp(d * t - b * n, a * n - c * t)
-    if h_eval(ctx, gamma, node) != poly.eval(node.to_fraction()):
+    at_node = sum([x * node.p ** (k - 2 - i) * node.q**i for i, x in enumerate(nums)])
+    if h_eval(ctx, gamma, node) * (den * node.q ** (k - 2)) != at_node:
         raise CertificateError(f"h_gamma from the sum formula misses h at the node {node}")
-    return poly
+    if ctx.quadratic:
+        return Poly(k, [Fraction(x, den) for x in nums])
+    return Poly(k, [x / den for x in nums])

@@ -5,7 +5,8 @@ denominator).  Cyclotomic numbers are kept in the power basis of Q(zeta_m)
 modulo the m-th cyclotomic polynomial, so equality of canonical forms is
 equality of field elements.  Every canonical form is reached one way: weights
 are summed per exponent mod m, and each nonzero exponent adds its cached row,
-the coordinates of zeta_m^e.
+the coordinates of zeta_m^e.  At orders 1 and 2, where the field is Q, one
+signed sum of the weights stands in for the rows.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ class CyclotomicElement:
 
     def __init__(self, order: int, coeffs: Iterable[Fraction]):
         deg = euler_phi(order)
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple([c if type(c) is Fraction else Fraction(c) for c in coeffs])
         if len(cs) != deg:
             raise ValueError(f"expected {deg} coefficients for order {order}, got {len(cs)}")
         object.__setattr__(self, "order", order)
@@ -163,8 +164,7 @@ class CyclotomicElement:
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CyclotomicElement":
         deg = euler_phi(order)
-        coeffs = [Fraction(value)] + [Fraction(0)] * (deg - 1)
-        return cls(order, coeffs)
+        return cls(order, [value] + [0] * (deg - 1))
 
     @classmethod
     def zero(cls, order: int = 1) -> "CyclotomicElement":
@@ -184,8 +184,13 @@ class CyclotomicElement:
         """sum(w * zeta_order^e for (e, w) in terms) / denom in canonical form.
 
         Weights (ints or Fractions) are summed per exponent mod order; each
-        nonzero sum adds its row of :func:`_zeta_rows` once, in integers.
+        nonzero sum adds its row of :func:`_zeta_rows` once, in integers.  At
+        orders 1 and 2 the field is Q and zeta^e is 1 or (-1)^e: the value is
+        one signed sum of the weights over denom, with no rows.
         """
+        if order <= 2:
+            total = sum([-w if e % order else w for e, w in terms])
+            return cls(order, [Fraction(total, denom)])
         sums: dict[int, Fraction] = {}
         for e, w in terms:
             if w:

@@ -15,7 +15,7 @@ import pytest
 
 from dedsums import analysis, dedekind as dk, fricke as fr, oracle as oc, verify
 from dedsums.characters import characters_mod, gauss_sum, is_primitive, named_character, parity
-from dedsums.exactnum import lcm
+from dedsums.exactnum import lcm, rational_gcd_set
 from dedsums.modgroup import Mat2, Poly
 
 SEED = 20250808
@@ -199,19 +199,59 @@ def test_c3_table_r_inside_containment_bound(tables_j50, containment_reports):
     )
 
 
+def rational_gcd_m(pair: tuple[str, str], rep: analysis.ContainmentReport) -> Fraction:
+    """Reference m: rational_gcd_set over Fraction(a_n) q1^(n+1), read from
+    the report's polynomials."""
+    q1 = named_character(pair[0]).modulus
+    return rational_gcd_set(
+        [Fraction(a_n) * q1 ** (n + 1) for _, h in rep.polynomials for n, a_n in enumerate(h.coeffs)]
+    )
+
+
+def test_c3_integer_m_matches_rational_gcd(containment_reports):
+    bad = [
+        (key, rep.m) for key, rep in containment_reports.items() if rep.m != rational_gcd_m(key[0], rep)
+    ]
+    report(
+        "criterion-3 (integer m)",
+        not bad,
+        f"{len(containment_reports)} cells: m equals the rational gcd" if not bad else f"bad: {bad}",
+    )
+
+
+@pytest.fixture(scope="module")
+def every_containment_report(tables_j50):
+    return {
+        (pair, k): analysis.containment_m(analysis.context_for(pair, k), pair=pair)
+        for (pair, k) in _cells(tables_j50)
+    }
+
+
 @pytest.mark.release
-def test_c3_containment_every_cell(tables_j50):
+def test_c3_containment_every_cell(tables_j50, every_containment_report):
     cells = _cells(tables_j50)
     bad = []
-    for (pair, k) in cells:
-        ctx = analysis.context_for(pair, k)
-        rep = analysis.containment_m(ctx, pair=pair)
+    for (pair, k), rep in every_containment_report.items():
         if (cells[(pair, k)].r / rep.bound).denominator != 1:
             bad.append((pair, k, cells[(pair, k)].r, rep.bound))
     report(
         "criterion-3 (release: all 84 cells)",
         not bad,
         "every table r lies inside the containment bound" if not bad else f"bad: {bad}",
+    )
+
+
+@pytest.mark.release
+def test_c3_integer_m_matches_rational_gcd_every_cell(every_containment_report):
+    bad = [
+        (key, rep.m)
+        for key, rep in every_containment_report.items()
+        if rep.m != rational_gcd_m(key[0], rep)
+    ]
+    report(
+        "criterion-3 (release: integer m, all 84 cells)",
+        not bad,
+        "m equals the rational gcd on every cell" if not bad else f"bad: {bad}",
     )
 
 

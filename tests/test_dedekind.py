@@ -18,6 +18,7 @@ from dedsums.modgroup import (
     Cusp,
     Mat2,
     Poly,
+    cocycle_j,
     cusp_apply,
     iter_G_pairs,
     random_gamma0,
@@ -538,6 +539,88 @@ def test_h_eval_at_pole_is_polynomial_value():
     pole = cusp_apply(g1.inverse(), CUSP_INF)
     v = dk.h_eval(ctx, g1, pole).rational_value()
     assert v == Fraction(-24, 5) * pole.to_fraction() ** 2
+
+
+PSI_PAIRS = [
+    ("chi3", "chi3", 2),
+    ("chi5", "chi5", 4),
+    ("chi3", "chi5", 3),
+    ("chi4", "chi8a", 3),
+    ("5:1", "5:1", 4),
+    ("7:1", "7:1", 6),
+    ("5:1", "chi3", 2),
+]
+
+
+@pytest.mark.parametrize("tag1,tag2,k", PSI_PAIRS)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 8), shift=st.integers(1, 200))
+def test_psi_is_one_matches_the_field_value(tag1, tag2, k, seed, size, shift):
+    # psi_is_one reads the exponent of psi(gamma); psi builds the root of unity
+    ctx = ctx_for(tag1, tag2, k)
+    gamma = random_gamma0(random.Random(seed), ctx.n, size)
+    assert ctx.psi_is_one(gamma) == (ctx.psi(gamma) == 1)
+    # off Gamma_0(N) both raise the same ValueError: gamma (1 0; s 1) has
+    # lower-left entry c + d s, and d is a unit mod N
+    s = shift if shift % ctx.n else shift + 1
+    off = gamma * Mat2(1, 0, s, 1)
+    with pytest.raises(ValueError) as fast:
+        ctx.psi_is_one(off)
+    with pytest.raises(ValueError) as field:
+        ctx.psi(off)
+    assert str(fast.value) == str(field.value)
+
+
+def field_h_eval(ctx: SumContext, gamma: Mat2, cusp: Cusp) -> CyclotomicElement:
+    """Reference: h_gamma(a) = S-hat(a) - S-hat(gamma a) j(gamma, a)^(k-2) in
+    cyclotomic arithmetic; S-hat(inf) = 0 drops the slash term at the pole."""
+    base = dk.shat(ctx, cusp)
+    image = cusp_apply(gamma, cusp)
+    if image.is_infinity():
+        return base
+    return base - dk.shat(ctx, image) * cocycle_j(gamma, cusp) ** (ctx.k - 2)
+
+
+@pytest.mark.parametrize(
+    "tag1,tag2,k",
+    [("chi5", "chi5", 4), ("chi3", "chi5", 3), ("chi3", "chi3", 2), ("5:1", "5:1", 4)],
+)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 3))
+def test_h_eval_matches_the_field_expression(tag1, tag2, k, seed, size):
+    # rational S-hat values are combined as Fractions, others in the field;
+    # the pole gamma^-1(inf) takes the branch where gamma a is infinity
+    ctx = ctx_for(tag1, tag2, k)
+    rng = random.Random(seed)
+    gamma = random_gamma0(rng, ctx.n, size)
+    q = ctx.n * rng.randint(1, size)
+    cusps = [Cusp(rng.choice([p for p in range(-q, q) if gcd(p, q) == 1]), q)]
+    if gamma.c:
+        cusps.append(cusp_apply(gamma.inverse(), CUSP_INF))
+    for cusp in cusps:
+        value, expected = dk.h_eval(ctx, gamma, cusp), field_h_eval(ctx, gamma, cusp)
+        assert value.order == expected.order
+        assert value == expected, (gamma, cusp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([9, 12, 15, 20, 21, 25, 28, 32, 35, 49]),
+    a=st.integers(-5000, 5000),
+    size=st.integers(1, 40),
+    sign=st.sampled_from([1, -1]),
+)
+@example(n=9, a=3, size=2, sign=1)  # a N/c = 3/2 lies halfway between the units 1 and 2
+def test_node_unit_is_the_nearest_admissible_unit(n, a, size, sign):
+    # reference: the least distance over a window of 2N + 2 integers, the
+    # lowest t among equals
+    c, an = sign * n * size, a * n
+    t0 = an // c
+    nearest = min(
+        (t for t in range(t0 - n, t0 + n + 2) if gcd(t, n) == 1 and an != c * t),
+        key=lambda t: abs(an - c * t),
+    )
+    assert dk._node_unit(an, c, n) == nearest
 
 
 def ring_order_nodes(ctx: SumContext, gamma: Mat2, count: int) -> list[Cusp]:

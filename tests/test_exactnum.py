@@ -20,6 +20,7 @@ from dedsums.exactnum import (
     CertificateError,
     CyclotomicElement,
     Record,
+    _numerators,
     _zeta_rows,
     cyclotomic_polynomial,
     euler_phi,
@@ -245,6 +246,44 @@ def test_from_terms_matches_long_division(case):
     _, rem = _poly_divmod(raw, cyclotomic_polynomial(m))
     rem = [c / denom for c in rem] + [Fraction(0)] * (euler_phi(m) - len(rem))
     assert CyclotomicElement.from_terms(m, terms, denom).coeffs == tuple(rem)
+
+
+def general_from_terms(order, terms, denom):
+    """Reference: the general route of from_terms at any order, the weights
+    summed per exponent and each sum adding its row of _zeta_rows."""
+    sums = {}
+    for e, w in terms:
+        if w:
+            e %= order
+            sums[e] = sums.get(e, 0) + w
+    nums, den = _numerators(sums.values())
+    rows = _zeta_rows(order)
+    acc = [0] * euler_phi(order)
+    for e, n in zip(sums, nums):
+        if n:
+            for i, x in rows[e]:
+                acc[i] += x * n
+    den *= denom
+    return CyclotomicElement(order, [Fraction(x, den) for x in acc])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    order=st.sampled_from([1, 2]),
+    terms=st.lists(
+        st.tuples(
+            st.integers(-50, 50),
+            st.one_of(st.integers(-1000, 1000), st.fractions(max_denominator=40)),
+        ),
+        max_size=30,
+    ),
+    denom=st.integers(1, 60),
+)
+def test_rational_orders_match_the_general_route(order, terms, denom):
+    # orders 1 and 2 skip the rows: one signed sum of the weights over denom
+    assert CyclotomicElement.from_terms(order, terms, denom).coeffs == general_from_terms(
+        order, terms, denom
+    ).coeffs
 
 
 def test_i_squared_is_minus_one():
