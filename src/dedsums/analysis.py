@@ -53,18 +53,17 @@ class TableCell(Record):
 
 
 class ContainmentReport(Record):
-    _fields = ("pair", "k", "generator_count", "polynomials", "m", "bound")
+    _fields = ("pair", "k", "polynomials", "m", "bound")
 
     def __init__(
         self,
         pair: tuple[str, str],
         k: int,
-        generator_count: int,
         polynomials: list[tuple[Mat2, Poly]],
         m: Fraction,
         bound: Fraction,  # image contained in bound * Z
     ):
-        self._set_fields(pair, k, generator_count, polynomials, m, bound)
+        self._set_fields(pair, k, polynomials, m, bound)
 
     def conjectured_d(self) -> Fraction:
         """The d of the conjectured shapes d*Z and d*Z/q1 for the image.
@@ -166,11 +165,8 @@ def divisibility_tables(j: int, jobs: int = 1, progress=None) -> list[Divisibili
     return tables
 
 
-def poly_space_member(p: Poly, k: int, m: Fraction, q: int) -> bool:
-    """Membership in the space where q^(n+1) a_n lies in m*Z for all n."""
-    if p.weight != k:
-        raise ValueError("polynomial weight does not match k")
-    m = Fraction(m)
+def poly_space_member(p: Poly, m: Fraction, q: int) -> bool:
+    """Membership in the space where q^(n+1) a_n lies in m*Z for all n, at p's weight."""
     for n, a_n in enumerate(p.coeffs):
         if a_n == 0:
             continue
@@ -182,8 +178,9 @@ def poly_space_member(p: Poly, k: int, m: Fraction, q: int) -> bool:
     return True
 
 
-def gamma1_h_table(ctx: SumContext, progress=None) -> list[Poly]:
-    """h on every Schreier generator of Gamma_1(N), in generator order.
+def gamma1_h_table(ctx: SumContext, progress=None) -> list[tuple[list[int], int]]:
+    """h on every Schreier generator of Gamma_1(N), in generator order, as
+    (nums, den): coefficients nums[i]/den, den > 0, gcd(den, *nums) = 1.
 
     The cocycle relation h_(g1 g2) = h_g1|g2 + h_g2 turns each relation
     u_1 ... u_L = I of :func:`modgroup.gamma1_relations` into
@@ -191,12 +188,11 @@ def gamma1_h_table(ctx: SumContext, progress=None) -> list[Poly]:
     So a relation whose generators are all known but one, v, fixes it:
     rotated to end in v, it gives h_v = -(fold of the rest)|v.  The cheapest
     generator no relation has fixed is fitted by ``h_interpolate`` (the finite
-    sum formula, certified at one node), then
-    every relation left with one unknown is used, until all are known.  Each
-    h is an integer vector over one denominator and each slash one integer
-    matrix per generator.  Every relation not used for a derivation must
-    fold to exactly 0, else CertificateError.  ``progress(i, total)`` is
-    called as each h becomes known.
+    sum formula, certified at one node), then every relation left with one
+    unknown is used, until all are known.  Each slash is one integer matrix
+    per generator.  Every relation not used for a derivation must fold to
+    exactly 0, else CertificateError.  ``progress(i, total)`` is called as
+    each h becomes known.
     """
     k = ctx.k
     gens = gamma1_generators(ctx.n)
@@ -258,7 +254,7 @@ def gamma1_h_table(ctx: SumContext, progress=None) -> list[Poly]:
             raise dk.CertificateError(
                 f"the h-table breaks the Gamma_1({ctx.n}) relation {rel} among the generators"
             )
-    return [Poly(k, [Fraction(x, den) for x in nums]) for nums, den in known]
+    return known
 
 
 def containment_m(
@@ -271,12 +267,12 @@ def containment_m(
 
     m is the gcd of all q1^(n+1) a_n over the generators, so every h lies in
     the polynomial space at m and the image of S-tilde on the whole group is
-    contained in (m/q1)*Z.  It is taken in integers: with L the least common
-    denominator of the a_n, m = gcd(q1^(n+1) a_n L)/L, one Fraction in all.
-    Every h must then pass :func:`poly_space_member` at m, else
-    CertificateError.  The h come from :func:`gamma1_h_table`;
-    ``generators`` may list the Schreier generators in any order, and any
-    other list raises ValueError.
+    contained in (m/q1)*Z.  It is taken from the integer vectors
+    (nums, den) of :func:`gamma1_h_table`: with L the lcm of the den,
+    m = gcd(q1^(n+1) nums[n] L/den)/L, one Fraction in all.  Each h then
+    becomes one Poly, which must pass :func:`poly_space_member` at m, else
+    CertificateError.  ``generators`` may list the Schreier generators in
+    any order, and any other list raises ValueError.
     """
     if not ctx.quadratic:
         raise ValueError("the containment computation requires a quadratic pair")
@@ -288,24 +284,20 @@ def containment_m(
             f"generators must be the Schreier generators of Gamma_1({ctx.n}), in any order"
         )
     table = dict(zip(schreier, gamma1_h_table(ctx, progress)))
-    polys = [(gen, table[gen]) for gen in generators]
-    coeffs = [(n, a_n) for _, h in polys for n, a_n in enumerate(h.coeffs)]
-    den = lcm(*(a_n.denominator for _, a_n in coeffs))
-    q1 = ctx.q1
-    m = Fraction(
-        gcd(*(a_n.numerator * q1 ** (n + 1) * (den // a_n.denominator) for n, a_n in coeffs)), den
+    k, q1 = ctx.k, ctx.q1
+    den = lcm(*(d for _, d in table.values()))
+    scaled = (
+        x * q1 ** (n + 1) * (den // d) for nums, d in table.values() for n, x in enumerate(nums)
     )
-    for gen, h in polys:
-        if not poly_space_member(h, ctx.k, m, ctx.q1):
+    m = Fraction(gcd(*scaled), den)
+    polys = []
+    for gen in generators:
+        nums, d = table[gen]
+        h = Poly(k, [Fraction(x, d) for x in nums])
+        if not poly_space_member(h, m, q1):
             raise dk.CertificateError(f"h at {gen} lies outside the polynomial space at m = {m}")
-    return ContainmentReport(
-        pair=pair,
-        k=ctx.k,
-        generator_count=len(generators),
-        polynomials=polys,
-        m=m,
-        bound=m / ctx.q1,
-    )
+        polys.append((gen, h))
+    return ContainmentReport(pair=pair, k=k, polynomials=polys, m=m, bound=m / q1)
 
 
 # -- magnitude bounds --------------------------------------------------------

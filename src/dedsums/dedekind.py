@@ -348,18 +348,18 @@ def sweep_S_tilde_rational(ctx: SumContext, pairs: Sequence[tuple[int, int]]) ->
     of V over r in [0, c), built by :func:`_value_table` from finite
     differences and phi(q1) rotations (no Horner per entry), and the signed
     weights (2j - c) chi2(j) serve every a, and each distinct a mod c is
-    summed once.  The sweep bypasses the memos of the context: it never asks
-    for one c twice, and each table is dropped once its a are summed.
+    summed once, every pair validated before any table is built.  The sweep
+    bypasses the context's memos: it never asks for one c twice, and drops
+    each table once its a are summed.
     """
     if not ctx.quadratic:
         raise ValueError("sweeps are defined for quadratic pairs only")
-    by_c: dict[int, list[int]] = {}
-    for idx, (a, c) in enumerate(pairs):
-        by_c.setdefault(c, []).append(idx)
-    out: list[Fraction] = [Fraction(0)] * len(pairs)
+    by_c: dict[int, dict[int, None]] = {}  # the distinct a mod c under each c
+    for a, c in pairs:
+        by_c.setdefault(c, {})[_validate_pair(ctx, a, c)] = None
+    values: dict[tuple[int, int], Fraction] = {}
     chi2_exps, q2 = ctx.chi2.value_exponents, ctx.q2
-    for c, indices in by_c.items():
-        units = [_validate_pair(ctx, pairs[idx][0], c) for idx in indices]
+    for c, units in by_c.items():
         table, scale = _value_table(ctx, c)
         weights = [
             (j, (2 * j - c) * (-1) ** e2)
@@ -368,13 +368,9 @@ def sweep_S_tilde_rational(ctx: SumContext, pairs: Sequence[tuple[int, int]]) ->
         ]
         ck = c ** (ctx.k - 2)
         denom = c * scale
-        values = {
-            a: Fraction(sum([w * table[j * a % c] for j, w in weights]) * ck, denom)
-            for a in dict.fromkeys(units)
-        }
-        for idx, a in zip(indices, units):
-            out[idx] = values[a]
-    return out
+        for a in units:
+            values[a, c] = Fraction(sum([w * table[j * a % c] for j, w in weights]) * ck, denom)
+    return [values[a % c, c] for a, c in pairs]
 
 
 def sum_S_matrix(ctx: SumContext, gamma: Mat2) -> CyclotomicElement:

@@ -9,7 +9,6 @@ partial quotients.  Matrices are built from integers; the text of a
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -161,50 +160,47 @@ def _gamma1_presentation(n: int) -> tuple[tuple[Mat2, ...], tuple[tuple[int, ...
     """Schreier generators of Gamma_1(N) and the relations among them, from
     one coset walk.
 
-    BFS over S, T, T^-1 from the identity coset; the Schreier generators are
-    r x rep(r x)^-1 for x in S, T in transversal order.  Reidemeister-Schreier:
-    a relator w walked from coset r along those S/T edges reads generators
-    u_1 ... u_L with u_1 ... u_L = r w r^-1 = I (an edge inside the
-    transversal reads I and is dropped).  The walks from every coset, each
-    word kept once up to rotation (at its least rotation), in order of first
-    appearance, present Gamma_1(N) on the Schreier generators.  The walk runs
-    on integer tuples (a, b, c, d); only the generators become Mat2s.
+    BFS over S, T, T^-1 from the identity coset, which labels each S and T
+    edge r -> r x as it crosses it by the Schreier generator r x rep(r x)^-1,
+    numbered in transversal order.  Reidemeister-Schreier: a relator w walked
+    from coset r along those S/T edges reads generators u_1 ... u_L with
+    u_1 ... u_L = r w r^-1 = I (an edge inside the transversal reads I and is
+    dropped).  The walks from every coset, each word kept once up to rotation
+    (at its least rotation), in order of first appearance, present Gamma_1(N)
+    on the Schreier generators.  The walk runs on integer tuples
+    (a, b, c, d); only the generators become Mat2s.
     """
     if n < 5:
         raise ValueError("coset keying by bottom row needs N >= 5 (so -I is not in Gamma_1)")
-    # right cosets Gamma_1(N) g are keyed by the bottom row (c, d) mod N
-    reps: dict[tuple[int, int], tuple[int, int, int, int]] = {(0, 1): (1, 0, 0, 1)}
-    queue = deque(reps.values())
-    while queue:
-        a, b, c, d = queue.popleft()
-        # r S, r T and r T^-1
-        for g in ((b, -a, d, -c), (a, a + b, c, c + d), (a, b - a, c, d - c)):
-            key = (g[2] % n, g[3] % n)
-            if key not in reps:
-                reps[key] = g
-                queue.append(g)
-    if len(reps) != gamma1_index(n):
-        raise CertificateError(f"coset BFS found {len(reps)} cosets of Gamma_1({n}), not the index")
-    position = {key: i for i, key in enumerate(reps)}
+    # right cosets Gamma_1(N) g, keyed by the bottom row (c, d) mod N: (index, rep)
+    cosets = {(0, 1): (0, (1, 0, 0, 1))}
+    queue = [(1, 0, 0, 1)]  # the reps in index order, read as they are appended
     gens: dict[tuple[int, int, int, int], int] = {}
     # edges[2 i + x] is (target coset, generator index) for coset i and letter
     # x; the index is -1 where the edge reads the identity
     edges = []
-    for a, b, c, d in reps.values():
-        for g in ((b, -a, d, -c), (a, a + b, c, c + d)):
+    for a, b, c, d in queue:
+        # r S, r T and r T^-1; the S and T edges are labelled
+        for x, g in enumerate(((b, -a, d, -c), (a, a + b, c, c + d), (a, b - a, c, d - c))):
             key = (g[2] % n, g[3] % n)
-            # u = g rep^-1, with rep^-1 = (d', -b'; -c', a')
-            ra, rb, rc, rd = reps[key]
-            u = (g[0] * rd - g[1] * rc, g[1] * ra - g[0] * rb,
-                 g[2] * rd - g[3] * rc, g[3] * ra - g[2] * rb)
-            label = -1 if u == (1, 0, 0, 1) else gens.setdefault(u, len(gens))
-            edges.append((position[key], label))
+            entry = cosets.get(key)
+            if entry is None:
+                entry = cosets[key] = (len(cosets), g)
+                queue.append(g)
+            if x < 2:
+                # u = g rep^-1, with rep^-1 = (d', -b'; -c', a')
+                target, (ra, rb, rc, rd) = entry
+                u = (g[0] * rd - g[1] * rc, g[1] * ra - g[0] * rb,
+                     g[2] * rd - g[3] * rc, g[3] * ra - g[2] * rb)
+                edges.append((target, -1 if u == (1, 0, 0, 1) else gens.setdefault(u, len(gens))))
+    if len(cosets) != gamma1_index(n):
+        raise CertificateError(f"coset BFS found {len(cosets)} cosets of Gamma_1({n}), not the index")
     generators = tuple(Mat2(*u) for u in gens)
     for u in generators:
         if not in_gamma1(u, n):
             raise CertificateError(f"Schreier generator {u} is not in Gamma_1({n})")
     words: dict[tuple[int, ...], None] = {}
-    for start in range(len(reps)):
+    for start in range(len(cosets)):
         for relator in _RELATORS:
             coset, word = start, []
             for letter in relator:
@@ -239,8 +235,8 @@ def gamma1_relations(n: int) -> tuple[tuple[int, ...], ...]:
 class Poly(Record):
     """Polynomial sum(coeffs[n] x^(k-n-2)) of degree <= k-2.
 
-    coeffs[0] multiplies the top power x^(k-2).  Entries are Fractions or
-    CyclotomicElements (both compare equal to 0 when they vanish).
+    coeffs[0] multiplies the top power x^(k-2).  Fractions and
+    CyclotomicElements (both 0 when they vanish) are kept; ints become Fractions.
     """
 
     _fields = ("weight", "coeffs")
@@ -248,10 +244,9 @@ class Poly(Record):
     def __init__(self, weight: int, coeffs: Sequence):
         if weight < 2:
             raise ValueError("weight must be >= 2")
-        coeffs = list(coeffs)
+        coeffs = [c if isinstance(c, (Fraction, CyclotomicElement)) else Fraction(c) for c in coeffs]
         if len(coeffs) != weight - 1:
             raise ValueError(f"need {weight - 1} coefficients for weight {weight}")
-        coeffs = [c if isinstance(c, CyclotomicElement) else Fraction(c) for c in coeffs]
         self._set_fields(weight, coeffs)
 
     @classmethod

@@ -179,7 +179,7 @@ def test_c3_containment_chi5_pair(containment_reports):
     report(
         "criterion-3 (containment, chi5 pair)",
         ok,
-        f"m = {rep.m}, image inside ({rep.bound})Z from {rep.generator_count} generators",
+        f"m = {rep.m}, image inside ({rep.bound})Z from {len(rep.polynomials)} generators",
     )
 
 

@@ -327,6 +327,41 @@ def test_sweep_matches_sum_S_tilde(chi1, chi2, t, data):
     assert dk.sweep_S_tilde_rational(ctx, [(a, c)]) == [dk.sum_S_tilde(ctx, a, c).rational_value()]
 
 
+@settings(max_examples=40, deadline=None)
+@given(cell=st.sampled_from(TABLE_CELLS), data=st.data())
+def test_sweep_matches_sum_S_tilde_over_mixed_pair_lists(cell, data):
+    # several c interleaved in one list, each pair next to a copy with the
+    # same a mod c and a >= c: the values come back pair by pair, in order
+    ctx = analysis.context_for(*cell)
+    moduli = st.integers(1, 6).map(lambda t: ctx.n * t)
+    pair = moduli.flatmap(
+        lambda c: st.tuples(st.integers(-2 * c, 3 * c).filter(lambda a: gcd(a, c) == 1), st.just(c))
+    )
+    drawn = data.draw(st.lists(pair, min_size=1, max_size=6))
+    pairs = data.draw(st.permutations(drawn + [(a % c + c, c) for a, c in drawn]))
+    values = dk.sweep_S_tilde_rational(ctx, pairs)
+    assert values == [dk.sum_S_tilde(ctx, a, c).rational_value() for a, c in pairs]
+
+
+@pytest.mark.parametrize(
+    "bad", [(3, 9), (1, 10), (1, 0), (1, -9)], ids=["not-coprime", "c-off-level", "c-zero", "c-negative"]
+)
+@pytest.mark.parametrize("at", [0, 7, None], ids=["first", "middle", "last"])
+def test_sweep_validates_every_pair_before_building_a_table(monkeypatch, bad, at):
+    ctx = ctx_for("chi3", "chi3", 2)
+    pairs = list(iter_G_pairs(9, 4))
+    pairs.insert(len(pairs) if at is None else at, bad)
+    with pytest.raises(ValueError) as want:
+        dk.sum_S(ctx, *bad)
+    builds = []
+    value_table = dk._value_table
+    monkeypatch.setattr(dk, "_value_table", lambda ctx, c: builds.append(c) or value_table(ctx, c))
+    with pytest.raises(ValueError) as got:
+        dk.sweep_S_tilde_rational(ctx, pairs)
+    assert str(got.value) == str(want.value)
+    assert builds == []
+
+
 def test_sweep_builds_no_twisted_pieces(monkeypatch):
     # no piece tables, and one scaled polynomial per distinct c
     pieces_calls, poly_calls = [], []

@@ -10,6 +10,7 @@ import pytest
 
 import dedsums
 from dedsums import modgroup
+from dedsums.exactnum import CyclotomicElement
 from dedsums.modgroup import (
     CUSP_INF,
     Cusp,
@@ -279,6 +280,13 @@ def test_poly_slash_right_action():
         p = Poly(k, [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(k - 1)])
         g1, g2 = random_gamma0(rng, 2), random_gamma0(rng, 2)
         assert p.slash(g1).slash(g2) == p.slash(g1 * g2)
+
+
+def test_poly_keeps_exact_coefficients_and_converts_ints():
+    cs = [Fraction(-24, 5), CyclotomicElement.root_of_unity(3), 7]
+    p = Poly(4, cs)
+    assert p.coeffs[0] is cs[0] and p.coeffs[1] is cs[1]
+    assert type(p.coeffs[2]) is Fraction and p.coeffs[2] == 7
 
 
 def test_poly_eval_and_str():
