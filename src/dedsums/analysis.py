@@ -15,7 +15,7 @@ from operator import mul
 from . import dedekind as dk
 from .characters import named_character
 from .dedekind import SumContext
-from .exactnum import Record, _numerators, rational_gcd_set
+from .exactnum import Record, rational_gcd_set
 from .modgroup import (
     Mat2,
     Poly,
@@ -187,8 +187,8 @@ def gamma1_h_table(ctx: SumContext, progress=None) -> list[tuple[list[int], int]
     h_u1|u2...uL + ... + h_uL = 0, folded left to right as acc <- acc|u + h_u.
     So a relation whose generators are all known but one, v, fixes it:
     rotated to end in v, it gives h_v = -(fold of the rest)|v.  The cheapest
-    generator no relation has fixed is fitted by ``h_interpolate`` (the finite
-    sum formula, certified at one node), then every relation left with one
+    generator no relation has fixed is fitted by ``_h_fit`` (the finite sum
+    formula, certified at one node), then every relation left with one
     unknown is used, until all are known.  Each slash is one integer matrix
     per generator.  Every relation not used for a derivation must fold to
     exactly 0, else CertificateError.  ``progress(i, total)`` is called as
@@ -233,12 +233,12 @@ def gamma1_h_table(ctx: SumContext, progress=None) -> list[tuple[list[int], int]
             progress(settled, len(gens))
 
     # roughly the cheapest fits first: a fit's kernel work grows with |c| (its
-    # sums sit at |c|, near |c| and at N; see h_interpolate).  The order only
+    # sums sit at |c|, near |c| and at N; see _h_fit).  The order only
     # moves which generators are fitted and which derived, not the table.
     for g in sorted(range(len(gens)), key=lambda i: abs(gens[i].c) + abs(gens[i].d)):
         if known[g] is not None:
             continue
-        settle(g, *_numerators(dk.h_interpolate(ctx, gens[g]).coeffs))
+        settle(g, *dk._h_fit(ctx, gens[g]))
         while ready:
             r = ready.pop()
             if unknown[r] != 1:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import comb
 
 from .characters import DirichletCharacter
-from .exactnum import CyclotomicElement, lcm
+from .exactnum import CyclotomicElement, _numerators
 
 
 @lru_cache(maxsize=None)
@@ -55,9 +55,8 @@ def periodic_bernoulli(k: int, x) -> Fraction:
 def _int_numerators(k: int) -> tuple[tuple[int, ...], int]:
     """Ascending integer coefficients of L*B_k(x), L the lcm of the
     denominators of B_k(x) = sum C(k,j) B_j x^(k-j)."""
-    coeffs = [comb(k, j) * bernoulli_number(j) for j in range(k, -1, -1)]
-    L = lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (L // c.denominator) for c in coeffs), L
+    nums, L = _numerators([comb(k, j) * bernoulli_number(j) for j in range(k, -1, -1)])
+    return tuple(nums), L
 
 
 @lru_cache(maxsize=None)

@@ -142,13 +142,6 @@ class DirichletCharacter(Record):
     def is_trivial(self) -> bool:
         return all(e == 0 for e in self.exponents)
 
-    def to_json(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "generators": list(self.group.generators),
-            "exponents": list(self.exponents),
-        }
-
 
 def characters_mod(q: int) -> list[DirichletCharacter]:
     """All phi(q) characters mod q in deterministic lexicographic order."""

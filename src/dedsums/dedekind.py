@@ -428,9 +428,9 @@ def _node_unit(an: int, c: int, n: int) -> int:
             return t
 
 
-def h_interpolate(ctx: SumContext, gamma: Mat2) -> Poly:
+def _h_fit(ctx: SumContext, gamma: Mat2) -> tuple[list, int]:
     """The degree <= k-2 polynomial h_gamma from the finite sum formula,
-    certified at one node.
+    certified at one node, as (nums, den): coefficient i is nums[i]/den.
 
     Requires psi(gamma) = 1 (otherwise h is not a polynomial).  For
     gamma = (a b; c d) with c != 0 and e = sign(c),
@@ -438,22 +438,22 @@ def h_interpolate(ctx: SumContext, gamma: Mat2) -> Poly:
         h_gamma(x) = e^k sum over 1 <= r < k of
                      (-1)^r C(k, r)/k S_r(e a, |c|) (e c x + e d)^(k-1-r),
 
-    S_r as in :func:`_mixed_sum`; for c = 0, h = 0.  For a quadratic pair the
-    S_r enter the formula as integer numerators over one denominator, so the
-    coefficients are integers nums[i] over den until the one Poly is built;
-    cyclotomic S_r enter as they are, over den = k.  The certificate: at the
-    node x = gamma^-1(t/N) = p/q = (d t - b N)/(a N - c t), t the unit mod N
-    nearest a N/c with a N != c t, the polynomial must equal :func:`h_eval`
-    exactly, else CertificateError; cleared of denominators, that is
-    h_eval * den * q^(k-2) = sum nums[i] p^(k-2-i) q^i.  An error delta in
-    S_r moves h(x) by delta C(k, r)/k j(gamma, x)^(k-1-r), never 0.
+    S_r as in :func:`_mixed_sum`; for c = 0, h = 0, as ([0] * (k-1), 1).  For
+    a quadratic pair the S_r enter the formula as integer numerators over one
+    denominator, so the nums are integers; cyclotomic S_r enter as they are,
+    over den = k.  The certificate: at the node x = gamma^-1(t/N) = p/q =
+    (d t - b N)/(a N - c t), t the unit mod N nearest a N/c with a N != c t,
+    the polynomial must equal :func:`h_eval` exactly, else CertificateError;
+    cleared of denominators, that is h_eval * den * q^(k-2) =
+    sum nums[i] p^(k-2-i) q^i.  An error delta in S_r moves h(x) by
+    delta C(k, r)/k j(gamma, x)^(k-1-r), never 0.
     """
     if not ctx.psi_is_one(gamma):
         raise ValueError("psi(gamma) != 1: h_gamma is not polynomial")
     k, n = ctx.k, ctx.n
     a, b, c, d = gamma.a, gamma.b, gamma.c, gamma.d
     if c == 0:
-        return Poly.zero(k)
+        return [0] * (k - 1), 1
     e = 1 if c > 0 else -1
     a_red = _validate_pair(ctx, e * a, e * c)
     sums = [_mixed_sum(ctx, a_red, e * c, r) for r in range(1, k)]
@@ -474,6 +474,10 @@ def h_interpolate(ctx: SumContext, gamma: Mat2) -> Poly:
     at_node = sum([x * node.p ** (k - 2 - i) * node.q**i for i, x in enumerate(nums)])
     if h_eval(ctx, gamma, node) * (den * node.q ** (k - 2)) != at_node:
         raise CertificateError(f"h_gamma from the sum formula misses h at the node {node}")
-    if ctx.quadratic:
-        return Poly(k, [Fraction(x, den) for x in nums])
-    return Poly(k, [x / den for x in nums])
+    return nums, den
+
+
+def h_interpolate(ctx: SumContext, gamma: Mat2) -> Poly:
+    """h_gamma as a Poly: the certified fit of :func:`_h_fit`, nums[i]/den."""
+    nums, den = _h_fit(ctx, gamma)
+    return Poly(ctx.k, [x * Fraction(1, den) for x in nums])

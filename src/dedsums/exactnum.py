@@ -279,8 +279,6 @@ class CyclotomicElement:
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             return CyclotomicElement(self.order, [a / q for a in self.coeffs])
-        if isinstance(other, CyclotomicElement) and other.is_rational():
-            return self / other.rational_value()
         return NotImplemented
 
     def __pow__(self, n: int):

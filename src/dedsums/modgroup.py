@@ -83,11 +83,6 @@ class Cusp(Record):
     def is_infinity(self) -> bool:
         return self.q == 0
 
-    def to_fraction(self) -> Fraction:
-        if self.q == 0:
-            raise ValueError("infinity has no rational value")
-        return Fraction(self.p, self.q)
-
     def __str__(self):
         return "inf" if self.q == 0 else f"{self.p}/{self.q}"
 
@@ -254,7 +249,7 @@ class Poly(Record):
         return cls(weight, [Fraction(0)] * (weight - 1))
 
     def eval(self, x):
-        x = Fraction(x) if not isinstance(x, CyclotomicElement) else x
+        x = Fraction(x)
         acc = None
         for c in self.coeffs:
             acc = c if acc is None else acc * x + c

@@ -157,8 +157,9 @@ def test_containment_runs_each_distinct_sum_once(monkeypatch):
     # relations; the 53 fits with c != 0 each take S_1, S_2 and S_3 at their
     # own (a, c) and ask sum_S for the two sums at the certificate node.  The
     # context's memo runs the kernel once per distinct (a mod c, c, r), 209
-    # times, over 65 distinct (c, degree)
-    calls = {"h_interpolate": 0, "sum_S": 0, "_accumulate": 0, "_twisted_pieces": 0}
+    # times, over 65 distinct (c, degree).  The fits reach the table as the
+    # integer vectors of _h_fit; the Poly view h_interpolate is never built
+    calls = {"h_interpolate": 0, "_h_fit": 0, "sum_S": 0, "_accumulate": 0, "_twisted_pieces": 0}
     for name in calls:
         def counted(*args, name=name, original=getattr(dk, name)):
             calls[name] += 1
@@ -166,7 +167,9 @@ def test_containment_runs_each_distinct_sum_once(monkeypatch):
 
         monkeypatch.setattr(dk, name, counted)
     report = containment_m(context_for(("chi5", "chi5"), 4))
-    assert calls == {"h_interpolate": 54, "sum_S": 106, "_accumulate": 209, "_twisted_pieces": 65}
+    assert calls == {
+        "h_interpolate": 0, "_h_fit": 54, "sum_S": 106, "_accumulate": 209, "_twisted_pieces": 65
+    }
     assert len(report.polynomials) == 197
     assert report.m == 6
     text = "\n".join(f"{g} {','.join(map(str, h.coeffs))}" for g, h in report.polynomials)
@@ -206,30 +209,47 @@ def test_cocycle_table_matches_direct_fits(pair, k):
         assert Poly(k, [Fraction(x, den) for x in nums]) == dk.h_interpolate(ctx, gen), gen
 
 
+def test_cocycle_table_takes_the_fits_as_integer_vectors(monkeypatch):
+    # the table fits through _h_fit, so it is the same with no Poly view at all
+    ctx = context_for(("chi5", "chi5"), 4)
+
+    def no_poly_view(*args):
+        raise AssertionError("the h-table built a Poly fit")
+
+    monkeypatch.setattr(dk, "h_interpolate", no_poly_view)
+    table = analysis.gamma1_h_table(ctx)
+    monkeypatch.undo()
+    gens = gamma1_generators(ctx.n)
+    assert len(table) == len(gens) == 197
+    for gen, (nums, den) in zip(gens, table):
+        assert den > 0 and math.gcd(den, *nums) == 1, gen
+        assert Poly(4, [Fraction(x, den) for x in nums]) == dk.h_interpolate(ctx, gen), gen
+
+
 # Corrupts the first fit, the cheapest generator: its h is also fixed by
 # relations through later fits, so the relation certificate sees it.  (A fit
 # on a free basis of the group is pinned by no relation; its own one-node
-# certificate in h_interpolate is what checks it.)
+# certificate in _h_fit is what checks it.)  +den on nums[0] is +1 on the
+# top coefficient.
 CORRUPT_FIRST_FIT = """
 from dedsums import dedekind as dk
-from dedsums.modgroup import Poly
 
-_fit, _target = dk.h_interpolate, []
+_fit, _target = dk._h_fit, []
 
 
 def corrupted(ctx, gamma):
-    h = _fit(ctx, gamma)
+    nums, den = _fit(ctx, gamma)
     if _target in ([], [gamma]):
         _target[:] = [gamma]
-        h = Poly(h.weight, [h.coeffs[0] + 1] + h.coeffs[1:])
-    return h
+        nums = [nums[0] + den] + nums[1:]
+    return nums, den
 """
 
 
 def test_relation_certificate_catches_a_corrupted_fit(monkeypatch):
     scope = {}
     exec(CORRUPT_FIRST_FIT, scope)
-    monkeypatch.setattr(dk, "h_interpolate", scope["corrupted"])
+    monkeypatch.setattr(dk, "_h_fit", scope["corrupted"])
     with pytest.raises(dk.CertificateError):
         containment_m(context_for(("chi5", "chi5"), 4))
 
@@ -240,7 +260,7 @@ def test_relation_certificate_survives_optimize_flag():
         "from dedsums import analysis\n"
         "if __debug__:\n"
         "    sys.exit('not running under -O')\n"
-        "dk.h_interpolate = corrupted\n"
+        "dk._h_fit = corrupted\n"
         "try:\n"
         "    analysis.containment_m(analysis.context_for(('chi5', 'chi5'), 4))\n"
         "except dk.CertificateError:\n"

@@ -289,9 +289,3 @@ def test_unit_group_structure_pow2():
     g = unit_group(16)
     assert sorted(g.orders) == [2, 4]
     assert len(g.dlog) == 8
-
-
-def test_serialization():
-    chi = named_character("chi8a")
-    data = chi.to_json()
-    assert data["modulus"] == 8 and len(data["exponents"]) == len(data["generators"])
