@@ -244,10 +244,6 @@ class Poly(Record):
             raise ValueError(f"need {weight - 1} coefficients for weight {weight}")
         self._set_fields(weight, coeffs)
 
-    @classmethod
-    def zero(cls, weight: int) -> "Poly":
-        return cls(weight, [Fraction(0)] * (weight - 1))
-
     def eval(self, x):
         x = Fraction(x)
         acc = None

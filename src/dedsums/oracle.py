@@ -5,7 +5,9 @@ Eisenstein series times the polynomial (Xz+Y)^(k-2) is
 
     F(z; X, Y) = -2 sum_N sigma(N) e(Nz) sum_n P^(n)(z) / (-2 pi i N)^(n+1),
 
-with sigma(N) the twisted divisor sum of the Fourier coefficients.  Period
+with sigma(N) the twisted divisor sum of the Fourier coefficients, kept as
+tau(N) = sigma(N)/N: that is the coefficient the antiderivative's first pass
+sums, and it is multiplicative with a Hecke recurrence of its own.  Period
 integrals to cusps are assembled from F values at interior points, with legs
 adjacent to a cusp pulled through a scaling matrix (for the infinity orbit)
 or the Fricke flip (for the zero orbit) so every truncated series is
@@ -17,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, compress, cycle, islice, repeat
 from operator import mul, truediv
 
 from .dedekind import SumContext
@@ -92,46 +94,73 @@ class NumericContext:
         return sign * (t1 / t2) * (self.q2 / self.q1) ** (self.k / 2)
 
     def _grow_sigma(self, upto: int):
-        """Extend sigma to at least ``upto`` terms by the Hecke recurrence.
+        """Extend tau(N) = sigma(N)/N to at least ``upto`` terms, in place.
 
-        sigma = chi1 * (conj(chi2) n^(k-1)) is a Dirichlet convolution of two
-        completely multiplicative functions, so with alpha_p = chi1(p) and
-        beta_p = conj(chi2)(p) p^(k-1) (each 0 when p divides its modulus):
-        sigma(p) = alpha_p + beta_p, sigma(pm) = sigma(p) sigma(m) when p does
-        not divide m, and sigma(pm) = sigma(p) sigma(m) - alpha_p beta_p
-        sigma(m/p) when it does.  Each N takes its smallest prime factor p from
-        one sieve, so a build is O(M) products.
+        tau = (chi1(n)/n) * (conj(chi2)(n) n^(k-2)) is a Dirichlet convolution
+        of two completely multiplicative functions, so with alpha_p =
+        chi1(p)/p and beta_p = conj(chi2)(p) p^(k-2) (each 0 when p divides
+        its modulus): tau(p) = alpha_p + beta_p, tau(pm) = tau(p) tau(m) when
+        p does not divide m, and tau(pm) = tau(p) tau(m) - alpha_p beta_p
+        tau(m/p) when it does.  The Python loop runs this recurrence only at
+        N prime to 6, each N taking its smallest prime factor from one sieve.
+        The rest is a wheel over 2 and 3: every N = 3^e m with m = +-1 mod 6,
+        and after those every N = 2^e m with m odd, is tau(p^e) tau(m), one
+        slice product per exponent and residue, with tau(p^e) from the
+        prime-power form of the recurrence.  A build grows the table to
+        max(upto, 2 old, 64) terms, so growing costs O(M) products in all.
         """
         old = len(self._sigma) - 1
         if upto <= old:
             return
-        new_upto = max(upto, 2 * old, 64)
-        spf = _smallest_prime_factors(new_upto)
-        k1 = self.k - 1
+        new = max(upto, 2 * old, 64)
+        k2 = self.k - 2
         q1, q2 = self.q1, self.q2
         alpha = [v or 0j for v in self.chi1]
         beta = [v or 0j for v in self.chi2_bar]
         sig = self._sigma
-        for n in range(old + 1, new_upto + 1):
+        sig.extend(repeat(0j, new - old))
+        spf = _smallest_prime_factors(new)
+        wheel = islice(cycle(_WHEEL), (old + 1) % 6, None)
+        for n in compress(range(old + 1, new + 1), wheel):
             p = spf[n]
             if not p:
-                sig.append(alpha[n % q1] + beta[n % q2] * float(n) ** k1)
+                sig[n] = alpha[n % q1] / n + beta[n % q2] * float(n) ** k2
                 continue
             m = n // p
             if m % p:
-                sig.append(sig[p] * sig[m])
+                sig[n] = sig[p] * sig[m]
             else:
-                hecke = alpha[p % q1] * beta[p % q2] * float(p) ** k1
-                sig.append(sig[p] * sig[m] - hecke * sig[m // p])
+                hecke = alpha[p % q1] * beta[p % q2] * float(p) ** (k2 - 1)
+                sig[n] = sig[p] * sig[m] - hecke * sig[m // p]
+        for p, step, residues in ((3, 6, (1, 5)), (2, 2, (1,))):
+            a_p, b_p = alpha[p % q1] / p, beta[p % q2] * float(p) ** k2
+            prev, cur = 1 + 0j, a_p + b_p  # tau(p^(e-1)), tau(p^e)
+            pe = p
+            while pe <= new:
+                for r in residues:
+                    # m = r mod step with old < m p^e <= new
+                    m0 = old // pe + 1
+                    m0 += (r - m0) % step
+                    sources = sig[m0 : new // pe + 1 : step]
+                    sig[m0 * pe :: step * pe] = map(mul, repeat(cur), sources)
+                prev, cur = cur, (a_p + b_p) * cur - a_p * b_p * prev
+                pe *= p
+
+
+# n mod 6 prime to 6
+_WHEEL = (False, True, False, False, False, True)
 
 
 def _smallest_prime_factors(n: int) -> list[int]:
-    """spf[m] for composite m <= n, and 0 at 0, 1 and the primes."""
+    """spf[m] for composite m <= n prime to 6, and 0 at the primes past 3;
+    entries at multiples of 2 or 3 mean nothing."""
     spf = [0] * (n + 1)
     # largest p first: a composite p marks only multiples of its smallest
-    # prime factor, which marks them again after it
-    for p in range(math.isqrt(n), 1, -1):
-        spf[p * p :: p] = [p] * ((n - p * p) // p + 1)
+    # prime factor, which marks them again after it; p odd, so p^2 + 2jp
+    # are the odd multiples
+    for p in range(math.isqrt(n), 4, -1):
+        if p % 2 and p % 3:
+            spf[p * p :: 2 * p] = [p] * ((n - p * p) // (2 * p) + 1)
     return spf
 
 
@@ -183,7 +212,9 @@ def _tail_terms(
     such majorant is non-increasing in M (its ratio falls with M, and it is
     infinite while the ratio is near 1), so after growing M by half at a
     time until the bound holds, a bisection finds the least such M.  No M
-    above ``cap`` is tried: if tail_at(cap) misses tol, it raises.
+    above ``cap`` is tried: if tail_at(cap) misses tol, it raises.  It also
+    raises where the bound overflows the floats (N^(k-2-n) past the float
+    range, as at k around 100), since no float M is proven there.
     """
     if y <= 0:
         raise ValueError("evaluation point must be in the upper half plane")
@@ -196,6 +227,9 @@ def _tail_terms(
         passes = [(None, weights[0])] if weights[0] else []  # h_0(N) = 1 + ln N
     top = max((p for p, _ in passes if p is not None), default=0)
 
+    def overflow(m: int) -> TruncationError:
+        return TruncationError(f"the tail bound at {m} terms overflows the float range at weight {k}")
+
     def tail_at(m: int) -> float:
         total = 0.0
         lead = x ** (m + 1)
@@ -203,11 +237,16 @@ def _tail_terms(
             if power is None:
                 h1, h2 = 1 + math.log(m + 1), 1 + math.log(m + 2)
             else:
-                h1, h2 = float(m + 1) ** power, float(m + 2) ** power
+                try:
+                    h1, h2 = float(m + 1) ** power, float(m + 2) ** power
+                except OverflowError:
+                    raise overflow(m) from None
             ratio = x * h2 / h1
             if ratio >= 0.9999:
                 return math.inf
             total += w * h1 * lead / (1 - ratio)
+        if math.isnan(total):  # w_n h_n(M+1) overflowed to inf where x^(M+1) fell to 0
+            raise overflow(m)
         return const * total
 
     lo, m = 7, min(max(8, int(top / (2 * math.pi * y))), cap)
@@ -232,11 +271,11 @@ def _tail_terms(
     return m, tail_at(m)
 
 
-def _series_terms(nctx: NumericContext, z: complex, terms: int) -> list[complex]:
-    """sigma(N) e(Nz) for N = 1..terms."""
+def _series_terms(nctx: NumericContext, z: complex, terms: int):
+    """tau(N) e(Nz) for N = 1..terms, as an iterator."""
     nctx._grow_sigma(terms)
     powers = accumulate(repeat(cmath.exp(TWO_PI_I * z), terms), mul)
-    return list(map(mul, islice(nctx._sigma, 1, terms + 1), powers))
+    return map(mul, islice(nctx._sigma, 1, terms + 1), powers)
 
 
 def _ldexp(c: complex, e: int) -> complex:
@@ -251,9 +290,11 @@ def antiderivative_at(
 
     Normalized so F -> 0 towards i*infinity; integrals over vertical paths are
     plain differences of F values.  The sum over n comes out of the sum over
-    N: pass n divides sigma(N) e(Nz) by N once more and sums it, so F is
-    -2 sum_n P^(n)(z) / (-2 pi i)^(n+1) sum_N sigma(N) e(Nz) / N^(n+1).
-    When X = 0 every P^(n) with n >= 1 vanishes, so one pass is exact.  The
+    N: F is -2 sum_n P^(n)(z) / (-2 pi i)^(n+1) sum_N tau(N) e(Nz) / N^n with
+    tau(N) = sigma(N)/N, so pass 0 sums tau(N) e(Nz) as it is and each later
+    pass divides the previous one by N once more.  Only a pass that a later
+    one reads is kept as a list.  When X = 0 every P^(n) with n >= 1
+    vanishes, so one pass, with no list, is exact.  The
     series is cut where its tail is below policy.tol / 4.  F is homogeneous
     of degree k-2 in (X, Y), so the passes run on (X, Y) / 2^e with
     max(|X|, |Y|) in [1/2, 1).  Scaling by a power of two is exact, so only
@@ -269,8 +310,12 @@ def antiderivative_at(
     x, y = _ldexp(x, -shift), _ldexp(y, -shift)
     total = 0j
     fac = 1.0  # P^(n)(z) = (k-2)...(k-1-n) x^n (xz+y)^(k-2-n)
-    for n in range(k - 1 if x else 1):
-        series = list(map(truediv, series, range(1, terms + 1)))
+    last = k - 2 if x else 0
+    for n in range(last + 1):
+        if n:
+            series = map(truediv, series, range(1, terms + 1))
+        if n < last:
+            series = list(series)  # the next pass reads it again
         total += fac * x**n * (x * z + y) ** (k - 2 - n) / (-TWO_PI_I) ** (n + 1) * sum(series)
         fac *= k - 2 - n
     return -2 * _ldexp(total, shift * (k - 2))

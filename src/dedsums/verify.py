@@ -170,8 +170,10 @@ def suite_periodicity(seed: int, tol: float) -> tuple[bool, str]:
 
 
 def suite_oracle(seed: int, tol: float) -> tuple[bool, str]:
-    """Exact finite sum vs the truncated period integral, 100 seeded draws."""
+    """Exact finite sum vs the truncated period integral, 100 seeded draws,
+    each check passed below min(tol, 1e-8)."""
     rng = random.Random(seed)
+    gate = min(tol, 1e-8)
     pool = [
         ("chi3", "chi3"), ("chi3", "chi4"), ("chi4", "chi3"), ("chi4", "chi4"),
         ("chi3", "chi7"), ("chi7", "chi3"), ("chi5", "chi5"),
@@ -195,7 +197,7 @@ def suite_oracle(seed: int, tol: float) -> tuple[bool, str]:
         a, c = (gamma.a, gamma.c) if gamma.c > 0 else (-gamma.a, -gamma.c)
         residual, numeric = oracle_residual(nctx, a, c, tol)
         worst = max(worst, residual)
-        if residual >= 1e-8:
+        if residual >= gate:
             return False, f"oracle disagreement {residual:.2e} at {pair} k={k} {gamma}"
         if i % 25 == 0:
             # independence of the interior split point
@@ -204,7 +206,7 @@ def suite_oracle(seed: int, tol: float) -> tuple[bool, str]:
                 nctx, gamma, 1.0, -a / c, policy.for_factor(scale),
                 z1=(2j - gamma.d) / gamma.c if gamma.c > 0 else (2j + gamma.d) / -gamma.c,
             )
-            if abs(numeric - shifted) >= 1e-8:
+            if abs(numeric - shifted) >= gate:
                 return False, f"z1 dependence {abs(numeric - shifted):.2e} at {gamma}"
     return True, f"100 draws, worst residual {worst:.2e}"
 
@@ -255,7 +257,7 @@ def suite_reciprocity_numeric(seed: int, tol: float) -> tuple[bool, str]:
                 exact = shat_at_zero(ctx).to_complex()
                 numeric = oc.shat_numeric(oc.numeric_context(ctx), Cusp(0, 1), policy)
                 worst = max(worst, abs(exact - numeric))
-                if abs(exact - numeric) >= 1e-8:
+                if abs(exact - numeric) >= min(tol, 1e-8):
                     return False, f"S-hat(0) mismatch at {pair} k={k}"
     return True, f"{checks} reciprocity samples; S-hat(0) worst residual {worst:.2e}"
 

@@ -116,7 +116,7 @@ def test_poly_space_member_examples():
     assert poly_space_member(p, Fraction(6), 5)
     big = Poly(4, [-5340, Fraction(4176, 5), Fraction(-816, 25)])
     assert poly_space_member(big, Fraction(6), 5)
-    assert poly_space_member(Poly.zero(4), Fraction(17), 9)
+    assert poly_space_member(Poly(4, [0] * 3), Fraction(17), 9)
     assert not poly_space_member(p, Fraction(25), 5)
 
 

@@ -248,12 +248,16 @@ def test_oracle_truncation_is_domain_error(monkeypatch):
     def give_up(*args, **kwargs):
         raise oracle.TruncationError("tail estimate above tolerance at the term cap")
 
-    monkeypatch.setattr(oracle, "shat_numeric", give_up)
-    code, out, err = run_cli("sum", "--pair", "chi3,chi3", "--k", "2", "--a", "1", "--c", "9", "--oracle")
-    assert code == cli.EXIT_DOMAIN
-    assert out.startswith("S = ")
-    assert len(err.strip().splitlines()) == 1
-    assert "Traceback" not in err
+    with monkeypatch.context() as patched:
+        patched.setattr(oracle, "shat_numeric", give_up)
+        given_up = run_cli("sum", "--pair", "chi3,chi3", "--k", "2", "--a", "1", "--c", "9", "--oracle")
+    # the tail bound's N^(k-2) overflows the floats before it meets the tolerance
+    overflowed = run_cli("sum", "--pair", "chi3,chi4", "--k", "106", "--a", "1", "--c", "12", "--oracle")
+    for code, out, err in (given_up, overflowed):
+        assert code == cli.EXIT_DOMAIN
+        assert out.startswith("S = ")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
 
 
 SUM_ORACLE = ["sum", "--pair", "chi3,chi3", "--k", "2", "--a", "1", "--c", "9", "--oracle"]
@@ -266,6 +270,14 @@ def test_loose_tol_does_not_loosen_the_series(tol):
     assert code == cli.EXIT_OK
     residual = float(out.splitlines()[-1].split("=")[1])
     assert residual < 1e-8
+
+
+@pytest.mark.parametrize("suite", ["oracle", "reciprocity-numeric"])
+def test_tight_tol_fails_the_numeric_suites(suite):
+    # both suites pass a check only below min(--tol, 1e-8); rounding alone is above 1e-15
+    code, out, _ = run_cli("verify", "--suite", suite, "--tol", "1e-15")
+    assert code == cli.EXIT_CHECK_FAILED
+    assert out.startswith(f"FAIL {suite}: ")
 
 
 @pytest.mark.parametrize(

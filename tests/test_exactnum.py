@@ -175,7 +175,7 @@ def test_value_type_equality_is_per_class():
 # Poly, most of which hold lists or dicts and so have no hash
 REPORTS_AND_POLY = [
     TableCell(r=Fraction(4, 3), display="4/3", count=17, seconds=0.25),
-    ContainmentReport(("chi5", "chi5"), 4, [(Mat2(1, 0, 0, 1), Poly.zero(4))], Fraction(6), Fraction(6, 5)),
+    ContainmentReport(("chi5", "chi5"), 4, [(Mat2(1, 0, 0, 1), Poly(4, [0] * 3))], Fraction(6), Fraction(6, 5)),
     DivisibilityTable([("chi3", "chi3")], (2,)),
     BoundReport(count=3, max_ratio=0.5, trivial_bound_ok=True, delta_ok=True, exceptional=[0]),
     Poly(3, [1, 2]),

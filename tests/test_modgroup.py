@@ -293,7 +293,7 @@ def test_poly_eval_and_str():
     p = Poly(4, [Fraction(-24, 5), Fraction(-96, 5), Fraction(-96, 5)])
     assert p.eval(1) == Fraction(-216, 5)
     assert str(p) == "-24/5*x^2 - 96/5*x - 96/5"
-    assert str(Poly.zero(5)) == "0"
+    assert str(Poly(5, [0] * 4)) == "0"
 
 
 # -- continued fractions -------------------------------------------------------

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,7 +25,7 @@ def eisenstein_eval(nctx, z, policy=oc.DEFAULT_POLICY):
     bound oracle._tail_terms uses when given k + 2 and the one weight 1.
     """
     terms, _ = oc._tail_terms(z.imag, nctx.k + 2, policy.tol * 0.5, (1.0,), policy.n_cap)
-    return 2 * sum(oc._series_terms(nctx, z, terms))
+    return 2 * sum(map(mul, oc._series_terms(nctx, z, terms), range(1, terms + 1)))
 
 
 def antiderivative_segment(nctx, s, s2, x, y, policy=oc.DEFAULT_POLICY):
@@ -309,9 +310,10 @@ def _integral_to_cusp(nctx, cusp, y_val, policy):
 
 
 def sigma(nctx, n):
-    """sum over A | n of chi1(A) conj(chi2)(n/A) (n/A)^(k-1), as the series reads it."""
+    """sum over A | n of chi1(A) conj(chi2)(n/A) (n/A)^(k-1), from the table of
+    tau(n) = sigma(n)/n that the series reads."""
     nctx._grow_sigma(n)
-    return nctx._sigma[n]
+    return n * nctx._sigma[n]
 
 
 def old_sigma(nctx, upto):
@@ -406,6 +408,17 @@ def numeric_contexts(draw, pool=PRIME_POWER_CHARACTERS, ks=range(2, 10)):
     return oc.NumericContext(dk.SumContext(chi1, chi2, k))
 
 
+def prime_power_context(q1, q2, k):
+    """A pool pair with moduli q1 and q2 and the parity of k."""
+    return next(
+        oc.NumericContext(dk.SumContext(chi1, chi2, k))
+        for chi1 in PRIME_POWER_CHARACTERS
+        if chi1.modulus == q1
+        for chi2 in PRIME_POWER_CHARACTERS
+        if chi2.modulus == q2 and parity(chi1) * parity(chi2) == (-1) ** k
+    )
+
+
 def test_prime_power_pool_covers_the_moduli():
     assert {chi.modulus for chi in PRIME_POWER_CHARACTERS} == {4, 8, 9, 25, 27}
     assert max(chi.order for chi in PRIME_POWER_CHARACTERS) > 2
@@ -413,6 +426,12 @@ def test_prime_power_pool_covers_the_moduli():
 
 @settings(max_examples=60, deadline=None)
 @given(nctx=numeric_contexts(), upto=st.integers(1, 3000), first=st.integers(1, 3000))
+# the wheel's slices at 2 * 3^5, 2^11 and 3^7, where alpha_p or beta_p
+# vanishes at p = 2 or 3 (p divides the modulus of chi1 or of chi2)
+@example(nctx=prime_power_context(4, 9, 3), upto=486, first=100)
+@example(nctx=prime_power_context(27, 8, 4), upto=2048, first=700)
+@example(nctx=prime_power_context(9, 4, 5), upto=2187, first=1000)
+@example(nctx=prime_power_context(8, 27, 2), upto=2187, first=64)
 def test_hecke_sigma_matches_divisor_loop(nctx, upto, first):
     reference = old_sigma(nctx, upto)
     for n in range(1, upto + 1):
@@ -459,6 +478,9 @@ QUADRATIC_AND_MIXED = [named_character(t) for t in ("chi3", "chi4", "chi5", "chi
     height=0.29787316569668726,
     xy=(0.0, 0.0, 1.3043959101e-313),
 )
+# one pass and no list at k = 2 with X = 0; eight passes at k = 9
+@example(nctx=oc.NumericContext(ctx_for("chi3", "chi3", 2)), re_z=0.125, height=0.03, xy=(0.0, 0.0, 0.7))
+@example(nctx=oc.NumericContext(ctx_for("chi3", "chi5", 9)), re_z=0.3, height=0.1, xy=(1.3, -0.4, 0.6))
 def test_antiderivative_matches_per_term_loop(nctx, re_z, height, xy):
     z = complex(re_z, height)
     x, y = complex(xy[0], xy[1]), xy[2]
@@ -495,6 +517,15 @@ def test_tail_terms_is_least_and_bounds_the_tail(nctx, re_z, height, xy, tol):
         inner = sum(d / denom ** (n + 1) for n, d in enumerate(derivs))
         past += abs(2 * sigma(nctx, big) * cmath.exp(2j * math.pi * big * z) * inner)
     assert past <= tail
+
+
+@pytest.mark.parametrize("k, y, b", [(100, 0.3, 10.0), (60, 0.05, 100.0), (100, 0.05, 1.0)])
+def test_tail_terms_raises_where_the_bound_overflows(k, y, b):
+    # w_n h_n(M+1) overflows while x^(M+1) underflows (a NaN bound), or
+    # h_n(M+1) = (M+1)^(k-2-n) itself passes the float range
+    weights = oc._poly_weight(k, complex(0, y), 1.0, b)
+    with pytest.raises(oc.TruncationError, match="overflows the float range"):
+        oc._tail_terms(y, k, 1e-9, weights, 400_000)
 
 
 PRIMITIVE_UP_TO_32 = [chi for q in range(1, 33) for chi in characters_mod(q) if is_primitive(chi)]
