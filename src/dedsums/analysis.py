@@ -48,22 +48,11 @@ ODD_WEIGHTS = (3, 5, 7, 9)
 class TableCell(Record):
     _fields = ("r", "display", "count", "seconds")
 
-    def __init__(self, r: Fraction, display: str, count: int, seconds: float):
-        self._set_fields(r, display, count, seconds)
-
 
 class ContainmentReport(Record):
-    _fields = ("pair", "k", "polynomials", "m", "bound")
+    """The generator polynomials, their scale m, and ``bound``: the image lies in bound * Z."""
 
-    def __init__(
-        self,
-        pair: tuple[str, str],
-        k: int,
-        polynomials: list[tuple[Mat2, Poly]],
-        m: Fraction,
-        bound: Fraction,  # image contained in bound * Z
-    ):
-        self._set_fields(pair, k, polynomials, m, bound)
+    _fields = ("pair", "k", "polynomials", "m", "bound")
 
     def conjectured_d(self) -> Fraction:
         """The d of the conjectured shapes d*Z and d*Z/q1 for the image.
@@ -121,14 +110,6 @@ def _compute_spec(spec: tuple[tuple[str, str], int, int]) -> TableCell:
 class DivisibilityTable(Record):
     _fields = ("pairs", "weights", "cells")
 
-    def __init__(
-        self,
-        pairs: list[tuple[str, str]],
-        weights: tuple[int, ...],
-        cells: dict[tuple[tuple[str, str], int], TableCell] | None = None,
-    ):
-        self._set_fields(pairs, weights, {} if cells is None else cells)
-
     def display_rows(self) -> list[list[str]]:
         rows = []
         for k in self.weights:
@@ -139,9 +120,9 @@ class DivisibilityTable(Record):
 def divisibility_tables(j: int, jobs: int = 1, progress=None) -> list[DivisibilityTable]:
     """All three divisibility tables at sweep radius j."""
     tables = [
-        DivisibilityTable(TABLE1_PAIRS, EVEN_WEIGHTS),
-        DivisibilityTable(TABLE2_PAIRS, EVEN_WEIGHTS),
-        DivisibilityTable(TABLE3_PAIRS, ODD_WEIGHTS),
+        DivisibilityTable(TABLE1_PAIRS, EVEN_WEIGHTS, {}),
+        DivisibilityTable(TABLE2_PAIRS, EVEN_WEIGHTS, {}),
+        DivisibilityTable(TABLE3_PAIRS, ODD_WEIGHTS, {}),
     ]
     slots = [
         (table, (pair, k, j)) for table in tables for k in table.weights for pair in table.pairs
@@ -313,17 +294,11 @@ def trivial_bound(ctx: SumContext, c: int) -> float:
 
 
 class BoundReport(Record):
-    _fields = ("count", "max_ratio", "trivial_bound_ok", "delta_ok", "exceptional")
+    """``count`` matrices swept; ``max_ratio`` the largest |S| / (M(a/c') log^2 c');
+    ``delta_ok`` whether |M(a/c') - M(d/c')| <= 1 at every a/c, d = a^-1 mod c;
+    ``exceptional`` the L(alpha, C), one per alpha given to bound_statistics."""
 
-    def __init__(
-        self,
-        count: int,  # matrices swept
-        max_ratio: float,  # largest |S| / (M(a/c') log^2 c')
-        trivial_bound_ok: bool,
-        delta_ok: bool,  # |M(a/c') - M(d/c')| <= 1 at every a/c, d = a^-1 mod c
-        exceptional: list[int],  # L(alpha, C), one per alpha given to bound_statistics
-    ):
-        self._set_fields(count, max_ratio, trivial_bound_ok, delta_ok, exceptional)
+    _fields = ("count", "max_ratio", "trivial_bound_ok", "delta_ok", "exceptional")
 
 
 # significant digits of the first bracket on ln C, and of the last one that

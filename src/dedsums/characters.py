@@ -94,7 +94,7 @@ class DirichletCharacter(Record):
         group = unit_group(modulus)
         if len(exponents) != len(group.orders):
             raise ValueError("exponent vector does not match the group structure")
-        self._set_fields(modulus, tuple(e % d for e, d in zip(exponents, group.orders)))
+        super().__init__(modulus, tuple(e % d for e, d in zip(exponents, group.orders)))
 
     @property
     def group(self) -> UnitGroup:

@@ -242,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     # no sum has a weight below 2, and G_j is empty below j = 2
     weight = radius = _argtype(int, lambda n: n >= 2, "at least 2")
     tol = _argtype(float, lambda t: 0 < t < math.inf, "a positive finite number")
-    pair = _argtype(_pair)
     workers = _argtype(int, lambda n: n >= 1, "at least 1")
     parser = _Parser(
         prog="dedsums",
@@ -251,10 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
         "and numeric cross-checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options of every command that takes one pair of characters and a weight
+    paired = argparse.ArgumentParser(add_help=False)
+    paired.add_argument(
+        "--pair", type=_argtype(_pair), required=True, help="chi3,chi7 or generic q:index,q:index"
+    )
+    paired.add_argument("--k", type=weight, required=True)
 
-    p = sub.add_parser("sum", help="one exact sum S(a, c)")
-    p.add_argument("--pair", type=pair, required=True, help="chi3,chi7 or generic q:index,q:index")
-    p.add_argument("--k", type=weight, required=True)
+    p = sub.add_parser("sum", parents=[paired], help="one exact sum S(a, c)")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--tilde", action="store_true", help="also print c^(k-2) S")
@@ -266,12 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j", type=radius, default=50)
     p.add_argument("--format", choices=("pretty", "csv", "json"), default="pretty")
     p.add_argument("--jobs", type=workers, default=1, help="worker processes")
-    p.add_argument("--timings", action="store_true", help="include wall times (breaks byte-identical output)")
+    p.add_argument("--timings", action="store_true", help="seconds in csv and json output (not byte-identical)")
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("hpoly", help="the polynomial h_gamma from the finite sum formula")
-    p.add_argument("--pair", type=pair, required=True)
-    p.add_argument("--k", type=weight, required=True)
+    p = sub.add_parser("hpoly", parents=[paired], help="the polynomial h_gamma from the finite sum formula")
     p.add_argument("--matrix", type=_matrix, required=True, help='e.g. "[[51,104],[25,51]]"')
     p.set_defaults(func=cmd_hpoly)
 
@@ -279,15 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_gens)
 
-    p = sub.add_parser("contain", help="containment scale m from a generating set")
-    p.add_argument("--pair", type=pair, required=True)
-    p.add_argument("--k", type=weight, required=True)
+    p = sub.add_parser("contain", parents=[paired], help="containment scale m from a generating set")
     p.add_argument("--polys", action="store_true", help="print every generator polynomial")
     p.set_defaults(func=cmd_contain)
 
-    p = sub.add_parser("bounds", help="magnitude-bound sweep up to C")
-    p.add_argument("--pair", type=pair, required=True)
-    p.add_argument("--k", type=weight, required=True)
+    p = sub.add_parser("bounds", parents=[paired], help="magnitude-bound sweep up to C")
     p.add_argument("--cmax", type=int, default=500)
     p.add_argument("--alpha", type=_argtype(float, math.isfinite, "finite"), nargs="*", default=[1.0])
     p.set_defaults(func=cmd_bounds)
@@ -298,9 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=tol, default=1e-6)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("plotdata", help="scatter data of S-hat over the cusp family")
-    p.add_argument("--pair", type=pair, required=True)
-    p.add_argument("--k", type=weight, required=True)
+    p = sub.add_parser("plotdata", parents=[paired], help="scatter data of S-hat over the cusp family")
     p.add_argument("--j", type=radius, default=15)
     p.set_defaults(func=cmd_plotdata)
 
@@ -330,7 +325,7 @@ def main(argv=None) -> int:
     except dk.CertificateError as exc:
         print(f"certificate failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

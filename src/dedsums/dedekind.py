@@ -63,7 +63,7 @@ class SumContext(Record):
     _fields = ("chi1", "chi2", "k")
 
     def __init__(self, chi1: DirichletCharacter, chi2: DirichletCharacter, k: int):
-        self._set_fields(chi1, chi2, k)
+        super().__init__(chi1, chi2, k)
         if self.k < 2:
             raise ValueError("weight k must be >= 2")
         for chi in (self.chi1, self.chi2):

@@ -23,16 +23,21 @@ class CertificateError(AssertionError):
 
 
 class Record:
-    """A plain class with the attributes named in ``_fields``, set once by each
-    subclass's ``__init__`` through ``_set_fields``: equality (within one
-    class), the hash and the repr read them in that order, and assignment or
-    deletion raises AttributeError."""
+    """A plain class with the attributes named in ``_fields``, bound once by the
+    constructor from positional values, then keywords, in that order: equality
+    (within one class), the hash and the repr read them in that order, and
+    assignment or deletion raises AttributeError."""
 
     _fields: tuple[str, ...] = ()
 
-    def _set_fields(self, *values):
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named or len(values) != len(fields):
+            rest = fields[len(values):]
+            if len(values) > len(fields) or named.keys() != set(rest):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+            values += tuple([named[name] for name in rest])
+        self.__dict__.update(zip(fields, values))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

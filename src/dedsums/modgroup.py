@@ -24,7 +24,7 @@ class Mat2(Record):
     _fields = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
-        self._set_fields(a, b, c, d)
+        super().__init__(a, b, c, d)
         if a * d - b * c != 1:
             raise ValueError(f"determinant of {self} is not 1")
 
@@ -74,7 +74,7 @@ class Cusp(Record):
             g = gcd(p, q) if q > 0 else -gcd(p, q)
             p //= g
             q //= g
-        self._set_fields(p, q)
+        super().__init__(p, q)
 
     @classmethod
     def infinity(cls) -> "Cusp":
@@ -242,7 +242,7 @@ class Poly(Record):
         coeffs = [c if isinstance(c, (Fraction, CyclotomicElement)) else Fraction(c) for c in coeffs]
         if len(coeffs) != weight - 1:
             raise ValueError(f"need {weight - 1} coefficients for weight {weight}")
-        self._set_fields(weight, coeffs)
+        super().__init__(weight, coeffs)
 
     def eval(self, x):
         x = Fraction(x)

@@ -39,16 +39,13 @@ class TruncationPolicy(Record):
     _fields = ("tol",)
     n_cap = 400_000
 
-    def __init__(self, tol: float = 1e-8):
-        self._set_fields(tol)
-
     def for_factor(self, factor: complex) -> "TruncationPolicy":
         """The budget of a value that is about to be multiplied by ``factor``:
         tol / |factor| when |factor| > 1, so the product keeps ``tol``."""
         return TruncationPolicy(self.tol / max(1.0, abs(factor)))
 
 
-DEFAULT_POLICY = TruncationPolicy()
+DEFAULT_POLICY = TruncationPolicy(1e-8)
 
 
 class NumericContext:

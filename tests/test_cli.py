@@ -167,6 +167,18 @@ def test_contain_failed_certificate_exit_code(monkeypatch):
     assert "certificate" in err
 
 
+def test_internal_key_error_is_not_a_domain_error(monkeypatch):
+    # no input reaches a KeyError, so one raised inside a command is a bug
+    from dedsums import analysis
+
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(analysis, "containment_m", broken)
+    with pytest.raises(KeyError):
+        run_cli("contain", "--pair", "chi3,chi3", "--k", "2")
+
+
 def test_bounds_command():
     code, out, _ = run_cli("bounds", "--pair", "chi3,chi3", "--k", "2", "--cmax", "100", "--alpha", "0.5")
     assert code == cli.EXIT_OK

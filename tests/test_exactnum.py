@@ -148,7 +148,7 @@ VALUE_TYPE_PAIRS = [
         SumContext(chi1=DirichletCharacter(5, (2,)), chi2=named_character("chi5"), k=4),
         "k",
     ),
-    (TruncationPolicy(), TruncationPolicy(tol=1e-8), "tol"),
+    (TruncationPolicy(1e-8), TruncationPolicy(tol=1e-8), "tol"),
 ]
 
 
@@ -176,7 +176,7 @@ def test_value_type_equality_is_per_class():
 REPORTS_AND_POLY = [
     TableCell(r=Fraction(4, 3), display="4/3", count=17, seconds=0.25),
     ContainmentReport(("chi5", "chi5"), 4, [(Mat2(1, 0, 0, 1), Poly(4, [0] * 3))], Fraction(6), Fraction(6, 5)),
-    DivisibilityTable([("chi3", "chi3")], (2,)),
+    DivisibilityTable([("chi3", "chi3")], (2,), {}),
     BoundReport(count=3, max_ratio=0.5, trivial_bound_ok=True, delta_ok=True, exceptional=[0]),
     Poly(3, [1, 2]),
 ]
@@ -188,6 +188,24 @@ def test_every_record_class_is_covered():
 
     covered = [x for x, _, _ in VALUE_TYPE_PAIRS] + REPORTS_AND_POLY
     assert {type(x) for x in covered} == subclasses(Record) - {Record}
+
+
+ALL_RECORDS = [x for x, _, _ in VALUE_TYPE_PAIRS] + REPORTS_AND_POLY
+
+
+@pytest.mark.parametrize("x", ALL_RECORDS, ids=[type(x).__name__ for x in ALL_RECORDS])
+def test_every_record_binds_its_fields_by_position_or_keyword(x):
+    cls, fields, values = type(x), x._fields, x._values()
+    assert cls(*values) == x and cls(**dict(zip(fields, values))) == x
+    assert cls(values[0], **dict(zip(fields[1:], values[1:]))) == x
+    with pytest.raises(TypeError, match=cls.__name__):  # missing
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match=cls.__name__):  # unknown
+        cls(*values, extra=1)
+    with pytest.raises(TypeError, match=cls.__name__):  # one value too many
+        cls(*values, values[0])
+    with pytest.raises(TypeError, match=cls.__name__):  # repeated
+        cls(*values, **{fields[0]: values[0]})
 
 
 @pytest.mark.parametrize("x", REPORTS_AND_POLY, ids=[type(x).__name__ for x in REPORTS_AND_POLY])
