@@ -85,13 +85,19 @@ def context_for(pair: tuple[str, str], k: int) -> SumContext:
 
 
 def image_scale(ctx: SumContext, j: int) -> TableCell:
-    """Largest r with S-tilde(G_j(q1 q2)) inside r*Z."""
+    """Largest r with S-tilde(G_j(q1 q2)) inside r*Z: the rational gcd of one
+    Fraction g_c c^(k-2)/den per c, g_c the gcd of the sums n_a of
+    :func:`dedekind.sweep_sums` over the distinct a mod c of G_j, since the
+    S-tilde values c^(k-2) n_a/den at c span g_c c^(k-2)/den Z."""
     if not ctx.quadratic:
         raise ValueError("the divisibility tables require a quadratic pair")
     start = time.perf_counter()
     pairs = list(iter_G_pairs(ctx.n, j))
-    values = dk.sweep_S_tilde_rational(ctx, pairs)
-    r = rational_gcd_set(values)
+    by_c: dict[int, dict[int, None]] = {}  # the distinct a mod c under each c
+    for a, c in pairs:
+        by_c.setdefault(c, {})[a % c] = None
+    swept = [(c, *dk.sweep_sums(ctx, c, units)) for c, units in by_c.items()]
+    r = rational_gcd_set(Fraction(gcd(*sums) * c ** (ctx.k - 2), den) for c, sums, den in swept)
     return TableCell(
         r=r,
         display=display_form(r, ctx.q1),
@@ -334,19 +340,19 @@ def _above_alpha_log_cubed(s: Fraction, alpha: Fraction, c: int) -> bool:
 def bound_statistics(ctx: SumContext, c_max: int, alphas=()) -> BoundReport:
     """Sweep coprime (a, c) with 1 <= a < c <= C and N | c, exactly.
 
-    Folds each modulus into the statistics as its sums arrive and keeps no
-    record per matrix.  ``exceptional`` holds L(alpha, C), the number of
-    entries with |S| > alpha ln^3 C, for each alpha in ``alphas``, decided
-    exactly for every rational alpha (any sign): each |S| is compared with a
-    rational bracket on the threshold, and one inside the bracket is decided
-    by :func:`_above_alpha_log_cubed`.
+    Folds the integer sums of :func:`dedekind.sweep_sums` at each modulus into
+    the statistics and keeps no record per matrix.  ``exceptional`` holds
+    L(alpha, C), the number of entries with |S| > alpha ln^3 C, for each alpha
+    in ``alphas``, decided exactly for every rational alpha (any sign): each
+    |S| is compared with a rational bracket on the threshold, and one inside
+    the bracket is decided by :func:`_above_alpha_log_cubed`.
     """
     if c_max < ctx.n:
         raise ValueError("C must be at least q1*q2")
     if not ctx.quadratic:
         raise ValueError("bound sweeps use the exact rational path (quadratic pairs)")
-    # |S| = num/den is compared with each rational bound p/q as the integer
-    # cross-product num q > p den, with no Fraction per matrix
+    # |S| = num/den, unreduced, is compared with each rational bound p/q as the
+    # integer cross-product num q > p den, with no Fraction per matrix
     brackets = []
     for alpha in map(Fraction, alphas):
         low, high = _alpha_log_cubed(alpha, c_max, _LOG_DIGITS)
@@ -356,15 +362,14 @@ def bound_statistics(ctx: SumContext, c_max: int, alphas=()) -> BoundReport:
     max_ratio = 0.0
     trivial_ok = delta_ok = True
     for c in range(ctx.n, c_max + 1, ctx.n):
-        pairs = [(a, c) for a in range(1, c) if gcd(a, c) == 1]
-        values = dk.sweep_S_tilde_rational(ctx, pairs)  # k-2 power of c folded in
-        count += len(pairs)
-        ck = c ** (ctx.k - 2)
+        units = [a for a in range(1, c) if gcd(a, c) == 1]
+        sums, den = dk.sweep_sums(ctx, c, units)
+        count += len(units)
         bound_num, bound_den = trivial_bound(ctx, c).as_integer_ratio()
         c_prime = c // ctx.q2  # at least q1 >= 3, so log c' > 0
         log_sq = math.log(c_prime) ** 2
-        for (a, _), v in zip(pairs, values):
-            num, den = abs(v.numerator), v.denominator * ck  # |S| = num / den
+        for a, s in zip(units, sums):
+            num = abs(s)
             if num * bound_den > bound_num * den:
                 trivial_ok = False
             m_a = partial_quotient_max(a, c_prime)

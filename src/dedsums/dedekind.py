@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import accumulate
 from math import comb, gcd
 from operator import add, neg, sub
-from typing import Sequence
+from typing import Collection, Sequence
 
 from . import characters as chars
 from .bernoulli import periodic_bernoulli, scaled_int_poly
@@ -138,14 +138,17 @@ class SumContext(Record):
         return e % m == 0
 
 
-def _validate_pair(ctx: SumContext, a: int, c: int) -> int:
+def _validate_units(ctx: SumContext, c: int, units: Collection[int]) -> list[int]:
+    """Each a of ``units`` mod c, after ValueError unless c > 0 is divisible by q1 q2
+    and every a is prime to c (c is checked once, each a once)."""
     if c <= 0:
         raise ValueError("c must be positive")
     if c % ctx.n != 0:
         raise ValueError(f"c = {c} is not divisible by q1*q2 = {ctx.n}")
-    if gcd(a, c) != 1:
-        raise ValueError(f"a = {a} and c = {c} are not coprime")
-    return a % c
+    for a in units:
+        if gcd(a, c) != 1:
+            raise ValueError(f"a = {a} and c = {c} are not coprime")
+    return [a % c for a in units]
 
 
 def _taylor_shift(coeffs: list[int], delta: int) -> list[int]:
@@ -330,7 +333,7 @@ def sum_S(ctx: SumContext, a: int, c: int) -> CyclotomicElement:
     in ``ctx.sum_memo`` under (a mod c, c, 1); the pair is validated on every
     call.
     """
-    return _mixed_sum(ctx, _validate_pair(ctx, a, c), c, 1)
+    return _mixed_sum(ctx, _validate_units(ctx, c, [a])[0], c, 1)
 
 
 def sum_S_tilde(ctx: SumContext, a: int, c: int) -> CyclotomicElement:
@@ -338,38 +341,40 @@ def sum_S_tilde(ctx: SumContext, a: int, c: int) -> CyclotomicElement:
     return sum_S(ctx, a, c) * Fraction(c) ** (ctx.k - 2)
 
 
-def sweep_S_tilde_rational(ctx: SumContext, pairs: Sequence[tuple[int, int]]) -> list[Fraction]:
-    """S-tilde over many (a, c) pairs of a quadratic pair, one table of V per distinct c.
+def sweep_sums(ctx: SumContext, c: int, units: Collection[int]) -> tuple[list[int], int]:
+    """S(a, c) = sums[i] / den at the i-th a of ``units``, for a quadratic pair: one table of V.
 
-    The batched form of ``sum_S_tilde(...).rational_value()``: with both
-    characters of order 2, V of :func:`_twisted_pieces` has the single
-    coordinate t = 0 and conj(chi2)(j) = chi2(j) = +-1, so
-    S = sum over j < c/2 of (2j - c) chi2(j) V(j a mod c) / (c s).  The table
-    of V over r in [0, c), built by :func:`_value_table` from finite
-    differences and phi(q1) rotations (no Horner per entry), and the signed
-    weights (2j - c) chi2(j) serve every a, and each distinct a mod c is
-    summed once, every pair validated before any table is built.  The sweep
-    bypasses the context's memos: it never asks for one c twice, and drops
-    each table once its a are summed.
+    Both characters have order 2, so V of :func:`_twisted_pieces` has the one
+    coordinate t = 0, and S = sum over j < c/2 of (2j - c) chi2(j) V(j a mod c)
+    / (c s): each a is one integer lookup sum, den = c s.  The table of V over
+    [0, c) from :func:`_value_table` and the signed weights serve every a; c is
+    checked once and each a once before the table is built.  No memo is read
+    or filled, so pass each distinct a mod c once.
     """
     if not ctx.quadratic:
         raise ValueError("sweeps are defined for quadratic pairs only")
+    units = _validate_units(ctx, c, units)
+    table, scale = _value_table(ctx, c)
+    chi2_exps, q2 = ctx.chi2.value_exponents, ctx.q2
+    weights = [
+        (j, (2 * j - c) * (-1) ** e2)
+        for j in range(1, (c - 1) // 2 + 1)
+        if (e2 := chi2_exps[j % q2]) is not None
+    ]
+    return [sum([w * table[j * a % c] for j, w in weights]) for a in units], c * scale
+
+
+def sweep_S_tilde_rational(ctx: SumContext, pairs: Sequence[tuple[int, int]]) -> list[Fraction]:
+    """``sum_S_tilde(a, c).rational_value()`` at every pair of a quadratic pair, as
+    the Fraction view of :func:`sweep_sums`: every pair is validated before any
+    table is built, then one sweep per distinct c sums its distinct a mod c."""
     by_c: dict[int, dict[int, None]] = {}  # the distinct a mod c under each c
     for a, c in pairs:
-        by_c.setdefault(c, {})[_validate_pair(ctx, a, c)] = None
+        by_c.setdefault(c, {})[_validate_units(ctx, c, [a])[0]] = None
     values: dict[tuple[int, int], Fraction] = {}
-    chi2_exps, q2 = ctx.chi2.value_exponents, ctx.q2
     for c, units in by_c.items():
-        table, scale = _value_table(ctx, c)
-        weights = [
-            (j, (2 * j - c) * (-1) ** e2)
-            for j in range(1, (c - 1) // 2 + 1)
-            if (e2 := chi2_exps[j % q2]) is not None
-        ]
-        ck = c ** (ctx.k - 2)
-        denom = c * scale
-        for a in units:
-            values[a, c] = Fraction(sum([w * table[j * a % c] for j, w in weights]) * ck, denom)
+        sums, den = sweep_sums(ctx, c, units)
+        values.update(((a, c), Fraction(s * c ** (ctx.k - 2), den)) for a, s in zip(units, sums))
     return [values[a % c, c] for a, c in pairs]
 
 
@@ -455,7 +460,7 @@ def _h_fit(ctx: SumContext, gamma: Mat2) -> tuple[list, int]:
     if c == 0:
         return [0] * (k - 1), 1
     e = 1 if c > 0 else -1
-    a_red = _validate_pair(ctx, e * a, e * c)
+    a_red = _validate_units(ctx, e * c, [e * a])[0]
     sums = [_mixed_sum(ctx, a_red, e * c, r) for r in range(1, k)]
     den = k
     if ctx.quadratic:

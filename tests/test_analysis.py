@@ -25,6 +25,7 @@ from dedsums.modgroup import (
     Poly,
     g_witness,
     gamma1_generators,
+    iter_G_pairs,
     random_gamma0,
     random_gamma1,
 )
@@ -398,7 +399,7 @@ def row_bound_statistics(ctx, c_max, alphas):
     )
 
 
-BOUND_CELLS = [
+TABLE_CELLS = [
     (pair, k)
     for pairs, weights in (
         (analysis.TABLE1_PAIRS + analysis.TABLE2_PAIRS, analysis.EVEN_WEIGHTS),
@@ -406,8 +407,10 @@ BOUND_CELLS = [
     )
     for pair in pairs
     for k in weights
-    if k <= 8
 ]
+
+
+BOUND_CELLS = [(pair, k) for pair, k in TABLE_CELLS if k <= 8]
 
 
 @settings(max_examples=50, deadline=None)
@@ -469,6 +472,22 @@ def test_conjectured_d_pattern():
     assert rep.conjectured_d() == 6 and rep.divides_2k_minus_2()
     rep2 = containment_m(context_for(("chi3", "chi3"), 2))
     assert rep2.divides_2k_minus_2()
+
+
+@settings(max_examples=40, deadline=None)
+@given(cell=st.sampled_from(TABLE_CELLS), j=st.integers(1, 15))
+def test_image_scale_matches_gcd_over_every_value(cell, j):
+    # one gcd per c over the integer sums against the rational gcd of every
+    # S-tilde value of G_j, one Fraction per pair
+    ctx = context_for(*cell)
+    pairs = list(iter_G_pairs(ctx.n, j))
+    if not pairs:  # G_1 is empty, and so is its gcd
+        with pytest.raises(ValueError):
+            image_scale(ctx, j)
+        return
+    got = image_scale(ctx, j)
+    assert got.count == len(pairs)
+    assert got.r == rational_gcd_set(dk.sweep_S_tilde_rational(ctx, pairs))
 
 
 def test_gcd_reduction_order_invariant():

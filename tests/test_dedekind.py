@@ -377,6 +377,42 @@ def test_sweep_builds_no_twisted_pieces(monkeypatch):
     assert sorted(poly_calls) == sorted({c for _, c in pairs})
 
 
+# every table pair at the lowest and highest weight of its table: q1 runs over 3, 4, 5, 7 and 8
+SWEEP_SUM_CELLS = [(pair, k) for pair, k in TABLE_CELLS if k in (2, 3, 8, 9)]
+
+
+@pytest.mark.parametrize("pair, k", SWEEP_SUM_CELLS)
+def test_sweep_sums_match_sum_S_at_every_unit(pair, k):
+    # the integer sums over one den against the Horner kernel, at every unit a
+    # mod c for c = N, 2N and 3N
+    ctx = analysis.context_for(pair, k)
+    for c in (ctx.n, 2 * ctx.n, 3 * ctx.n):
+        units = [a for a in range(1, c) if gcd(a, c) == 1]
+        sums, den = dk.sweep_sums(ctx, c, units)
+        assert den > 0 and len(sums) == len(units)
+        assert [Fraction(s, den) for s in sums] == [dk.sum_S(ctx, a, c).rational_value() for a in units]
+
+
+@pytest.mark.parametrize(
+    "c, units",
+    [(9, [1, 3]), (9, [6, 2]), (10, [1]), (0, [1]), (-9, [1])],
+    ids=["non-unit-last", "non-unit-first", "c-off-level", "c-zero", "c-negative"],
+)
+def test_sweep_sums_validate_before_building_a_table(monkeypatch, c, units):
+    # the same ValueError as sum_S on the first bad input, and no table built
+    ctx = ctx_for("chi3", "chi3", 2)
+    bad = next((a for a in units if c <= 0 or c % 9 or gcd(a, c) != 1))
+    with pytest.raises(ValueError) as want:
+        dk.sum_S(ctx, bad, c)
+    builds = []
+    value_table = dk._value_table
+    monkeypatch.setattr(dk, "_value_table", lambda ctx, c: builds.append(c) or value_table(ctx, c))
+    with pytest.raises(ValueError) as got:
+        dk.sweep_sums(ctx, c, units)
+    assert str(got.value) == str(want.value)
+    assert builds == []
+
+
 def old_accumulate(ctx: SumContext, a: int, c: int, p_table=None):
     """The kernel before the twisted values: phi(q1) Bernoulli terms per j at
     denominator c*q1, o1 x o2 exponent classes, Horner or ``p_table`` lookup."""
