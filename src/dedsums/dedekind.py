@@ -355,12 +355,14 @@ def sweep_sums(ctx: SumContext, c: int, units: Collection[int]) -> tuple[list[in
         raise ValueError("sweeps are defined for quadratic pairs only")
     units = _validate_units(ctx, c, units)
     table, scale = _value_table(ctx, c)
-    chi2_exps, q2 = ctx.chi2.value_exponents, ctx.q2
-    weights = [
-        (j, (2 * j - c) * (-1) ** e2)
-        for j in range(1, (c - 1) // 2 + 1)
-        if (e2 := chi2_exps[j % q2]) is not None
-    ]
+    q2, half = ctx.q2, (c - 1) // 2
+    weights = []
+    # chi2(j) = (-1)^e2 is fixed on each class u of j mod q2, so the signed
+    # weights (2j - c) chi2(j) of a class run in one step of 2 q2 chi2(u)
+    for u, e2 in enumerate(ctx.chi2.value_exponents):
+        if e2 is not None:
+            j0, sign = u or q2, (-1) ** e2
+            weights += zip(range(j0, half + 1, q2), range(sign * (2 * j0 - c), sign * c, 2 * q2 * sign))
     return [sum([w * table[j * a % c] for j, w in weights]) for a in units], c * scale
 
 

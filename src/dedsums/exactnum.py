@@ -3,10 +3,12 @@
 Rationals are plain ``fractions.Fraction`` (always reduced, positive
 denominator).  Cyclotomic numbers are kept in the power basis of Q(zeta_m)
 modulo the m-th cyclotomic polynomial, so equality of canonical forms is
-equality of field elements.  Every canonical form is reached one way: weights
-are summed per exponent mod m, and each nonzero exponent adds its cached row,
-the coordinates of zeta_m^e.  At orders 1 and 2, where the field is Q, one
-signed sum of the weights stands in for the rows.
+equality of field elements.  Every canonical form is reached one way: an
+integer vector of exponents is reduced top down by the sparse Phi_m, whose
+nonzero coefficients are cached once per order with the certificate that
+Phi_m divides x^m - 1.  Products pack both numerator vectors into one integer
+each (Kronecker substitution) and multiply once.  At orders 1 and 2, where
+the field is Q, one signed sum of the weights stands in for the reduction.
 """
 
 from __future__ import annotations
@@ -117,24 +119,58 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _zeta_rows(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Power-basis coordinates of zeta_m^e for e < m, as (index, value) pairs.
+def _phi_terms(m: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero coefficients (i, c) of Phi_m below its leading 1.
 
-    Row e + 1 is row e times zeta_m: shift up one place and subtract the
-    overflow times Phi_m, one shift-and-subtract per row.
+    Certified once per order: reducing x^m - 1 by them must leave 0, so that
+    zeta_m^m = 1 in the field they define.
     """
     phi = cyclotomic_polynomial(m)
-    row = [1] + [0] * (len(phi) - 2)
-    rows = []
-    for _ in range(m):
-        rows.append(tuple((i, x) for i, x in enumerate(row) if x))
-        top = row[-1]
-        row = [0] + row[:-1]
-        if top:
-            row = [x - top * p for x, p in zip(row, phi)]
-    if row[0] != 1 or any(row[1:]):
-        raise CertificateError(f"the rows of Q(zeta_{m}) do not close: zeta^{m} != 1")
-    return tuple(rows)
+    terms = tuple([(i, c) for i, c in enumerate(phi[:-1]) if c])
+    if any(_reduce([-1] + [0] * (m - 1) + [1], len(phi) - 1, terms)):
+        raise CertificateError(f"Phi_{m} does not divide x^{m} - 1: zeta^{m} != 1")
+    return terms
+
+
+def _reduce(vec: list[int], deg: int, terms) -> list[int]:
+    """The remainder of the integer polynomial ``vec`` (ascending, changed in
+    place) modulo the monic x^deg + sum(c x^i for i, c in terms), top down."""
+    for top in range(len(vec) - 1, deg - 1, -1):
+        x = vec[top]
+        if x:
+            shift = top - deg
+            for i, c in terms:
+                vec[shift + i] -= x * c
+    return vec[:deg]
+
+
+def _convolve(a: list[int], b: list[int]) -> list[int]:
+    """The coefficients of the product of two integer polynomials of equal
+    length n, from one big-integer product (Kronecker substitution).
+
+    Each is packed into signed slots of w bits, w two bits wider than the
+    bound max|a| max|b| n on every product coefficient; the 2n - 1 slots of
+    the product are read back low to high with borrows, and a nonzero
+    remainder raises CertificateError.
+    """
+    n = len(a)
+    w = (max(map(abs, a)) * max(map(abs, b)) * n).bit_length() + 2
+    pa = pb = 0
+    for x, y in zip(reversed(a), reversed(b)):
+        pa = (pa << w) + x
+        pb = (pb << w) + y
+    prod = pa * pb
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    out = []
+    for _ in range(2 * n - 1):
+        x = prod & mask
+        if x >= half:
+            x -= mask + 1
+        out.append(x)
+        prod = (prod - x) >> w
+    if prod:
+        raise CertificateError(f"the packed product leaves {prod} past its {2 * n - 1} slots")
+    return out
 
 
 def _numerators(values) -> tuple[list[int], int]:
@@ -181,17 +217,18 @@ class CyclotomicElement:
 
     @classmethod
     def root_of_unity(cls, order: int, exponent: int = 1) -> "CyclotomicElement":
-        """zeta_order^exponent in canonical form: one row of the table."""
+        """zeta_order^exponent in canonical form."""
         return cls.from_terms(order, [(exponent, 1)])
 
     @classmethod
     def from_terms(cls, order: int, terms, denom: int = 1) -> "CyclotomicElement":
         """sum(w * zeta_order^e for (e, w) in terms) / denom in canonical form.
 
-        Weights (ints or Fractions) are summed per exponent mod order; each
-        nonzero sum adds its row of :func:`_zeta_rows` once, in integers.  At
-        orders 1 and 2 the field is Q and zeta^e is 1 or (-1)^e: the value is
-        one signed sum of the weights over denom, with no rows.
+        Weights (ints or Fractions) are summed per exponent mod order into
+        one integer vector over their common denominator, which
+        :func:`_reduce` takes modulo Phi_order.  At orders 1 and 2 the field
+        is Q and zeta^e is 1 or (-1)^e: the value is one signed sum of the
+        weights over denom, with no reduction.
         """
         if order <= 2:
             total = sum([-w if e % order else w for e, w in terms])
@@ -202,14 +239,17 @@ class CyclotomicElement:
                 e %= order
                 sums[e] = sums.get(e, 0) + w
         nums, den = _numerators(sums.values())
-        rows = _zeta_rows(order)
-        acc = [0] * euler_phi(order)
+        vec = [0] * order
         for e, n in zip(sums, nums):
-            if n:
-                for i, x in rows[e]:
-                    acc[i] += x * n
-        den *= denom
-        return cls(order, [Fraction(x, den) for x in acc])
+            vec[e] = n
+        return cls._reduced(order, vec, den * denom)
+
+    @classmethod
+    def _reduced(cls, order: int, vec: list[int], den: int) -> "CyclotomicElement":
+        """The integer vector ``vec`` of exponents below ``order``, over den,
+        reduced modulo Phi_order."""
+        coeffs = _reduce(vec, euler_phi(order), _phi_terms(order))
+        return cls(order, [Fraction(x, den) for x in coeffs])
 
     # -- queries -----------------------------------------------------------
 
@@ -273,10 +313,15 @@ class CyclotomicElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        m = self.order
+        if m <= 2:
+            return CyclotomicElement(m, [self.coeffs[0] * o.coeffs[0]])
         a, da = _numerators(self.coeffs)
         b, db = _numerators(o.coeffs)
-        terms = [(i + j, x * y) for i, x in enumerate(a) if x for j, y in enumerate(b) if y]
-        return CyclotomicElement.from_terms(self.order, terms, da * db)
+        vec = _convolve(a, b)
+        for e in range(m, len(vec)):  # zeta^e = zeta^(e - m)
+            vec[e - m] += vec[e]
+        return CyclotomicElement._reduced(m, vec[:m], da * db)
 
     __rmul__ = __mul__
 

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 from pathlib import Path
 
@@ -20,8 +21,8 @@ from dedsums.exactnum import (
     CertificateError,
     CyclotomicElement,
     Record,
-    _numerators,
-    _zeta_rows,
+    _convolve,
+    _phi_terms,
     cyclotomic_polynomial,
     euler_phi,
     factorize,
@@ -78,9 +79,11 @@ def test_binomial_cyclotomic_polynomials_match_long_division():
     for m, phi in long_division_cyclotomic(500).items():
         assert cyclotomic_polynomial(m) == phi, m
         assert len(phi) == euler_phi(m) + 1
-        # the rows of Q(zeta_m) close on zeta^m = 1 (uncached: 500 tables)
-        rows = _zeta_rows.__wrapped__(m)
-        assert len(rows) == m and rows[0] == ((0, 1),)
+        # zeta^m = 1 modulo Phi_m: x^m - 1 leaves no remainder, by long
+        # division and by the certificate of the reduction (uncached)
+        _, rem = _poly_divmod([-1] + [0] * (m - 1) + [1], phi)
+        assert not any(rem), m
+        assert _phi_terms.__wrapped__(m) == tuple((i, c) for i, c in enumerate(phi[:-1]) if c)
 
 
 def test_cyclotomic_polynomial_certifies_each_division(monkeypatch):
@@ -267,22 +270,13 @@ def test_from_terms_matches_long_division(case):
 
 
 def general_from_terms(order, terms, denom):
-    """Reference: the general route of from_terms at any order, the weights
-    summed per exponent and each sum adding its row of _zeta_rows."""
-    sums = {}
+    """Reference: the general route at any order, the weights summed per
+    exponent mod order and the vector long-divided by Phi_order."""
+    raw = [Fraction(0)] * order
     for e, w in terms:
-        if w:
-            e %= order
-            sums[e] = sums.get(e, 0) + w
-    nums, den = _numerators(sums.values())
-    rows = _zeta_rows(order)
-    acc = [0] * euler_phi(order)
-    for e, n in zip(sums, nums):
-        if n:
-            for i, x in rows[e]:
-                acc[i] += x * n
-    den *= denom
-    return CyclotomicElement(order, [Fraction(x, den) for x in acc])
+        raw[e % order] += w
+    _, rem = _poly_divmod(raw, cyclotomic_polynomial(order))
+    return CyclotomicElement(order, [c / denom for c in rem])
 
 
 @settings(max_examples=200, deadline=None)
@@ -302,6 +296,164 @@ def test_rational_orders_match_the_general_route(order, terms, denom):
     assert CyclotomicElement.from_terms(order, terms, denom).coeffs == general_from_terms(
         order, terms, denom
     ).coeffs
+
+
+# products: the small fields, order 60 of the CI pins and the Gauss-sum
+# fields of the crosscheck workload (phi up to 128)
+PRODUCT_ORDERS = [3, 4, 5, 8, 12, 16, 60, 100, 110, 156, 272, 342]
+COORDINATE = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=60)
+
+
+@st.composite
+def cyclotomic_elements(draw, order=None):
+    """(m, x): x in Q(zeta_m) with dense, zero or one-coordinate coordinates."""
+    m = order or draw(st.sampled_from(PRODUCT_ORDERS))
+    deg = euler_phi(m)
+    kind = draw(st.sampled_from(["dense", "zero", "one"]))
+    coeffs = [Fraction(0)] * deg
+    if kind == "dense":
+        coeffs = draw(st.lists(COORDINATE, min_size=deg, max_size=deg))
+    elif kind == "one":
+        coeffs[draw(st.integers(0, deg - 1))] = draw(COORDINATE)
+    return m, CyclotomicElement(m, coeffs)
+
+
+@st.composite
+def cyclotomic_pairs(draw):
+    m, x = draw(cyclotomic_elements())
+    return m, x, draw(cyclotomic_elements(m))[1]
+
+
+def schoolbook_product(x, y):
+    """Reference: the phi^2 coordinate products summed per exponent and
+    long-divided by Phi_m."""
+    m, deg = x.order, euler_phi(x.order)
+    raw = [Fraction(0)] * (2 * deg - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            raw[i + j] += a * b
+    _, rem = _poly_divmod(raw, cyclotomic_polynomial(m))
+    return tuple(rem)
+
+
+def schoolbook_convolution(a, b):
+    n = len(a)
+    return [sum(a[i] * b[k - i] for i in range(max(0, k - n + 1), min(k, n - 1) + 1)) for k in range(2 * n - 1)]
+
+
+def widest_slots(m, big):
+    """Two elements of Q(zeta_m) with alternating coordinates +-big and
+    +-(big + 1): the middle product coefficient sits at the bound
+    max|a| max|b| phi the slot width is taken from, and the others alternate
+    in sign, so that the decode borrows at every other slot."""
+    deg = euler_phi(m)
+    x = CyclotomicElement(m, [(-1) ** i * big for i in range(deg)])
+    y = CyclotomicElement(m, [(-1) ** (i + 1) * (big + 1) for i in range(deg)])
+    return m, x, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=cyclotomic_pairs())
+@example(case=widest_slots(272, 2**64 - 1))
+@example(case=widest_slots(342, 3**40))
+@example(case=widest_slots(60, 1))
+@example(case=(3, CyclotomicElement(3, [0, 1]), CyclotomicElement(3, [-1, 0])))
+def test_packed_product_matches_schoolbook_long_division(case):
+    m, x, y = case
+    assert (x * y).coeffs == schoolbook_product(x, y)
+
+
+@pytest.mark.parametrize("n", [2, 4, 16, 108, 128])
+@pytest.mark.parametrize("big", [1, 2**31 - 1, 3**40])
+def test_packed_convolution_decodes_the_widest_slots(n, big):
+    # all coordinates of one sign, and alternating: the middle coefficient is
+    # +-n big (big + 1), the bound the slot width is taken from
+    alternating = [(-1) ** i * big for i in range(n)]
+    for a, b in (([big] * n, [-(big + 1)] * n), (alternating, [(-1) ** i * (big + 1) for i in range(n)])):
+        got = _convolve(a, b)
+        assert got == schoolbook_convolution(a, b)
+        assert abs(got[n - 1]) == n * big * (big + 1)
+
+
+@lru_cache(maxsize=None)
+def inverse_root(m):
+    """zeta_m^-1 as m - 1 products of zeta_m."""
+    z, power = Z(m, 1), CyclotomicElement.one(m)
+    for _ in range(m - 1):
+        power = power * z
+    assert power * z == 1
+    return power
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=cyclotomic_elements(), n=st.integers(0, 5))
+def test_pow_and_conj_match_repeated_products(case, n):
+    m, x = case
+    power = CyclotomicElement.one(m)
+    for _ in range(n):
+        power = power * x
+    assert (x**n).coeffs == power.coeffs
+    # conj(x) = sum of c_i zeta^-i, the powers of zeta^-1 as repeated products
+    total, step = CyclotomicElement.zero(m), CyclotomicElement.one(m)
+    for c in x.coeffs:
+        total += step * c
+        step = step * inverse_root(m)
+    assert x.conj().coeffs == total.coeffs
+
+
+# Phi_m with one coefficient changed no longer divides x^m - 1, and the first
+# from_terms at that order must raise.  Run in-process and under python -O.
+PHI_CERTIFICATE_CHECKS = """
+from dedsums import exactnum
+from dedsums.exactnum import CertificateError, CyclotomicElement
+
+# (order, index of the changed coefficient of Phi_order)
+CASES = [(12, 2), (60, 5), (342, 0)]
+
+
+def uncaught_corruptions():
+    real = exactnum.cyclotomic_polynomial
+    missed = []
+    for m, i in CASES:
+
+        def corrupted(n, m=m, i=i):
+            phi = list(real(n))
+            if n == m:
+                phi[i] += 1
+            return tuple(phi)
+
+        exactnum.cyclotomic_polynomial = corrupted
+        exactnum._phi_terms.cache_clear()
+        try:
+            CyclotomicElement.from_terms(m, [(1, 1)])
+            missed.append(m)
+        except CertificateError:
+            pass
+        finally:
+            exactnum.cyclotomic_polynomial = real
+            exactnum._phi_terms.cache_clear()
+    return missed
+"""
+
+
+def test_corrupt_cyclotomic_polynomial_fails_the_certificate():
+    scope = {}
+    exec(PHI_CERTIFICATE_CHECKS, scope)
+    assert scope["uncaught_corruptions"]() == []
+    script = PHI_CERTIFICATE_CHECKS + (
+        "import sys\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "missed = uncaught_corruptions()\n"
+        "sys.exit(repr(missed) if missed else 0)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dedsums.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONOPTIMIZE", None)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_i_squared_is_minus_one():
