@@ -9,20 +9,23 @@ import math
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 from . import dedekind as dk
 from .characters import named_character
 from .dedekind import SumContext
 from .exactnum import Record, rational_gcd_set
 from .modgroup import (
+    RELATORS,
     Mat2,
     Poly,
+    coset_walk,
     gamma1_generators,
-    gamma1_relations,
     iter_G_pairs,
     partial_quotient_max,
+    read_word,
     slash_matrix,
 )
 
@@ -169,79 +172,69 @@ def gamma1_h_table(ctx: SumContext, progress=None) -> list[tuple[list[int], int]
     """h on every Schreier generator of Gamma_1(N), in generator order, as
     (nums, den): coefficients nums[i]/den, den > 0, gcd(den, *nums) = 1.
 
-    The cocycle relation h_(g1 g2) = h_g1|g2 + h_g2 turns each relation
-    u_1 ... u_L = I of :func:`modgroup.gamma1_relations` into
-    h_u1|u2...uL + ... + h_uL = 0, folded left to right as acc <- acc|u + h_u.
-    So a relation whose generators are all known but one, v, fixes it:
-    rotated to end in v, it gives h_v = -(fold of the rest)|v.  The cheapest
-    generator no relation has fixed is fitted by ``_h_fit`` (the finite sum
-    formula, certified at one node), then every relation left with one
-    unknown is used, until all are known.  Each slash is one integer matrix
-    per generator.  Every relation not used for a derivation must fold to
-    exactly 0, else CertificateError.  ``progress(i, total)`` is called as
-    each h becomes known.
+    h is a cocycle, h_(g1 g2) = h_g1|g2 + h_g2, on Gamma_psi = ker psi, the
+    group of :func:`coset_walk` at the kernel K of psi on the units.  Each
+    Schreier generator of Gamma_psi is fitted by ``_h_fit``, all over one
+    denominator, and every relator of SL2(Z) walked from every Gamma_psi
+    coset must close and fold, acc <- acc|u + h_u, to 0, else
+    CertificateError.  Walked through the Gamma_psi graph, the BFS tree of
+    Gamma_1(N) writes each Gamma_1 coset rep as Q_r P_pi(r), Q_r in Gamma_psi
+    and P the Gamma_psi rep, with v_r = h(Q_r).  The generator on the Gamma_1
+    edge r -s-> t is Q_r w Q_t^-1, w the label of pi(r) -s-> pi(t), so its h
+    is (v_r|w + h_w - v_t)|Q_t^-1.  ``progress(i, total)`` is called as each
+    Gamma_1 generator's h is known.
     """
-    k = ctx.k
-    gens = gamma1_generators(ctx.n)
-    relations = gamma1_relations(ctx.n)
-    columns = [slash_matrix(g, k) for g in gens]
-    known: list[tuple[list[int], int] | None] = [None] * len(gens)
-    unknown = [len(rel) for rel in relations]
-    occurrences: list[list[int]] = [[] for _ in gens]
-    for r, rel in enumerate(relations):
-        for u in rel:
-            occurrences[u].append(r)
-    used: set[int] = set()
-    ready: list[int] = []
-    settled = 0
+    if not ctx.quadratic:
+        raise ValueError("the containment computation requires a quadratic pair")
+    k, n = ctx.k, ctx.n
+    # psi(u) = chi1(u) chi2(u) is 1 where the two sign exponents agree
+    kernel = tuple(
+        u for u in range(1, n)
+        if gcd(u, n) == 1 and ctx.chi1.value_exponent(u) == ctx.chi2.value_exponent(u)
+    )
+    psi = coset_walk(n, kernel)
+    fits = [dk._h_fit(ctx, g) for g in psi.generators]
+    den = lcm(*(d for _, d in fits))
+    fitted = [[x * (den // d) for x in nums] for nums, d in fits]
+    slashes = [(slash_matrix(g, k), slash_matrix(g.inverse(), k)) for g in psi.generators]
 
-    def fold(word) -> tuple[list[int], int]:
-        nums, den = [0] * (k - 1), 1
-        for u in word:
-            h_nums, h_den = known[u]
-            scale = lcm(den, h_den)
-            nums = [
-                sum(map(mul, nums, col)) * (scale // den) + h * (scale // h_den)
-                for col, h in zip(columns[u], h_nums)
-            ]
-            den = scale
-        return nums, den
+    def step(acc: list[int], label: int, inverse: bool) -> list[int]:
+        # h(Q u) = h(Q)|u + h_u and h(Q u^-1) = (h(Q) - h_u)|u^-1
+        h_u, (forward, backward) = fitted[label], slashes[label]
+        if inverse:
+            return [sum(map(mul, map(sub, acc, h_u), col)) for col in backward]
+        return [sum(map(mul, acc, col)) + x for col, x in zip(forward, h_u)]
 
-    def settle(v: int, nums: list[int], den: int):
-        nonlocal settled
-        g = gcd(den, *nums)
-        known[v] = [x // g for x in nums], den // g
-        for r in occurrences[v]:
-            unknown[r] -= 1
-            if unknown[r] == 1:
-                ready.append(r)
-        settled += 1
+    zero = [0] * (k - 1)
+    for start in range(len(psi.tree)):
+        for relator in RELATORS:
+            end, read = read_word(n, kernel, relator, start)
+            if end != start or any(reduce(lambda acc, u: step(acc, *u), read, zero)):
+                raise dk.CertificateError(f"h breaks the relator {relator} at coset {start} of Gamma_psi")
+    gamma1 = coset_walk(n)
+    walked = [(0, Mat2.identity(), zero)]  # (pi(r), Q_r^-1, v_r) per Gamma_1 coset r
+    for parent, letter in gamma1.tree[1:]:
+        coset, read = read_word(n, kernel, (letter,), walked[parent][0])
+        _, inv, acc = walked[parent]
+        for label, inverse in read:
+            acc = step(acc, label, inverse)
+            u = psi.generators[label]
+            inv = (u if inverse else u.inverse()) * inv
+        walked.append((coset, inv, acc))
+    table: list[tuple[list[int], int]] = []
+    for i, (t, g) in enumerate(gamma1.edges):
+        if g != len(table):
+            continue  # I, or a generator met on an earlier edge (labels number first meetings)
+        (place, _, acc), (_, inv, v_t) = walked[i // 2], walked[t]
+        w = psi.edges[2 * place + i % 2][1]
+        if w >= 0:
+            acc = step(acc, w, False)
+        nums = [sum(map(mul, map(sub, acc, v_t), col)) for col in slash_matrix(inv, k)]
+        common = gcd(den, *nums)
+        table.append(([x // common for x in nums], den // common))
         if progress:
-            progress(settled, len(gens))
-
-    # roughly the cheapest fits first: a fit's kernel work grows with |c| (its
-    # sums sit at |c|, near |c| and at N; see _h_fit).  The order only
-    # moves which generators are fitted and which derived, not the table.
-    for g in sorted(range(len(gens)), key=lambda i: abs(gens[i].c) + abs(gens[i].d)):
-        if known[g] is not None:
-            continue
-        settle(g, *dk._h_fit(ctx, gens[g]))
-        while ready:
-            r = ready.pop()
-            if unknown[r] != 1:
-                continue
-            rel = relations[r]
-            p = next(i for i, u in enumerate(rel) if known[u] is None)
-            nums, den = fold(rel[p + 1 :] + rel[:p])
-            v = rel[p]
-            used.add(r)
-            settle(v, [-sum(map(mul, nums, col)) for col in columns[v]], den)
-    for r, rel in enumerate(relations):
-        if r not in used and any(fold(rel)[0]):
-            raise dk.CertificateError(
-                f"the h-table breaks the Gamma_1({ctx.n}) relation {rel} among the generators"
-            )
-    return known
+            progress(len(table), len(gamma1.generators))
+    return table
 
 
 def containment_m(
@@ -259,10 +252,9 @@ def containment_m(
     m = gcd(q1^(n+1) nums[n] L/den)/L, one Fraction in all.  Each h then
     becomes one Poly, which must pass :func:`poly_space_member` at m, else
     CertificateError.  ``generators`` may list the Schreier generators in
-    any order, and any other list raises ValueError.
+    any order; any other list, and a pair that is not quadratic (the check of
+    :func:`gamma1_h_table`), raise ValueError.
     """
-    if not ctx.quadratic:
-        raise ValueError("the containment computation requires a quadratic pair")
     schreier = gamma1_generators(ctx.n)
     if generators is None:
         generators = schreier

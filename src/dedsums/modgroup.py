@@ -1,9 +1,10 @@
 """SL2(Z) matrices, congruence subgroups, cusps, polynomial slash actions.
 
-Also holds the Fricke flip on cusps, the G_j(N) matrix families, a
-presentation of Gamma_1(N) (Schreier generators and Reidemeister-Schreier
-relations) from one cached coset walk per level, and continued-fraction
-partial quotients.  Matrices are built from integers; the text of a
+Also holds the Fricke flip on cusps, the G_j(N) matrix families, the S/T
+coset graph of Gamma_1(N), or of any group between it and Gamma_0(N) cut
+out by a subgroup K of the units (Schreier generators, edges, BFS tree),
+from one cached coset walk per level and K, and continued-fraction partial
+quotients.  Matrices are built from integers; the text of a
 ``--matrix`` option is parsed by the CLI.
 """
 
@@ -135,7 +136,7 @@ def g_witness(a: int, c: int, n: int) -> Mat2:
     return Mat2(a, b, c, d)
 
 
-# -- Gamma_1(N) coset BFS and Schreier generators ---------------------------
+# -- coset BFS and Schreier generators ---------------------------------------
 
 
 def gamma1_index(n: int) -> int:
@@ -147,81 +148,86 @@ def gamma1_index(n: int) -> int:
 
 
 # the relators of SL2(Z) = <S, T | S^4, (ST)^3 S^2> in the letters 0 = S, 1 = T
-_RELATORS = ((0, 0, 0, 0), (0, 1, 0, 1, 0, 1, 0, 0))
+RELATORS = ((0, 0, 0, 0), (0, 1, 0, 1, 0, 1, 0, 0))
+
+
+class CosetWalk(Record):
+    """The S/T coset graph of :func:`coset_walk`.  ``edges[2 r + x]`` is
+    (target, label) for coset r and letter x (0 = S, 1 = T), the label an
+    index into ``generators``, or -1 where the edge reads I; ``back[t]`` is
+    the coset whose T edge enters t, which is how T^-1 is read; ``tree[t]``
+    is the BFS (parent, letter), letter 2 = T^-1, with rep(t) = rep(parent)
+    letter, and (-1, -1) at the identity coset."""
+
+    _fields = ("generators", "edges", "back", "tree")
 
 
 @lru_cache(maxsize=None)
-def _gamma1_presentation(n: int) -> tuple[tuple[Mat2, ...], tuple[tuple[int, ...], ...]]:
-    """Schreier generators of Gamma_1(N) and the relations among them, from
-    one coset walk.
-
-    BFS over S, T, T^-1 from the identity coset, which labels each S and T
-    edge r -> r x as it crosses it by the Schreier generator r x rep(r x)^-1,
-    numbered in transversal order.  Reidemeister-Schreier: a relator w walked
-    from coset r along those S/T edges reads generators u_1 ... u_L with
-    u_1 ... u_L = r w r^-1 = I (an edge inside the transversal reads I and is
-    dropped).  The walks from every coset, each word kept once up to rotation
-    (at its least rotation), in order of first appearance, present Gamma_1(N)
-    on the Schreier generators.  The walk runs on integer tuples
-    (a, b, c, d); only the generators become Mat2s.
+def coset_walk(n: int, kernel: tuple[int, ...] = (1,)) -> CosetWalk:
+    """Right cosets of Gamma_K = {(a b; c d) in Gamma_0(N) : d mod N in K},
+    K a subgroup of the units mod N as a tuple ((1,) gives Gamma_1(N)), by
+    one BFS over S, T, T^-1 from the identity coset.  A coset is keyed by
+    the least K-multiple of its bottom row mod N.  The BFS labels each S and
+    T edge r -> r x as it crosses it by the Schreier generator
+    rep(r) x rep(r x)^-1, numbered in order of first appearance.  Certified:
+    the cosets times |K| are the index of Gamma_1(N), and every generator
+    has N | c and d mod N in K.  The walk runs on integer tuples; only the
+    generators become Mat2s.
     """
     if n < 5:
         raise ValueError("coset keying by bottom row needs N >= 5 (so -I is not in Gamma_1)")
-    # right cosets Gamma_1(N) g, keyed by the bottom row (c, d) mod N: (index, rep)
-    cosets = {(0, 1): (0, (1, 0, 0, 1))}
+    cosets = {(0, 1): (0, (1, 0, 0, 1))}  # (index, rep) by key
     queue = [(1, 0, 0, 1)]  # the reps in index order, read as they are appended
+    tree = [(-1, -1)]
     gens: dict[tuple[int, int, int, int], int] = {}
-    # edges[2 i + x] is (target coset, generator index) for coset i and letter
-    # x; the index is -1 where the edge reads the identity
     edges = []
-    for a, b, c, d in queue:
+    for r, (a, b, c, d) in enumerate(queue):
         # r S, r T and r T^-1; the S and T edges are labelled
         for x, g in enumerate(((b, -a, d, -c), (a, a + b, c, c + d), (a, b - a, c, d - c))):
-            key = (g[2] % n, g[3] % n)
-            entry = cosets.get(key)
+            row = min([(u * g[2] % n, u * g[3] % n) for u in kernel])
+            entry = cosets.get(row)
             if entry is None:
-                entry = cosets[key] = (len(cosets), g)
+                entry = cosets[row] = (len(cosets), g)
                 queue.append(g)
+                tree.append((r, x))
             if x < 2:
                 # u = g rep^-1, with rep^-1 = (d', -b'; -c', a')
                 target, (ra, rb, rc, rd) = entry
                 u = (g[0] * rd - g[1] * rc, g[1] * ra - g[0] * rb,
                      g[2] * rd - g[3] * rc, g[3] * ra - g[2] * rb)
                 edges.append((target, -1 if u == (1, 0, 0, 1) else gens.setdefault(u, len(gens))))
-    if len(cosets) != gamma1_index(n):
-        raise CertificateError(f"coset BFS found {len(cosets)} cosets of Gamma_1({n}), not the index")
-    generators = tuple(Mat2(*u) for u in gens)
-    for u in generators:
-        if not in_gamma1(u, n):
-            raise CertificateError(f"Schreier generator {u} is not in Gamma_1({n})")
-    words: dict[tuple[int, ...], None] = {}
-    for start in range(len(cosets)):
-        for relator in _RELATORS:
-            coset, word = start, []
-            for letter in relator:
-                coset, label = edges[2 * coset + letter]
-                if label >= 0:
-                    word.append(label)
-            if coset != start:
-                raise CertificateError(
-                    f"relator walk from coset {start} of Gamma_1({n}) does not close"
-                )
-            if word:
-                # only a rotation that starts at the least label can be least
-                least = min(word)
-                words[min(tuple(word[i:] + word[:i]) for i, u in enumerate(word) if u == least)] = None
-    return generators, tuple(words)
+    if len(cosets) * len(kernel) != gamma1_index(n):
+        raise CertificateError(f"{len(cosets)} cosets times |K| = {len(kernel)} is not the index")
+    for u in gens:
+        if u[2] % n or u[3] % n not in kernel:
+            raise CertificateError(f"Schreier generator {u} is not in the group at level {n}")
+    back = [0] * len(queue)
+    for r in range(len(queue)):
+        back[edges[2 * r + 1][0]] = r
+    return CosetWalk(tuple(Mat2(*u) for u in gens), tuple(edges), tuple(back), tuple(tree))
+
+
+def read_word(n: int, kernel: tuple[int, ...], letters, start: int) -> tuple[int, list]:
+    """The letters (0 = S, 1 = T, 2 = T^-1) walked from coset ``start`` of
+    :func:`coset_walk` (n, kernel): the end coset t and the generators read,
+    as (label, inverse) pairs, edges that read I dropped.  If they read
+    u_1^e_1 ... u_L^e_L, then rep(start) w = u_1^e_1 ... u_L^e_L rep(t)."""
+    walk = coset_walk(n, kernel)
+    coset, read = start, []
+    for x in letters:
+        if x < 2:
+            coset, label = walk.edges[2 * coset + x]
+        else:
+            coset = walk.back[coset]
+            label = walk.edges[2 * coset + 1][1]
+        if label >= 0:
+            read.append((label, x == 2))
+    return coset, read
 
 
 def gamma1_generators(n: int) -> list[Mat2]:
     """Schreier generating set of Gamma_1(N) from the coset BFS (N >= 5), as a new list."""
-    return list(_gamma1_presentation(n)[0])
-
-
-def gamma1_relations(n: int) -> tuple[tuple[int, ...], ...]:
-    """Relations among the Schreier generators of Gamma_1(N) (N >= 5), as
-    words of indices into :func:`gamma1_generators` whose products are I."""
-    return _gamma1_presentation(n)[1]
+    return list(coset_walk(n).generators)
 
 
 # -- polynomials of degree <= k-2 and the weight (2-k) slash -----------------

@@ -20,6 +20,7 @@ from dedsums.analysis import (
     divisibility_tables,
     trivial_bound,
 )
+from dedsums.characters import parse_character
 from dedsums.exactnum import CertificateError, rational_gcd_set
 from dedsums.modgroup import (
     Poly,
@@ -154,12 +155,14 @@ CHI5_K4_POLYNOMIALS = "a2f7ffac0759571c512282a425c4af6c49e5bf85b60863736269b14d0
 
 
 def test_containment_runs_each_distinct_sum_once(monkeypatch):
-    # 54 of the 197 generators are fitted, the rest derived from the coset
-    # relations; the 53 fits with c != 0 each take S_1, S_2 and S_3 at their
-    # own (a, c) and ask sum_S for the two sums at the certificate node.  The
-    # context's memo runs the kernel once per distinct (a mod c, c, r), 209
-    # times, over 65 distinct (c, degree).  The fits reach the table as the
-    # integer vectors of _h_fit; the Poly view h_interpolate is never built
+    # psi is trivial for (chi5, chi5), so Gamma_psi is Gamma_0(25): its 17
+    # Schreier generators are fitted and the 197 of Gamma_1(25) derived from
+    # them.  The 12 fits with c != 0 all sit at |c| = 25: each takes S_1, S_2
+    # and S_3 at its own (a, c) and asks sum_S for the two sums at its
+    # certificate node.  The context's memo runs the kernel once per distinct
+    # (a mod c, c, r), 36 times, over the 3 (c, degree) of c = 25.  The fits
+    # reach the table as the integer vectors of _h_fit; the Poly view
+    # h_interpolate is never built
     calls = {"h_interpolate": 0, "_h_fit": 0, "sum_S": 0, "_accumulate": 0, "_twisted_pieces": 0}
     for name in calls:
         def counted(*args, name=name, original=getattr(dk, name)):
@@ -169,7 +172,7 @@ def test_containment_runs_each_distinct_sum_once(monkeypatch):
         monkeypatch.setattr(dk, name, counted)
     report = containment_m(context_for(("chi5", "chi5"), 4))
     assert calls == {
-        "h_interpolate": 0, "_h_fit": 54, "sum_S": 106, "_accumulate": 209, "_twisted_pieces": 65
+        "h_interpolate": 0, "_h_fit": 17, "sum_S": 24, "_accumulate": 36, "_twisted_pieces": 3
     }
     assert len(report.polynomials) == 197
     assert report.m == 6
@@ -227,11 +230,9 @@ def test_cocycle_table_takes_the_fits_as_integer_vectors(monkeypatch):
         assert Poly(4, [Fraction(x, den) for x in nums]) == dk.h_interpolate(ctx, gen), gen
 
 
-# Corrupts the first fit, the cheapest generator: its h is also fixed by
-# relations through later fits, so the relation certificate sees it.  (A fit
-# on a free basis of the group is pinned by no relation; its own one-node
-# certificate in _h_fit is what checks it.)  +den on nums[0] is +1 on the
-# top coefficient.
+# Corrupts the first fit, that of the first Schreier generator of Gamma_psi:
+# every generator takes part in the relator walks, so the relator certificate
+# sees it.  +den on nums[0] is +1 on the top coefficient.
 CORRUPT_FIRST_FIT = """
 from dedsums import dedekind as dk
 
@@ -275,6 +276,36 @@ def test_relation_certificate_survives_optimize_flag():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("pair,k", [(("chi5", "chi5"), 4), (("chi3", "chi5"), 3)])
+def test_relator_certificate_catches_each_corrupted_fit(monkeypatch, pair, k):
+    # psi is trivial at (chi5, chi5), k = 4, and -I is outside Gamma_psi at
+    # (chi3, chi5), k = 3; +1 on the top coefficient of any one Gamma_psi fit
+    # breaks a relator walk
+    ctx = context_for(pair, k)
+    fit = dk._h_fit
+    fits = []
+    monkeypatch.setattr(dk, "_h_fit", lambda ctx, gamma: fits.append(gamma) or fit(ctx, gamma))
+    analysis.gamma1_h_table(ctx)
+    assert len(fits) == 17
+    for target in fits:
+
+        def corrupted(ctx, gamma, target=target):
+            nums, den = fit(ctx, gamma)
+            return ([nums[0] + den] + nums[1:], den) if gamma == target else (nums, den)
+
+        monkeypatch.setattr(dk, "_h_fit", corrupted)
+        with pytest.raises(dk.CertificateError):
+            analysis.gamma1_h_table(ctx)
+
+
+def test_h_table_rejects_a_pair_that_is_not_quadratic():
+    ctx = dk.SumContext(parse_character("5:1"), parse_character("5:1"), 4)
+    with pytest.raises(ValueError, match="quadratic"):
+        analysis.gamma1_h_table(ctx)
+    with pytest.raises(ValueError, match="quadratic"):
+        containment_m(ctx)
 
 
 def test_containment_generating_set_independent():

@@ -28,7 +28,7 @@ from dedsums.exactnum import (
     factorize,
     rational_gcd_set,
 )
-from dedsums.modgroup import Cusp, Mat2, Poly
+from dedsums.modgroup import CosetWalk, Cusp, Mat2, Poly, coset_walk
 from dedsums.oracle import TruncationPolicy
 
 Z = CyclotomicElement.root_of_unity
@@ -152,6 +152,7 @@ VALUE_TYPE_PAIRS = [
         "k",
     ),
     (TruncationPolicy(1e-8), TruncationPolicy(tol=1e-8), "tol"),
+    (coset_walk(9), CosetWalk(*coset_walk(9)._values()), "tree"),
 ]
 
 

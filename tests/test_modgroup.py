@@ -9,7 +9,8 @@ from math import gcd
 import pytest
 
 import dedsums
-from dedsums import modgroup
+from dedsums.analysis import TABLE1_PAIRS, TABLE2_PAIRS, TABLE3_PAIRS
+from dedsums.characters import named_character
 from dedsums.exactnum import CyclotomicElement
 from dedsums.modgroup import (
     CUSP_INF,
@@ -18,18 +19,20 @@ from dedsums.modgroup import (
     MAT_T,
     Mat2,
     Poly,
+    RELATORS,
     cocycle_j,
+    coset_walk,
     cusp_apply,
     g_witness,
     gamma1_generators,
     gamma1_index,
-    gamma1_relations,
     in_gamma0,
     in_gamma1,
     iter_G_pairs,
     partial_quotient_max,
     partial_quotients,
     random_gamma0,
+    read_word,
 )
 
 
@@ -116,11 +119,13 @@ def test_cocycle_j():
 
 
 def test_coset_counts_match_index_formula():
-    # the BFS certifies its coset count against the index at every level
+    # the BFS certifies its coset count times |K| against the index at every level
     for n in (9, 12, 15, 21, 24, 25):
         gamma1_generators(n)
-        gamma1_relations(n)
+    for n, kernel in PSI_KERNELS:
+        assert len(coset_walk(n, kernel).tree) * len(kernel) == gamma1_index(n)
     assert gamma1_index(25) == 600
+    assert len(coset_walk(25, tuple(u for u in range(1, 25) if u % 5)).tree) == 30
 
 
 def test_gamma1_index_counts_bottom_rows():
@@ -161,59 +166,63 @@ def test_gamma1_generators_live_in_gamma1():
 
 
 def test_coset_bfs_runs_once_per_level():
-    # one walk gives both readers their level; a second level is its own miss
-    modgroup._gamma1_presentation.cache_clear()
+    # one walk per (level, kernel); the generator lists are read from it
+    coset_walk.cache_clear()
     gens = gamma1_generators(25)
-    gamma1_relations(25)
     gamma1_generators(25)
-    info = modgroup._gamma1_presentation.cache_info()
+    coset_walk(25)
+    info = coset_walk.cache_info()
     assert (info.misses, info.hits) == (1, 2)
-    gamma1_relations(9)
     gamma1_generators(9)
-    info = modgroup._gamma1_presentation.cache_info()
-    assert (info.misses, info.hits) == (2, 3)
+    coset_walk(25, dict(PSI_KERNELS)[25])
+    info = coset_walk.cache_info()
+    assert (info.misses, info.hits) == (3, 2)
     # each call hands out a new list; changing one leaves the next intact
     expected = list(gens)
     gens.reverse()
     gens.append(Mat2.identity())
     assert gamma1_generators(25) == expected
-    assert modgroup._gamma1_presentation.cache_info().misses == 2
+    assert coset_walk.cache_info().misses == 3
 
 
-def test_gamma1_relations_multiply_to_the_identity():
-    for n in (9, 12, 25):
-        gens = gamma1_generators(n)
-        relations = gamma1_relations(n)
-        # every generator takes part, each word once up to rotation
-        assert {u for word in relations for u in word} == set(range(len(gens)))
-        assert all(word == min(word[i:] + word[:i] for i in range(len(word))) for word in relations)
-        assert len(set(relations)) == len(relations)
-        for word in relations:
-            prod = Mat2.identity()
-            for u in word:
-                prod = prod * gens[u]
-            assert prod == Mat2.identity(), (n, word)
-    assert len(gamma1_relations(25)) == 256
+def psi_kernel(pair):
+    """The units u mod q1 q2 with psi(u) = chi1(u) chi2(u) = 1, for a quadratic pair."""
+    chi1, chi2 = (named_character(tag) for tag in pair)
+    n = chi1.modulus * chi2.modulus
+    return n, tuple(
+        u for u in range(1, n) if gcd(u, n) == 1 and chi1.value_exponent(u) == chi2.value_exponent(u)
+    )
 
 
-def mat2_presentation(n):
-    """Schreier generators and relations of Gamma_1(N) by the coset walk on
-    Mat2 objects: the BFS, the Schreier edges and the relator walks of the
-    library's integer-tuple walk, with every product a det-checked Mat2."""
+# (level, kernel of psi) over the table pairs, each once, and the first pair with it
+PSI_PAIRS = {}
+for pair in TABLE1_PAIRS + TABLE2_PAIRS + TABLE3_PAIRS:
+    PSI_PAIRS.setdefault(psi_kernel(pair), ",".join(pair))
+PSI_KERNELS = list(PSI_PAIRS)
+
+
+def mat2_walk(n, kernel=(1,)):
+    """The coset walk at kernel K on Mat2 objects: the BFS, its tree, the
+    Schreier edges and the back pointers of the library's integer-tuple walk,
+    with every product a det-checked Mat2."""
 
     def key(g):
-        return (g.c % n, g.d % n)
+        return min((u * g.c % n, u * g.d % n) for u in kernel)
 
     reps = {key(Mat2.identity()): Mat2.identity()}
+    tree = [(-1, -1)]
     queue = deque([Mat2.identity()])
+    parent = 0
     while queue:
         r = queue.popleft()
-        for x in (MAT_S, MAT_T, MAT_T.inverse()):
-            g = r * x
+        for x, letter in enumerate((MAT_S, MAT_T, MAT_T.inverse())):
+            g = r * letter
             if key(g) not in reps:
                 reps[key(g)] = g
                 queue.append(g)
-    assert len(reps) == gamma1_index(n)
+                tree.append((parent, x))
+        parent += 1
+    assert len(reps) * len(kernel) == gamma1_index(n)
     position = {k: i for i, k in enumerate(reps)}
     gens, edges = {}, []
     for r in reps.values():
@@ -222,27 +231,77 @@ def mat2_presentation(n):
             u = g * reps[key(g)].inverse()
             label = -1 if u == Mat2.identity() else gens.setdefault(u, len(gens))
             edges.append((position[key(g)], label))
-    words = {}
-    for start in range(len(reps)):
-        for relator in ((0, 0, 0, 0), (0, 1, 0, 1, 0, 1, 0, 0)):
-            coset, word = start, []
-            for letter in relator:
-                coset, label = edges[2 * coset + letter]
-                if label >= 0:
-                    word.append(label)
-            assert coset == start
-            if word:
-                words[min(tuple(word[i:] + word[:i]) for i in range(len(word)))] = None
-    return tuple(gens), tuple(words)
+    back = [None] * len(reps)
+    for i in range(len(reps)):
+        back[edges[2 * i + 1][0]] = i
+    return tuple(gens), tuple(edges), tuple(back), tuple(tree)
+
+
+def walk_fields(walk):
+    return walk.generators, walk.edges, walk.back, walk.tree
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 12, 16, 21, 25, 28, 32])
 def test_tuple_walk_matches_the_mat2_walk(n):
-    gens, relations = modgroup._gamma1_presentation(n)
-    want_gens, want_relations = mat2_presentation(n)
-    assert all(type(g) is Mat2 for g in gens)
-    assert gens == want_gens
-    assert relations == want_relations
+    walk = coset_walk(n)
+    assert all(type(g) is Mat2 for g in walk.generators)
+    assert walk_fields(walk) == mat2_walk(n)
+
+
+@pytest.mark.parametrize("n,kernel", PSI_KERNELS, ids=PSI_PAIRS.values())
+def test_psi_walk_matches_the_mat2_walk(n, kernel):
+    walk = coset_walk(n, kernel)
+    assert walk_fields(walk) == mat2_walk(n, kernel)
+    for g in walk.generators:
+        assert in_gamma0(g, n) and g.d % n in kernel
+
+
+def rep(walk, coset):
+    """The coset rep, rebuilt as the product of the letters along the BFS tree."""
+    letters = []
+    while coset:
+        coset, x = walk.tree[coset]
+        letters.append((MAT_S, MAT_T, MAT_T.inverse())[x])
+    out = Mat2.identity()
+    for letter in reversed(letters):
+        out = out * letter
+    return out
+
+
+def product(walk, read):
+    out = Mat2.identity()
+    for label, inverse in read:
+        g = walk.generators[label]
+        out = out * (g.inverse() if inverse else g)
+    return out
+
+
+# the relators and their inverses, S^-1 written S^3 and T^-1 as the letter 2
+WORDS = RELATORS + ((0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0),)
+
+
+@pytest.mark.parametrize(
+    "n,kernel",
+    [(9, (1,)), (12, (1,)), (25, (1,))] + PSI_KERNELS,
+    ids=["gamma1-9", "gamma1-12", "gamma1-25", *PSI_PAIRS.values()],
+)
+def test_relator_walks_multiply_to_the_identity(n, kernel):
+    walk = coset_walk(n, kernel)
+    for start in range(len(walk.tree)):
+        for word in WORDS:
+            end, read = read_word(n, kernel, word, start)
+            assert end == start, (n, start, word)
+            assert product(walk, read) == Mat2.identity(), (n, start, word)
+    # any word: rep(start) w = (the labels read) rep(end)
+    rng = random.Random(n)
+    for _ in range(20):
+        start = rng.randrange(len(walk.tree))
+        word = [rng.randrange(3) for _ in range(rng.randint(1, 12))]
+        end, read = read_word(n, kernel, word, start)
+        w = rep(walk, start)
+        for x in word:
+            w = w * (MAT_S, MAT_T, MAT_T.inverse())[x]
+        assert w == product(walk, read) * rep(walk, end)
 
 
 def test_gamma1_generators_need_n_at_least_5():
