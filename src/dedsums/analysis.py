@@ -27,6 +27,7 @@ from .modgroup import (
     partial_quotient_max,
     read_word,
     slash_matrix,
+    slash_vector,
 )
 
 # The three pair groupings of the published divisibility tables: all ordered
@@ -181,8 +182,10 @@ def gamma1_h_table(ctx: SumContext, progress=None) -> list[tuple[list[int], int]
     Gamma_1(N) writes each Gamma_1 coset rep as Q_r P_pi(r), Q_r in Gamma_psi
     and P the Gamma_psi rep, with v_r = h(Q_r).  The generator on the Gamma_1
     edge r -s-> t is Q_r w Q_t^-1, w the label of pi(r) -s-> pi(t), so its h
-    is (v_r|w + h_w - v_t)|Q_t^-1.  ``progress(i, total)`` is called as each
-    Gamma_1 generator's h is known.
+    is (v_r|w + h_w - v_t)|Q_t^-1.  Slash matrices are built only for the
+    Gamma_psi generators and their inverses; the tree walk carries Q_r^-1
+    as an integer 4-tuple, and the last slash is one :func:`slash_vector`.
+    ``progress(i, total)`` is called as each Gamma_1 generator's h is known.
     """
     if not ctx.quadratic:
         raise ValueError("the containment computation requires a quadratic pair")
@@ -211,16 +214,18 @@ def gamma1_h_table(ctx: SumContext, progress=None) -> list[tuple[list[int], int]
             end, read = read_word(n, kernel, relator, start)
             if end != start or any(reduce(lambda acc, u: step(acc, *u), read, zero)):
                 raise dk.CertificateError(f"h breaks the relator {relator} at coset {start} of Gamma_psi")
+    # reading u (u^-1) multiplies Q^-1 on the left by u^-1 (u), as 4-tuples
+    left = [((g.d, -g.b, -g.c, g.a), (g.a, g.b, g.c, g.d)) for g in psi.generators]
     gamma1 = coset_walk(n)
-    walked = [(0, Mat2.identity(), zero)]  # (pi(r), Q_r^-1, v_r) per Gamma_1 coset r
+    walked = [(0, (1, 0, 0, 1), zero)]  # (pi(r), Q_r^-1, v_r) per Gamma_1 coset r
     for parent, letter in gamma1.tree[1:]:
         coset, read = read_word(n, kernel, (letter,), walked[parent][0])
-        _, inv, acc = walked[parent]
+        _, (e, f, g, h), acc = walked[parent]
         for label, inverse in read:
             acc = step(acc, label, inverse)
-            u = psi.generators[label]
-            inv = (u if inverse else u.inverse()) * inv
-        walked.append((coset, inv, acc))
+            a, b, c, d = left[label][inverse]
+            e, f, g, h = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        walked.append((coset, (e, f, g, h), acc))
     table: list[tuple[list[int], int]] = []
     for i, (t, g) in enumerate(gamma1.edges):
         if g != len(table):
@@ -229,7 +234,7 @@ def gamma1_h_table(ctx: SumContext, progress=None) -> list[tuple[list[int], int]
         w = psi.edges[2 * place + i % 2][1]
         if w >= 0:
             acc = step(acc, w, False)
-        nums = [sum(map(mul, map(sub, acc, v_t), col)) for col in slash_matrix(inv, k)]
+        nums = slash_vector(list(map(sub, acc, v_t)), inv)
         common = gcd(den, *nums)
         table.append(([x // common for x in nums], den // common))
         if progress:

@@ -1,4 +1,5 @@
-"""SL2(Z) matrices, congruence subgroups, cusps, polynomial slash actions.
+"""SL2(Z) matrices, congruence subgroups, cusps, polynomial slash actions
+(one vector by :func:`slash_vector`, the integer matrix by :func:`slash_matrix`).
 
 Also holds the Fricke flip on cusps, the G_j(N) matrix families, the S/T
 coset graph of Gamma_1(N), or of any group between it and Gamma_0(N) cut
@@ -13,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import mul
 from typing import Iterator, Sequence
 
 from .exactnum import CertificateError, CyclotomicElement, Record, factorize
@@ -267,8 +267,7 @@ class Poly(Record):
 
     def slash(self, gamma: Mat2) -> "Poly":
         """Weight (2-k) action: sum a_n (c x + d)^n (a x + b)^(k-n-2)."""
-        k = self.weight
-        return Poly(k, [sum(map(mul, self.coeffs, col)) for col in slash_matrix(gamma, k)])
+        return Poly(self.weight, slash_vector(self.coeffs, (gamma.a, gamma.b, gamma.c, gamma.d)))
 
     def __str__(self):
         out = ""
@@ -291,6 +290,21 @@ class Poly(Record):
             else:
                 out += (" - " if neg else " + ") + cs
         return out or "0"
+
+
+def slash_vector(coeffs: Sequence, gamma: tuple[int, int, int, int]) -> list:
+    """The weight (2-k) slash of one coefficient vector (k = len(coeffs) + 1,
+    coeffs[0] on x^(k-2)) by gamma = (a, b, c, d), in the coefficients' own
+    arithmetic (ints, Fractions or CyclotomicElements): homogeneous Horner,
+    sum coeffs[n] X^(k-2-n) Y^n with X = a x + b and Y = c x + d, in
+    O(k^2) products where :func:`slash_matrix` takes O(k^3).
+    """
+    a, b, c, d = gamma
+    acc, power = [coeffs[0]], [1]  # descending in x; power is Y^n
+    for coeff in coeffs[1:]:
+        power = [x * c + y * d for x, y in zip(power + [0], [0] + power)]
+        acc = [x * a + y * b + coeff * p for x, y, p in zip(acc + [0], [0] + acc, power)]
+    return acc
 
 
 def slash_matrix(gamma: Mat2, k: int) -> tuple[tuple[int, ...], ...]:

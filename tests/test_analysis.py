@@ -230,6 +230,20 @@ def test_cocycle_table_takes_the_fits_as_integer_vectors(monkeypatch):
         assert Poly(4, [Fraction(x, den) for x in nums]) == dk.h_interpolate(ctx, gen), gen
 
 
+def test_h_table_builds_slash_matrices_only_for_the_psi_generators(monkeypatch):
+    # psi is trivial, so Gamma_psi is Gamma_0(25) with 17 generators: two
+    # matrices each (it and its inverse), reused by every relator walk and
+    # tree step; the slash by Q_t^-1 of each of the 197 Gamma_1 generators
+    # is one slash_vector, not a matrix (that would make 231 builds)
+    built = []
+    monkeypatch.setattr(
+        analysis, "slash_matrix", lambda g, k, f=analysis.slash_matrix: built.append(g) or f(g, k)
+    )
+    table = analysis.gamma1_h_table(context_for(("chi5", "chi5"), 4))
+    assert len(table) == 197
+    assert len(built) == 34
+
+
 # Corrupts the first fit, that of the first Schreier generator of Gamma_psi:
 # every generator takes part in the relator walks, so the relator certificate
 # sees it.  +den on nums[0] is +1 on the top coefficient.

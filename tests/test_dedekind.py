@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +25,7 @@ from dedsums.modgroup import (
     random_gamma0,
     random_gamma1,
     slash_matrix,
+    slash_vector,
 )
 
 
@@ -954,6 +956,43 @@ def test_column_slash_matches_the_row_loop():
         p = Poly(k, [coeff(order) for _ in range(k - 1)])
         gamma = random_gamma0(rng, rng.choice([1, 5, 25]))
         assert p.slash(gamma) == row_slash(p, gamma)
+
+
+@st.composite
+def sl2z(draw):
+    """(a, b, c, d) in SL2(Z): c = 0 (d = +-1, any b) or a coprime bottom
+    row completed by d^-1 mod |c|, then shifted by (a, b) += t (c, d)."""
+    c = draw(st.integers(-40, 40))
+    if c == 0:
+        d = draw(st.sampled_from((1, -1)))
+        return d, draw(st.integers(-40, 40)), 0, d
+    d = draw(st.integers(-40, 40).filter(lambda d: gcd(c, d) == 1))
+    a = pow(d, -1, abs(c)) if abs(c) > 1 else 0
+    t = draw(st.integers(-3, 3))
+    return a + t * c, (a * d - 1) // c + t * d, c, d
+
+
+@st.composite
+def slash_coeffs(draw):
+    """k - 1 coefficients, k = 2..12: all Fractions, or all CyclotomicElements of one order."""
+    k = draw(st.integers(2, 12))
+    order = draw(st.sampled_from((1, 3, 4, 5, 12)))  # order 1: Fraction coefficients
+    fraction = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    if order == 1:
+        return draw(st.lists(fraction, min_size=k - 1, max_size=k - 1))
+    cyclotomic = st.lists(fraction, min_size=euler_phi(order), max_size=euler_phi(order)).map(
+        lambda cs: CyclotomicElement(order, cs)
+    )
+    return draw(st.lists(cyclotomic, min_size=k - 1, max_size=k - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(coeffs=slash_coeffs(), gamma=sl2z())
+@example(coeffs=[Fraction(3), Fraction(-1, 2), Fraction(5)], gamma=(-1, 7, 0, -1))
+def test_slash_vector_matches_the_slash_matrix(coeffs, gamma):
+    g = Mat2(*gamma)
+    columns = slash_matrix(g, len(coeffs) + 1)
+    assert slash_vector(coeffs, gamma) == [sum(map(mul, coeffs, col)) for col in columns]
 
 
 @pytest.mark.parametrize(
