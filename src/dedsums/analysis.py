@@ -211,7 +211,7 @@ def gamma1_h_table(ctx: SumContext, progress=None) -> list[tuple[list[int], int]
     zero = [0] * (k - 1)
     for start in range(len(psi.tree)):
         for relator in RELATORS:
-            end, read = read_word(n, kernel, relator, start)
+            end, read = read_word(psi, relator, start)
             if end != start or any(reduce(lambda acc, u: step(acc, *u), read, zero)):
                 raise dk.CertificateError(f"h breaks the relator {relator} at coset {start} of Gamma_psi")
     # reading u (u^-1) multiplies Q^-1 on the left by u^-1 (u), as 4-tuples
@@ -219,7 +219,7 @@ def gamma1_h_table(ctx: SumContext, progress=None) -> list[tuple[list[int], int]
     gamma1 = coset_walk(n)
     walked = [(0, (1, 0, 0, 1), zero)]  # (pi(r), Q_r^-1, v_r) per Gamma_1 coset r
     for parent, letter in gamma1.tree[1:]:
-        coset, read = read_word(n, kernel, (letter,), walked[parent][0])
+        coset, read = read_word(psi, (letter,), walked[parent][0])
         _, (e, f, g, h), acc = walked[parent]
         for label, inverse in read:
             acc = step(acc, label, inverse)

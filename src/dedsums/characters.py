@@ -188,10 +188,6 @@ def parity(chi: DirichletCharacter) -> int:
     return 1 if r == 0 else -1
 
 
-def is_quadratic(chi: DirichletCharacter) -> bool:
-    return chi.order == 2
-
-
 def gauss_sum(chi: DirichletCharacter) -> CyclotomicElement:
     """tau(chi) = sum of chi(n) zeta_q^n, exact in Q(zeta_lcm(order, q))."""
     q = chi.modulus
@@ -215,12 +211,6 @@ def central_exponent(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma) 
     return m, e1 * (m // o1) - e2 * (m // o2)
 
 
-def central_character(chi1: DirichletCharacter, chi2: DirichletCharacter, gamma) -> CyclotomicElement:
-    """psi(gamma) = chi1(d) * conj(chi2(d)) for gamma in Gamma_0(q1 q2), the
-    one root of unity of :func:`central_exponent`."""
-    return CyclotomicElement.root_of_unity(*central_exponent(chi1, chi2, gamma))
-
-
 _NAMED_BASE = {"chi3": 3, "chi4": 4, "chi5": 5, "chi7": 7, "chi8a": 8, "chi8b": 8}
 
 
@@ -240,7 +230,7 @@ def _named_character(tag: str) -> DirichletCharacter:
         raise UnknownCharacterError(f"unknown character tag {tag!r}")
     q = _NAMED_BASE[tag]
     candidates = [
-        chi for chi in characters_mod(q) if is_quadratic(chi) and is_primitive(chi)
+        chi for chi in characters_mod(q) if chi.order == 2 and is_primitive(chi)
     ]
     if q != 8:
         if len(candidates) != 1:

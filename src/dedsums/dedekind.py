@@ -129,7 +129,9 @@ class SumContext(Record):
         return SumContext(self.chi2, self.chi1, self.k)
 
     def psi(self, gamma: Mat2) -> CyclotomicElement:
-        return chars.central_character(self.chi1, self.chi2, gamma)
+        """psi(gamma) = chi1(d) * conj(chi2(d)) on Gamma_0(N), the root of
+        unity of :func:`chars.central_exponent`."""
+        return CyclotomicElement.root_of_unity(*chars.central_exponent(self.chi1, self.chi2, gamma))
 
     def psi_is_one(self, gamma: Mat2) -> bool:
         """psi(gamma) == 1, read off its exponent: zeta_m^e = 1 exactly when
@@ -364,20 +366,6 @@ def sweep_sums(ctx: SumContext, c: int, units: Collection[int]) -> tuple[list[in
             j0, sign = u or q2, (-1) ** e2
             weights += zip(range(j0, half + 1, q2), range(sign * (2 * j0 - c), sign * c, 2 * q2 * sign))
     return [sum([w * table[j * a % c] for j, w in weights]) for a in units], c * scale
-
-
-def sweep_S_tilde_rational(ctx: SumContext, pairs: Sequence[tuple[int, int]]) -> list[Fraction]:
-    """``sum_S_tilde(a, c).rational_value()`` at every pair of a quadratic pair, as
-    the Fraction view of :func:`sweep_sums`: every pair is validated before any
-    table is built, then one sweep per distinct c sums its distinct a mod c."""
-    by_c: dict[int, dict[int, None]] = {}  # the distinct a mod c under each c
-    for a, c in pairs:
-        by_c.setdefault(c, {})[_validate_units(ctx, c, [a])[0]] = None
-    values: dict[tuple[int, int], Fraction] = {}
-    for c, units in by_c.items():
-        sums, den = sweep_sums(ctx, c, units)
-        values.update(((a, c), Fraction(s * c ** (ctx.k - 2), den)) for a, s in zip(units, sums))
-    return [values[a % c, c] for a, c in pairs]
 
 
 def sum_S_matrix(ctx: SumContext, gamma: Mat2) -> CyclotomicElement:

@@ -88,9 +88,6 @@ class Cusp(Record):
         return "inf" if self.q == 0 else f"{self.p}/{self.q}"
 
 
-CUSP_INF = Cusp.infinity()
-
-
 def cusp_apply(gamma: Mat2, cusp: Cusp) -> Cusp:
     p = gamma.a * cusp.p + gamma.b * cusp.q
     q = gamma.c * cusp.p + gamma.d * cusp.q
@@ -207,12 +204,11 @@ def coset_walk(n: int, kernel: tuple[int, ...] = (1,)) -> CosetWalk:
     return CosetWalk(tuple(Mat2(*u) for u in gens), tuple(edges), tuple(back), tuple(tree))
 
 
-def read_word(n: int, kernel: tuple[int, ...], letters, start: int) -> tuple[int, list]:
+def read_word(walk: CosetWalk, letters, start: int) -> tuple[int, list]:
     """The letters (0 = S, 1 = T, 2 = T^-1) walked from coset ``start`` of
-    :func:`coset_walk` (n, kernel): the end coset t and the generators read,
-    as (label, inverse) pairs, edges that read I dropped.  If they read
-    u_1^e_1 ... u_L^e_L, then rep(start) w = u_1^e_1 ... u_L^e_L rep(t)."""
-    walk = coset_walk(n, kernel)
+    ``walk``: the end coset t and the generators read, as (label, inverse)
+    pairs, edges that read I dropped.  If they read u_1^e_1 ... u_L^e_L,
+    then rep(start) w = u_1^e_1 ... u_L^e_L rep(t)."""
     coset, read = start, []
     for x in letters:
         if x < 2:
@@ -261,9 +257,6 @@ class Poly(Record):
         if self.weight != other.weight:
             raise ValueError("weights differ")
         return Poly(self.weight, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def slash(self, gamma: Mat2) -> "Poly":
         """Weight (2-k) action: sum a_n (c x + d)^n (a x + b)^(k-n-2)."""

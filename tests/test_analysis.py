@@ -38,6 +38,8 @@ def test_display_form():
     assert display_form(Fraction(7, 2), 4) == "14/4"
     assert display_form(Fraction(6, 5), 5) == "6/5"
     assert display_form(Fraction(2, 3), 3) == "2/3"
+    # r q1 not integral: r as it is
+    assert display_form(Fraction(1, 6), 4) == "1/6"
 
 
 def test_image_scale_published_cells():
@@ -377,15 +379,13 @@ def test_trivial_bound_shape():
 
 
 def test_trivial_bound_respected_on_sweep():
+    # |S| = |s|/den at every (a, c) of G_10(9)
     for k in (2, 4, 6):
         ctx = context_for(("chi3", "chi3"), k)
-        from dedsums.modgroup import iter_G_pairs
-
-        pairs = list(iter_G_pairs(9, 10))
-        values = dk.sweep_S_tilde_rational(ctx, pairs)
-        for (a, c), v in zip(pairs, values):
-            s_abs = abs(v) / Fraction(c) ** (k - 2)
-            assert float(s_abs) <= trivial_bound(ctx, c)
+        for c in range(9, 90, 9):
+            sums, den = dk.sweep_sums(ctx, c, [a for a in range(1, 90, 9) if math.gcd(a, c) == 1])
+            for s in sums:
+                assert float(Fraction(abs(s), den)) <= trivial_bound(ctx, c)
 
 
 def test_bound_statistics():
@@ -422,14 +422,13 @@ def row_bound_statistics(ctx, c_max, alphas):
     rows = []
     trivial_ok = True
     for c in range(ctx.n, c_max + 1, ctx.n):
-        pairs = [(a, c) for a in range(1, c) if math.gcd(a, c) == 1]
-        values = dk.sweep_S_tilde_rational(ctx, pairs)
-        ck = Fraction(c) ** (ctx.k - 2)
+        units = [a for a in range(1, c) if math.gcd(a, c) == 1]
+        sums, den = dk.sweep_sums(ctx, c, units)
         bound = Fraction(trivial_bound(ctx, c))
         c_prime = c // ctx.q2
         log_sq = math.log(c_prime) ** 2
-        for (a, _), v in zip(pairs, values):
-            s_abs = abs(v / ck)
+        for a, s in zip(units, sums):
+            s_abs = Fraction(abs(s), den)
             trivial_ok = trivial_ok and s_abs <= bound
             m_a = fraction_quotient_max(Fraction(a, c_prime))
             m_d = fraction_quotient_max(Fraction(g_witness(a, c, 1).d % c_prime, c_prime))
@@ -532,17 +531,24 @@ def test_image_scale_matches_gcd_over_every_value(cell, j):
         return
     got = image_scale(ctx, j)
     assert got.count == len(pairs)
-    assert got.r == rational_gcd_set(dk.sweep_S_tilde_rational(ctx, pairs))
+    values = []
+    for c in range(ctx.n, j * ctx.n, ctx.n):
+        sums, den = dk.sweep_sums(ctx, c, [a for a, c_a in pairs if c_a == c])
+        values += [Fraction(s * c ** (ctx.k - 2), den) for s in sums]
+    assert len(values) == len(pairs)
+    assert got.r == rational_gcd_set(values)
 
 
 def test_gcd_reduction_order_invariant():
     # data-parallel sweeps may reduce in any order
     import random
     from dedsums.exactnum import rational_gcd_set
-    from dedsums.modgroup import iter_G_pairs
 
     ctx = context_for(("chi3", "chi4"), 4)
-    values = dk.sweep_S_tilde_rational(ctx, list(iter_G_pairs(12, 6)))
+    values = []
+    for c in range(12, 72, 12):
+        sums, den = dk.sweep_sums(ctx, c, [a for a in range(1, 72, 12) if math.gcd(a, c) == 1])
+        values += [Fraction(s * c**2, den) for s in sums]
     rng = random.Random(3)
     baseline = rational_gcd_set(values)
     for _ in range(5):
@@ -557,7 +563,7 @@ def test_gcd_reduction_order_invariant():
 def test_table_pairs_are_complete():
     # the hardcoded pair lists must be exactly the ordered pairs of quadratic
     # primitive characters with q1 q2 <= 32, split by parity
-    from dedsums.characters import characters_mod, is_primitive, is_quadratic, parity
+    from dedsums.characters import characters_mod, is_primitive, parity
 
     tagged = {}
     for tag, q in (("chi3", 3), ("chi4", 4), ("chi5", 5), ("chi7", 7)):
@@ -567,7 +573,7 @@ def test_table_pairs_are_complete():
     # exhaust the quadratic primitive characters there
     for q in range(3, 11):
         tags = [t for t, qq in tagged.items() if qq == q]
-        found = [c for c in characters_mod(q) if is_quadratic(c) and is_primitive(c)]
+        found = [c for c in characters_mod(q) if c.order == 2 and is_primitive(c)]
         assert len(found) == len(tags), (q, len(found))
     even_pairs, odd_pairs = set(), set()
     from dedsums.characters import named_character

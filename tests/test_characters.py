@@ -7,22 +7,26 @@ from hypothesis import given, settings, strategies as st
 from dedsums.characters import (
     DirichletCharacter,
     UnknownCharacterError,
-    central_character,
     character_by_index,
     characters_mod,
     conductor,
     gauss_sum,
     is_primitive,
-    is_quadratic,
     named_character,
     parity,
     parse_character,
     unit_group,
 )
+from dedsums.dedekind import SumContext
 from dedsums.exactnum import CyclotomicElement, euler_phi, lcm
 from dedsums.modgroup import Mat2, random_gamma0
 
 Z = CyclotomicElement.root_of_unity
+
+
+def psi(chi1, chi2, gamma):
+    """psi(gamma) of :meth:`SumContext.psi`, at the least weight of the pair's parity."""
+    return SumContext(chi1, chi2, 2 if parity(chi1) == parity(chi2) else 3).psi(gamma)
 
 
 def sign_table(chi):
@@ -71,14 +75,14 @@ def test_enumeration_order_and_dlog(q):
 
 
 def test_q5_has_one_primitive_quadratic():
-    quad = [c for c in characters_mod(5) if is_quadratic(c) and is_primitive(c)]
+    quad = [c for c in characters_mod(5) if c.order == 2 and is_primitive(c)]
     assert len(quad) == 1
     # and it is the Legendre symbol: residues 1, 4 -> +1; 2, 3 -> -1
     assert sign_table(quad[0]) == [0, 1, -1, -1, 1]
 
 
 def test_q8_has_two_primitive_quadratics():
-    quad = [c for c in characters_mod(8) if is_quadratic(c) and is_primitive(c)]
+    quad = [c for c in characters_mod(8) if c.order == 2 and is_primitive(c)]
     assert len(quad) == 2
 
 
@@ -100,7 +104,7 @@ def test_char_values():
 def test_conductor_parity_quadratic():
     chi3 = named_character("chi3")
     assert conductor(chi3) == 3 and is_primitive(chi3)
-    assert parity(chi3) == -1 and is_quadratic(chi3)
+    assert parity(chi3) == -1 and chi3.order == 2
     trivial6 = DirichletCharacter(6, (0,))
     assert conductor(trivial6) == 1 and not is_primitive(trivial6)
     chi8a = named_character("chi8a")
@@ -160,13 +164,13 @@ def test_orthogonality_exact():
 
 def test_central_character_values():
     chi3, chi4 = named_character("chi3"), named_character("chi4")
-    assert central_character(chi3, chi4, Mat2(1, 0, 12, 1)) == 1
+    assert psi(chi3, chi4, Mat2(1, 0, 12, 1)) == 1
     # d = 5 mod 12: chi3(5) chi4(5) = (-1)(1) = -1
     gamma = Mat2(-7, -3, 12, 5)
     assert gamma.a * gamma.d - gamma.b * gamma.c == 1
-    assert central_character(chi3, chi4, gamma) == -1
+    assert psi(chi3, chi4, gamma) == -1
     with pytest.raises(ValueError):
-        central_character(chi3, chi4, Mat2(1, 0, 1, 1))
+        psi(chi3, chi4, Mat2(1, 0, 1, 1))
 
 
 def test_central_character_same_pair_is_one_on_gamma0():
@@ -174,7 +178,7 @@ def test_central_character_same_pair_is_one_on_gamma0():
     chi5 = named_character("chi5")
     for _ in range(10):
         gamma = random_gamma0(rng, 25)
-        assert central_character(chi5, chi5, gamma) == 1
+        assert psi(chi5, chi5, gamma) == 1
 
 
 NON_QUADRATIC = [chi for q in (5, 7, 9, 13) for chi in characters_mod(q) if chi.order > 2]
@@ -190,7 +194,7 @@ def test_central_character_is_the_product_of_values(chi1, chi2, seed):
     gamma = random_gamma0(random.Random(seed), chi1.modulus * chi2.modulus)
     m = lcm(chi1.order, chi2.order)
     product = chi1(gamma.d).embed(m) * chi2(gamma.d).conj().embed(m)
-    assert central_character(chi1, chi2, gamma) == product
+    assert psi(chi1, chi2, gamma) == product
 
 
 def test_psi_multiplicative():
@@ -198,8 +202,8 @@ def test_psi_multiplicative():
     chi3, chi7 = named_character("chi3"), named_character("chi7")
     for _ in range(25):
         g1, g2 = random_gamma0(rng, 21), random_gamma0(rng, 21)
-        lhs = central_character(chi3, chi7, g1 * g2)
-        rhs = central_character(chi3, chi7, g1) * central_character(chi3, chi7, g2)
+        lhs = psi(chi3, chi7, g1 * g2)
+        rhs = psi(chi3, chi7, g1) * psi(chi3, chi7, g2)
         assert lhs == rhs
 
 
@@ -272,7 +276,7 @@ def test_gamma1_central_character_trivial():
 
     for _ in range(10):
         gamma = random_gamma1(rng, 12)
-        assert central_character(chi3, chi4, gamma) == 1
+        assert psi(chi3, chi4, gamma) == 1
 
 
 def test_parse_character():

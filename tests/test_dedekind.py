@@ -10,12 +10,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dedsums import analysis, dedekind as dk
-from dedsums.bernoulli import periodic_bernoulli, scaled_int_poly
-from dedsums.characters import characters_mod, is_primitive, named_character, parity, parse_character
+from dedsums.bernoulli import bernoulli_number, periodic_bernoulli, scaled_int_poly
+from dedsums.characters import (
+    DirichletCharacter,
+    UnitGroup,
+    characters_mod,
+    is_primitive,
+    named_character,
+    parity,
+    parse_character,
+)
 from dedsums.dedekind import ParityError, SumContext
-from dedsums.exactnum import CyclotomicElement, euler_phi
+from dedsums.exactnum import CyclotomicElement, cyclotomic_polynomial, euler_phi
 from dedsums.modgroup import (
-    CUSP_INF,
     Cusp,
     Mat2,
     Poly,
@@ -27,6 +34,7 @@ from dedsums.modgroup import (
     slash_matrix,
     slash_vector,
 )
+from dedsums.oracle import _tail_terms, numeric_context
 
 
 def slow_sum_S(ctx: SumContext, a: int, c: int) -> CyclotomicElement:
@@ -196,19 +204,27 @@ def test_s_tilde_reference_anchor():
     assert v.rational_value() * 25 ** 2 == Fraction(-24, 5)
 
 
+def G_sweep(ctx: SumContext, j: int):
+    """(c, sums, den) of :func:`dedekind.sweep_sums` at each c of G_j(N),
+    over the a of G_j prime to c."""
+    n = ctx.n
+    for c in range(n, j * n, n):
+        units = [a for a in range(1, j * n, n) if gcd(a, c) == 1]
+        yield (c, *dk.sweep_sums(ctx, c, units))
+
+
 def test_image_divisibility_chi3_chi3_k2_full_sweep():
-    # every S-tilde value over G_50(9) lies in 2Z
+    # every S-tilde value c^(k-2) s/den over G_50(9) lies in 2Z: here k = 2
     ctx = ctx_for("chi3", "chi3", 2)
-    values = dk.sweep_S_tilde_rational(ctx, list(iter_G_pairs(9, 50)))
-    assert values, "sweep must be nonempty"
-    assert all((v / 2).denominator == 1 for v in values)
+    swept = list(G_sweep(ctx, 50))
+    assert sum(len(sums) for _, sums, _ in swept), "sweep must be nonempty"
+    assert all(s % (2 * den) == 0 for _, sums, den in swept for s in sums)
 
 
 def test_image_divisibility_chi4_chi4_k4_full_sweep():
     # every value over G_50(16) for (chi4, chi4), k = 4 lies in 6Z
     ctx = ctx_for("chi4", "chi4", 4)
-    values = dk.sweep_S_tilde_rational(ctx, list(iter_G_pairs(16, 50)))
-    assert all((v / 6).denominator == 1 for v in values)
+    assert all(s * c**2 % (6 * den) == 0 for c, sums, den in G_sweep(ctx, 50) for s in sums)
 
 
 TABLE_CELLS = [
@@ -232,10 +248,9 @@ def test_sweep_matches_single_calls(cell, t, data):
     c = ctx.n * t
     unit = st.integers(-2 * c, 2 * c).filter(lambda a: gcd(a, c) == 1)
     drawn = data.draw(st.lists(unit, min_size=1, max_size=4))
-    pairs = [(x, c) for a in drawn for x in (a, a + c, a - c)]
-    values = dk.sweep_S_tilde_rational(ctx, pairs)
-    for (a, _), v in zip(pairs, values):
-        assert v == dk.sum_S(ctx, a, c).rational_value() * c ** (ctx.k - 2)
+    units = [x for a in drawn for x in (a, a + c, a - c)]
+    sums, den = dk.sweep_sums(ctx, c, units)
+    assert [Fraction(s, den) for s in sums] == [dk.sum_S(ctx, a, c).rational_value() for a in units]
 
 
 def horner_table(ctx: SumContext, c: int) -> tuple[list[int], int]:
@@ -296,10 +311,10 @@ def test_sweep_reads_no_boundary_entry_of_the_value_table(monkeypatch, pair, k, 
     ctx = analysis.context_for(pair, k)
     n = ctx.n
     if all_units:
-        pairs = [(a, c) for c in (n, 2 * n, 3 * n) for a in range(1, c) if gcd(a, c) == 1]
+        by_c = {c: [a for a in range(1, c) if gcd(a, c) == 1] for c in (n, 2 * n, 3 * n)}
     else:
-        pairs = list(iter_G_pairs(n, 12))
-    want = dk.sweep_S_tilde_rational(ctx, pairs)
+        by_c = {c: [a for a in range(1, 12 * n, n) if gcd(a, c) == 1] for c in range(n, 12 * n, n)}
+    want = [dk.sweep_sums(ctx, c, units) for c, units in by_c.items()]
     value_table = dk._value_table
 
     def poisoned(ctx, c):
@@ -307,7 +322,7 @@ def test_sweep_reads_no_boundary_entry_of_the_value_table(monkeypatch, pair, k, 
         return [10**30 if r % (c // ctx.q1) == 0 else v for r, v in enumerate(table)], scale
 
     monkeypatch.setattr(dk, "_value_table", poisoned)
-    assert dk.sweep_S_tilde_rational(ctx, pairs) == want
+    assert [dk.sweep_sums(ctx, c, units) for c, units in by_c.items()] == want
 
 
 QUADRATIC_CHARS = [named_character(tag) for tag in ("chi3", "chi4", "chi5", "chi7", "chi8a", "chi8b")]
@@ -326,23 +341,8 @@ def test_sweep_matches_sum_S_tilde(chi1, chi2, t, data):
     ctx = SumContext(chi1, chi2, k)
     c = ctx.n * t
     a = data.draw(st.integers(-2 * c, 2 * c).filter(lambda a: gcd(a, c) == 1))
-    assert dk.sweep_S_tilde_rational(ctx, [(a, c)]) == [dk.sum_S_tilde(ctx, a, c).rational_value()]
-
-
-@settings(max_examples=40, deadline=None)
-@given(cell=st.sampled_from(TABLE_CELLS), data=st.data())
-def test_sweep_matches_sum_S_tilde_over_mixed_pair_lists(cell, data):
-    # several c interleaved in one list, each pair next to a copy with the
-    # same a mod c and a >= c: the values come back pair by pair, in order
-    ctx = analysis.context_for(*cell)
-    moduli = st.integers(1, 6).map(lambda t: ctx.n * t)
-    pair = moduli.flatmap(
-        lambda c: st.tuples(st.integers(-2 * c, 3 * c).filter(lambda a: gcd(a, c) == 1), st.just(c))
-    )
-    drawn = data.draw(st.lists(pair, min_size=1, max_size=6))
-    pairs = data.draw(st.permutations(drawn + [(a % c + c, c) for a, c in drawn]))
-    values = dk.sweep_S_tilde_rational(ctx, pairs)
-    assert values == [dk.sum_S_tilde(ctx, a, c).rational_value() for a, c in pairs]
+    (s,), den = dk.sweep_sums(ctx, c, [a])
+    assert Fraction(s * c ** (k - 2), den) == dk.sum_S_tilde(ctx, a, c).rational_value()
 
 
 @pytest.mark.parametrize(
@@ -350,16 +350,19 @@ def test_sweep_matches_sum_S_tilde_over_mixed_pair_lists(cell, data):
 )
 @pytest.mark.parametrize("at", [0, 7, None], ids=["first", "middle", "last"])
 def test_sweep_validates_every_pair_before_building_a_table(monkeypatch, bad, at):
+    # the bad a sits first, in the middle or last of a list of units, each
+    # good for c = 9; the sweep at the bad pair's c raises before any table
     ctx = ctx_for("chi3", "chi3", 2)
-    pairs = list(iter_G_pairs(9, 4))
-    pairs.insert(len(pairs) if at is None else at, bad)
+    a, c = bad
+    units = [1, 2, 4, 5, 7, 8, 10, 11, 13]
+    units.insert(len(units) if at is None else at, a)
     with pytest.raises(ValueError) as want:
-        dk.sum_S(ctx, *bad)
+        dk.sum_S(ctx, a, c)
     builds = []
     value_table = dk._value_table
     monkeypatch.setattr(dk, "_value_table", lambda ctx, c: builds.append(c) or value_table(ctx, c))
     with pytest.raises(ValueError) as got:
-        dk.sweep_S_tilde_rational(ctx, pairs)
+        dk.sweep_sums(ctx, c, units)
     assert str(got.value) == str(want.value)
     assert builds == []
 
@@ -373,10 +376,10 @@ def test_sweep_builds_no_twisted_pieces(monkeypatch):
     )
     monkeypatch.setattr(dk, "scaled_int_poly", lambda k, c: poly_calls.append(c) or scaled_int_poly(k, c))
     ctx = ctx_for("chi5", "chi5", 4)
-    pairs = list(iter_G_pairs(25, 8))
-    assert dk.sweep_S_tilde_rational(ctx, pairs)
+    swept = list(G_sweep(ctx, 8))
+    assert all(sums for _, sums, _ in swept)
     assert pieces_calls == []
-    assert sorted(poly_calls) == sorted({c for _, c in pairs})
+    assert sorted(poly_calls) == [c for c, _, _ in swept]
 
 
 # every table pair at the lowest and highest weight of its table: q1 runs over 3, 4, 5, 7 and 8
@@ -512,7 +515,8 @@ def test_twisted_kernel_matches_old_kernel(order, chi2, t, data):
     assert dk.sum_S(ctx, a, c) == old_sum_S(ctx, a, c)
     if ctx.quadratic:
         old = old_sum_S(ctx, a, c, old_p_table(k, c, ctx.q1)).rational_value()
-        assert dk.sweep_S_tilde_rational(ctx, [(a, c)]) == [old * c ** (k - 2)]
+        (s,), den = dk.sweep_sums(ctx, c, [a])
+        assert Fraction(s, den) == old
 
 
 @pytest.mark.parametrize(
@@ -558,7 +562,7 @@ def test_weight2_crossed_homomorphism():
 
 def test_shat_at_infinity_is_zero():
     ctx = ctx_for("chi5", "chi5", 4)
-    assert dk.shat(ctx, CUSP_INF).is_zero()
+    assert dk.shat(ctx, Cusp.infinity()).is_zero()
 
 
 def test_shat_periodicity():
@@ -580,7 +584,7 @@ def test_shat_equals_sum_on_matrices():
     rng = random.Random(33)
     for _ in range(10):
         g = random_gamma1(rng, 12)
-        cusp = cusp_apply(g, CUSP_INF)
+        cusp = cusp_apply(g, Cusp.infinity())
         assert (dk.shat(ctx, cusp) - dk.sum_S_matrix(ctx, g)).is_zero()
 
 
@@ -594,7 +598,7 @@ def test_h_of_translation_vanishes():
     ctx = ctx_for("chi5", "chi5", 4)
     for a, c in [(1, 25), (26, 25), (1, 50)]:
         assert dk.h_eval(ctx, Mat2(1, 1, 0, 1), Cusp(a, c)).is_zero()
-    assert dk.h_interpolate(ctx, Mat2(1, 1, 0, 1)).is_zero()
+    assert dk.h_interpolate(ctx, Mat2(1, 1, 0, 1)).coeffs == [0] * (ctx.k - 1)
 
 
 def test_h_eval_matches_reference_polynomial():
@@ -609,7 +613,7 @@ def test_h_eval_at_pole_is_polynomial_value():
     # at a = gamma^-1(inf) the slash term drops; the value is the polynomial's
     ctx = ctx_for("chi5", "chi5", 4)
     g1 = Mat2(26, 1, 25, 1)
-    pole = cusp_apply(g1.inverse(), CUSP_INF)
+    pole = cusp_apply(g1.inverse(), Cusp.infinity())
     v = dk.h_eval(ctx, g1, pole).rational_value()
     assert v == Fraction(-24, 5) * Fraction(pole.p, pole.q) ** 2
 
@@ -669,7 +673,7 @@ def test_h_eval_matches_the_field_expression(tag1, tag2, k, seed, size):
     q = ctx.n * rng.randint(1, size)
     cusps = [Cusp(rng.choice([p for p in range(-q, q) if gcd(p, q) == 1]), q)]
     if gamma.c:
-        cusps.append(cusp_apply(gamma.inverse(), CUSP_INF))
+        cusps.append(cusp_apply(gamma.inverse(), Cusp.infinity()))
     for cusp in cusps:
         value, expected = dk.h_eval(ctx, gamma, cusp), field_h_eval(ctx, gamma, cusp)
         assert value.order == expected.order
@@ -699,7 +703,7 @@ def test_node_unit_is_the_nearest_admissible_unit(n, a, size, sign):
 def ring_order_nodes(ctx: SumContext, gamma: Mat2, count: int) -> list[Cusp]:
     """Reference node choice: the first admissible cusps of the G_j(N) rings in
     ring order, skipping the pole gamma^-1(inf)."""
-    pole = cusp_apply(gamma.inverse(), CUSP_INF)
+    pole = cusp_apply(gamma.inverse(), Cusp.infinity())
     seen: set = set()
     nodes: list[Cusp] = []
     j = 1
@@ -759,7 +763,7 @@ def test_h_eval_at_pole_matches_interpolant(tag1, tag2, k, seed, size):
     # polynomial's; the reference fit never uses the pole
     ctx = ctx_for(tag1, tag2, k)
     gamma = random_gamma1(random.Random(seed), ctx.n, size)
-    pole = cusp_apply(gamma.inverse(), CUSP_INF)
+    pole = cusp_apply(gamma.inverse(), Cusp.infinity())
     poly = ring_order_fit(ctx, gamma)
     assert dk.h_eval(ctx, gamma, pole).rational_value() == poly.eval(Fraction(pole.p, pole.q))
     assert dk.h_interpolate(ctx, gamma) == poly
@@ -1026,3 +1030,55 @@ def test_h_top_coefficient_is_minus_c_power_times_S(tag1, tag2, k, seed, in_gamm
         gamma = -gamma
     top = dk.h_interpolate(ctx, gamma).coeffs[0]
     assert dk.sum_S_matrix(ctx, gamma) * -Fraction(gamma.c) ** (k - 2) == top
+
+
+CHI5, ZETA5 = named_character("chi5"), CyclotomicElement.root_of_unity(5)
+# an order-4 character mod 5 twice: even, so k = 4 is allowed, and not quadratic
+NON_QUADRATIC_CTX = SumContext(parse_character("5:1"), parse_character("5:1"), 4)
+OFF_GAMMA0 = Mat2(1, 0, 1, 1)
+
+
+def assign_order():
+    ZETA5.order = 10
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: analysis.bound_statistics(NON_QUADRATIC_CTX, 100), ValueError, "quadratic pairs"),
+        (lambda: dk.sweep_sums(NON_QUADRATIC_CTX, 25, [1]), ValueError, "quadratic pairs only"),
+        (lambda: dk.sum_S_matrix(ctx_for("chi5", "chi5", 4), OFF_GAMMA0), ValueError, "not in Gamma_0"),
+        (lambda: dk.h_eval(ctx_for("chi5", "chi5", 4), OFF_GAMMA0, Cusp(1, 25)), ValueError, "not in Gamma_0"),
+        (lambda: dk.h_eval(ctx_for("chi5", "chi5", 4), Mat2(1, 1, 0, 1), Cusp.infinity()), ValueError, "away from"),
+        (lambda: cocycle_j(Mat2(1, 1, 0, 1), Cusp.infinity()), ValueError, "finite cusp"),
+        (lambda: SumContext(CHI5, CHI5, 0), ValueError, "k must be >= 2"),
+        (lambda: dk.classical_s(1, 0), ValueError, "k must be positive"),
+        (lambda: Poly(1, []), ValueError, "weight must be >= 2"),
+        (lambda: Poly(4, [1, 2]), ValueError, "need 3 coefficients"),
+        (lambda: Poly(3, [1, 2]) + Poly(4, [1, 2, 3]), ValueError, "weights differ"),
+        (lambda: euler_phi(0), ValueError, "n >= 1"),
+        (lambda: cyclotomic_polynomial(0), ValueError, "order must be positive"),
+        (lambda: bernoulli_number(-1), ValueError, "nonnegative"),
+        (lambda: periodic_bernoulli(0, Fraction(1, 2)), ValueError, "k must be >= 1"),
+        (lambda: CyclotomicElement(5, [1, 2]), ValueError, "expected 4 coefficients"),
+        (assign_order, AttributeError, "immutable"),
+        (lambda: ZETA5**-1, ValueError, "negative powers"),
+        (lambda: ZETA5.rational_value(), ValueError, "not rational"),
+        (lambda: UnitGroup(0), ValueError, "modulus must be positive"),
+        (lambda: DirichletCharacter(5, (1, 2)), ValueError, "does not match"),
+        (lambda: numeric_context(ctx_for("chi5", "chi5", 4)).psi(Mat2(1, 1, 4, 5)), ValueError, "shares a factor"),
+        (lambda: _tail_terms(0.0, 4, 1e-8, (1.0, 1.0, 1.0), 1000), ValueError, "upper half plane"),
+    ],
+    ids=[
+        "bound-statistics-non-quadratic", "sweep-sums-non-quadratic", "sum-S-matrix-off-gamma0",
+        "h-eval-off-gamma0", "h-eval-at-infinity", "cocycle-j-at-infinity", "context-k-below-2",
+        "classical-s-k-0", "poly-weight-1", "poly-coefficient-count", "poly-sum-across-weights",
+        "euler-phi-0", "cyclotomic-polynomial-0", "bernoulli-number-negative", "periodic-bernoulli-0",
+        "cyclotomic-coefficient-count", "cyclotomic-assignment", "cyclotomic-negative-power",
+        "cyclotomic-rational-value", "unit-group-0", "character-exponent-length",
+        "numeric-psi-non-unit-d", "tail-terms-real-axis",
+    ],
+)
+def test_documented_input_rejections(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

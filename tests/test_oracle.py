@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dedsums import dedekind as dk, fricke as fr, oracle as oc
 from dedsums.characters import characters_mod, gauss_sum, is_primitive, named_character, parity
-from dedsums.modgroup import CUSP_INF, Cusp, Mat2, cusp_apply, fricke_apply, g_witness, random_gamma0
+from dedsums.modgroup import Cusp, Mat2, cusp_apply, fricke_apply, g_witness, random_gamma0
 
 
 def ctx_for(t1, t2, k):
@@ -116,7 +116,7 @@ def test_phi_depends_only_on_cusp():
     n = oc.numeric_context(ctx)
     g1 = Mat2(1, 0, 12, 1)
     g2 = Mat2(1, 1, 12, 13)  # different witness, same cusp 1/12
-    assert cusp_apply(g1, CUSP_INF) == cusp_apply(g2, CUSP_INF)
+    assert cusp_apply(g1, Cusp.infinity()) == cusp_apply(g2, Cusp.infinity())
     v1 = oc.phi_numeric(n, g1, 1.0, -1 / 12)
     v2 = oc.phi_numeric(n, g2, 1.0, -1 / 12)
     assert abs(v1 - v2) < 1e-8
@@ -218,7 +218,7 @@ def test_nonquadratic_pair_cross_validation():
 
 def test_shat_numeric_infinity():
     ctx = ctx_for("chi5", "chi5", 4)
-    assert oc.shat_numeric(oc.numeric_context(ctx), CUSP_INF) == 0
+    assert oc.shat_numeric(oc.numeric_context(ctx), Cusp.infinity()) == 0
 
 
 def test_shat_numeric_zero_cusp():
