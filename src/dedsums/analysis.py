@@ -22,7 +22,6 @@ from .modgroup import (
     Mat2,
     Poly,
     coset_walk,
-    gamma1_generators,
     iter_G_pairs,
     partial_quotient_max,
     read_word,
@@ -257,26 +256,28 @@ def containment_m(
     m = gcd(q1^(n+1) nums[n] L/den)/L, one Fraction in all.  Each h then
     becomes one Poly, which must pass :func:`poly_space_member` at m, else
     CertificateError.  ``generators`` may list the Schreier generators in
-    any order; any other list, and a pair that is not quadratic (the check of
+    any order, matched to them by their entries before any fit; any other
+    list, and a pair that is not quadratic (the check of
     :func:`gamma1_h_table`), raise ValueError.
     """
-    schreier = gamma1_generators(ctx.n)
+    schreier = coset_walk(ctx.n).generators
     if generators is None:
-        generators = schreier
-    elif len(generators) != len(schreier) or set(generators) != set(schreier):
-        raise ValueError(
-            f"generators must be the Schreier generators of Gamma_1({ctx.n}), in any order"
-        )
-    table = dict(zip(schreier, gamma1_h_table(ctx, progress)))
+        generators, order = schreier, range(len(schreier))
+    else:
+        position = {(g.a, g.b, g.c, g.d): i for i, g in enumerate(schreier)}
+        order = [position.get((g.a, g.b, g.c, g.d)) for g in generators]
+        if len(order) != len(schreier) or None in order or len(set(order)) != len(order):
+            raise ValueError(
+                f"generators must be the Schreier generators of Gamma_1({ctx.n}), in any order"
+            )
+    table = gamma1_h_table(ctx, progress)
     k, q1 = ctx.k, ctx.q1
-    den = lcm(*(d for _, d in table.values()))
-    scaled = (
-        x * q1 ** (n + 1) * (den // d) for nums, d in table.values() for n, x in enumerate(nums)
-    )
+    den = lcm(*(d for _, d in table))
+    scaled = (x * q1 ** (n + 1) * (den // d) for nums, d in table for n, x in enumerate(nums))
     m = Fraction(gcd(*scaled), den)
     polys = []
-    for gen in generators:
-        nums, d = table[gen]
+    for gen, i in zip(generators, order):
+        nums, d = table[i]
         h = Poly(k, [Fraction(x, d) for x in nums])
         if not poly_space_member(h, m, q1):
             raise dk.CertificateError(f"h at {gen} lies outside the polynomial space at m = {m}")

@@ -35,8 +35,6 @@ from .modgroup import (
     Cusp,
     Mat2,
     Poly,
-    cocycle_j,
-    cusp_apply,
     in_gamma0,
 )
 
@@ -122,7 +120,8 @@ class SumContext(Record):
 
     @cached_property
     def pieces_memo(self) -> dict:
-        """:func:`_twisted_pieces` by (c, degree), filled by the sums."""
+        """:func:`_twisted_pieces` by (c, degree), and the outer weight
+        tables of :func:`_mixed_sum` by (c, -r), filled by the sums."""
         return {}
 
     def swap(self) -> "SumContext":
@@ -309,8 +308,9 @@ def _mixed_sum(ctx: SumContext, a: int, c: int, r: int) -> CyclotomicElement:
 
     The kernel over the twisted pieces of degree k-r, kept in
     ``ctx.pieces_memo`` under (c, k-r), with the outer weight s_r B_r(j/c)
-    tabulated from :func:`bernoulli.scaled_int_poly`.  The value is kept in
-    ``ctx.sum_memo`` under (a, c, r).
+    tabulated from :func:`bernoulli.scaled_int_poly`, kept there under
+    (c, -r) for r >= 2.  The value is kept in ``ctx.sum_memo`` under
+    (a, c, r).
     """
     value = ctx.sum_memo.get((a, c, r))
     if value is None:
@@ -321,7 +321,9 @@ def _mixed_sum(ctx: SumContext, a: int, c: int, r: int) -> CyclotomicElement:
         pieces, scale = entry
         ints, weight_scale = scaled_int_poly(r, c)
         # s_1 B_1(j/c) = 2j - c: a range stands in for the table at r = 1
-        weight = range(-c, c, 2) if r == 1 else _tabulate(ints, (c - 1) // 2)
+        weight = range(-c, c, 2) if r == 1 else ctx.pieces_memo.get((c, -r))
+        if weight is None:
+            weight = ctx.pieces_memo[c, -r] = _tabulate(ints, (c - 1) // 2)
         acc = _accumulate(ctx, a, c, pieces, weight)
         value = ctx.sum_memo[a, c, r] = _combine(ctx, acc, weight_scale * scale)
     return value
@@ -390,20 +392,24 @@ def shat(ctx: SumContext, cusp: Cusp) -> CyclotomicElement:
 def h_eval(ctx: SumContext, gamma: Mat2, cusp: Cusp) -> CyclotomicElement:
     """h_gamma(a) = S-hat(a) - j(gamma, a)^(k-2) S-hat(gamma a), exactly.
 
-    When both S-hat values are rational (always for a quadratic pair) they
-    are combined as Fractions and the result is wrapped once.
+    gamma a and j(gamma, a)^(k-2) are taken from the integers of gamma and
+    a = p/q: one Cusp for the image, one Fraction for the power.  When both
+    S-hat values are rational (always for a quadratic pair) they are
+    combined as Fractions and the result is wrapped once.
     """
     if not in_gamma0(gamma, ctx.n):
         raise ValueError(f"matrix is not in Gamma_0({ctx.n})")
     if cusp.is_infinity():
         raise ValueError("h_gamma is defined away from infinity")
     base = shat(ctx, cusp)
-    image = cusp_apply(gamma, cusp)
-    if image.is_infinity():
-        # j(gamma, a) vanishes there and S-hat(inf) = 0; the slash term drops out
+    p, q = cusp.p, cusp.q
+    # gamma a = (a p + b q)/(c p + d q) and j(gamma, a) = (c p + d q)/q
+    j_num = gamma.c * p + gamma.d * q
+    if j_num == 0:
+        # a is the pole gamma^-1(inf), where S-hat(inf) = 0: the slash term drops out
         return base
-    jpow = cocycle_j(gamma, cusp) ** (ctx.k - 2)
-    top = shat(ctx, image)
+    jpow = Fraction(j_num ** (ctx.k - 2), q ** (ctx.k - 2))
+    top = shat(ctx, Cusp(gamma.a * p + gamma.b * q, j_num))
     if base.is_rational() and top.is_rational():
         return CyclotomicElement.from_rational(base.coeffs[0] - top.coeffs[0] * jpow, base.order)
     return base - top * jpow

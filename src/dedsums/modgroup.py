@@ -163,17 +163,19 @@ class CosetWalk(Record):
 def coset_walk(n: int, kernel: tuple[int, ...] = (1,)) -> CosetWalk:
     """Right cosets of Gamma_K = {(a b; c d) in Gamma_0(N) : d mod N in K},
     K a subgroup of the units mod N as a tuple ((1,) gives Gamma_1(N)), by
-    one BFS over S, T, T^-1 from the identity coset.  A coset is keyed by
-    the least K-multiple of its bottom row mod N.  The BFS labels each S and
-    T edge r -> r x as it crosses it by the Schreier generator
-    rep(r) x rep(r x)^-1, numbered in order of first appearance.  Certified:
-    the cosets times |K| are the index of Gamma_1(N), and every generator
-    has N | c and d mod N in K.  The walk runs on integer tuples; only the
-    generators become Mat2s.
+    one BFS over S, T, T^-1 from the identity coset.  A coset is its K-orbit
+    of bottom rows (u c, u d) mod N: when a coset is first met, every row
+    of its orbit is keyed to it, so each later edge is one lookup of its
+    own row.  The BFS labels each S and T edge r -> r x as it crosses it by
+    the Schreier generator rep(r) x rep(r x)^-1, numbered in order of first
+    appearance.  Certified: the cosets times |K| are the index of
+    Gamma_1(N), and every generator has N | c and d mod N in K.  The walk
+    runs on integer tuples; only the generators become Mat2s.
     """
     if n < 5:
         raise ValueError("coset keying by bottom row needs N >= 5 (so -I is not in Gamma_1)")
-    cosets = {(0, 1): (0, (1, 0, 0, 1))}  # (index, rep) by key
+    # (index, rep) by every bottom row mod N of the coset's K-orbit
+    cosets = dict.fromkeys([(0, u % n) for u in kernel], (0, (1, 0, 0, 1)))
     queue = [(1, 0, 0, 1)]  # the reps in index order, read as they are appended
     tree = [(-1, -1)]
     gens: dict[tuple[int, int, int, int], int] = {}
@@ -181,10 +183,11 @@ def coset_walk(n: int, kernel: tuple[int, ...] = (1,)) -> CosetWalk:
     for r, (a, b, c, d) in enumerate(queue):
         # r S, r T and r T^-1; the S and T edges are labelled
         for x, g in enumerate(((b, -a, d, -c), (a, a + b, c, c + d), (a, b - a, c, d - c))):
-            row = min([(u * g[2] % n, u * g[3] % n) for u in kernel])
-            entry = cosets.get(row)
+            entry = cosets.get((g[2] % n, g[3] % n))
             if entry is None:
-                entry = cosets[row] = (len(cosets), g)
+                entry = (len(queue), g)
+                for u in kernel:
+                    cosets[u * g[2] % n, u * g[3] % n] = entry
                 queue.append(g)
                 tree.append((r, x))
             if x < 2:
@@ -193,8 +196,8 @@ def coset_walk(n: int, kernel: tuple[int, ...] = (1,)) -> CosetWalk:
                 u = (g[0] * rd - g[1] * rc, g[1] * ra - g[0] * rb,
                      g[2] * rd - g[3] * rc, g[3] * ra - g[2] * rb)
                 edges.append((target, -1 if u == (1, 0, 0, 1) else gens.setdefault(u, len(gens))))
-    if len(cosets) * len(kernel) != gamma1_index(n):
-        raise CertificateError(f"{len(cosets)} cosets times |K| = {len(kernel)} is not the index")
+    if len(queue) * len(kernel) != gamma1_index(n):
+        raise CertificateError(f"{len(queue)} cosets times |K| = {len(kernel)} is not the index")
     for u in gens:
         if u[2] % n or u[3] % n not in kernel:
             raise CertificateError(f"Schreier generator {u} is not in the group at level {n}")

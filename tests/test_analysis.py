@@ -182,6 +182,46 @@ def test_containment_runs_each_distinct_sum_once(monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == CHI5_K4_POLYNOMIALS
 
 
+def test_containment_tabulates_each_outer_weight_once(monkeypatch):
+    # the outer weight s_r B_r(j/c) of S_r, r >= 2, depends on (c, r) alone:
+    # the 12 fits at |c| = 25 share one table for r = 2 and one for r = 3
+    # (the node sums are S_1, whose weight is a range, not a table)
+    runs = []
+    monkeypatch.setattr(
+        dk, "_tabulate", lambda ints, last, f=dk._tabulate: runs.append((len(ints) - 1, last)) or f(ints, last)
+    )
+    report = containment_m(context_for(("chi5", "chi5"), 4))
+    assert report.m == 6
+    assert sorted(runs) == [(2, 12), (3, 12)]
+
+
+def test_containment_refuses_a_wrong_generator_list_before_any_fit(monkeypatch):
+    ctx = context_for(("chi5", "chi5"), 4)
+    gens = gamma1_generators(ctx.n)
+    fits = []
+    monkeypatch.setattr(dk, "_h_fit", lambda ctx, gamma, f=dk._h_fit: fits.append(gamma) or f(ctx, gamma))
+    foreign = gens[0] * gens[1]
+    assert foreign not in gens
+    wrong = {
+        "duplicate": gens[:-1] + [gens[0]],
+        "missing": gens[:-1],
+        "foreign": gens[:-1] + [foreign],
+        "extra": gens + [foreign],
+    }
+    for name, listed in wrong.items():
+        with pytest.raises(ValueError, match="Schreier generators"):
+            containment_m(ctx, generators=listed)
+        assert fits == [], name
+    # a permutation is accepted, and the report follows its order
+    shuffled = list(gens)
+    random.Random(5).shuffle(shuffled)
+    report = containment_m(ctx, generators=shuffled)
+    assert fits
+    assert [g for g, _ in report.polynomials] == shuffled
+    table = dict(containment_m(ctx).polynomials)
+    assert all(h == table[g] for g, h in report.polynomials)
+
+
 def test_containment_membership_failure_raises_certificate_error(monkeypatch):
     # the membership certificate is an explicit check, not an assert that -O strips
     monkeypatch.setattr(analysis, "poly_space_member", lambda *args: False)

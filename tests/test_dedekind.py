@@ -680,6 +680,42 @@ def test_h_eval_matches_the_field_expression(tag1, tag2, k, seed, size):
         assert value == expected, (gamma, cusp)
 
 
+# a rational and a cyclotomic pair at each weight k = 2..6, one pair per
+# parity of k for each kind
+H_EVAL_WEIGHTS = [
+    (tags, k)
+    for even, odd in ((("chi3", "chi3"), ("chi3", "chi5")), (("5:1", "5:1"), ("7:1", "5:2")))
+    for k in range(2, 7)
+    for tags in [odd if k % 2 else even]
+]
+
+
+@pytest.mark.parametrize(
+    "tags,k", H_EVAL_WEIGHTS, ids=[f"{t[0]},{t[1]},{k}" for t, k in H_EVAL_WEIGHTS]
+)
+def test_h_eval_on_integers_matches_the_cusp_formula(tags, k):
+    # h_eval maps the cusp and takes j(gamma, a)^(k-2) from the integers of
+    # gamma and a; field_h_eval writes it with cusp_apply and cocycle_j.  At
+    # the pole gamma^-1(inf) the value is S-hat there
+    ctx = ctx_for(*tags, k)
+    rng = random.Random(8000 + 10 * ctx.n + k)
+    for _ in range(6):
+        gamma = random_gamma0(rng, ctx.n, 3)
+        q = ctx.n * rng.randint(1, 3)
+        cusps = [Cusp(p, q) for p in rng.sample([p for p in range(-q, 2 * q) if gcd(p, q) == 1], 2)]
+        for cusp in cusps:
+            value, expected = dk.h_eval(ctx, gamma, cusp), field_h_eval(ctx, gamma, cusp)
+            assert value.order == expected.order and value == expected, (gamma, cusp)
+        if gamma.c:
+            pole = Cusp(-gamma.d, gamma.c)
+            assert cusp_apply(gamma, pole).is_infinity()
+            assert dk.h_eval(ctx, gamma, pole) == dk.shat(ctx, pole) == field_h_eval(ctx, gamma, pole)
+        with pytest.raises(ValueError, match="not in Gamma_0"):
+            dk.h_eval(ctx, gamma * Mat2(1, 0, 1, 1), cusps[0])
+        with pytest.raises(ValueError, match="away from infinity"):
+            dk.h_eval(ctx, gamma, Cusp.infinity())
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.sampled_from([9, 12, 15, 20, 21, 25, 28, 32, 35, 49]),

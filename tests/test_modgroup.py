@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dedsums
 from dedsums.analysis import TABLE1_PAIRS, TABLE2_PAIRS, TABLE3_PAIRS
@@ -250,6 +251,29 @@ def test_tuple_walk_matches_the_mat2_walk(n):
 @pytest.mark.parametrize("n,kernel", PSI_KERNELS, ids=PSI_PAIRS.values())
 def test_psi_walk_matches_the_mat2_walk(n, kernel):
     walk = coset_walk(n, kernel)
+    assert walk_fields(walk) == mat2_walk(n, kernel)
+    for g in walk.generators:
+        assert in_gamma0(g, n) and g.d % n in kernel
+
+
+def unit_subgroup(n, units):
+    """The subgroup of the units mod n that ``units`` generate, as a sorted tuple."""
+    group = {1}
+    while True:
+        grown = group | {g * u % n for g in group for u in units}
+        if grown == group:
+            return tuple(sorted(group))
+        group = grown
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), n=st.integers(5, 60))
+def test_walk_at_a_random_kernel_matches_the_mat2_walk(data, n):
+    # K generated by one or two random units: each coset is a K-orbit of
+    # bottom rows, keyed row by row as the orbit is first met
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    kernel = unit_subgroup(n, data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=2)))
+    walk = coset_walk.__wrapped__(n, kernel)
     assert walk_fields(walk) == mat2_walk(n, kernel)
     for g in walk.generators:
         assert in_gamma0(g, n) and g.d % n in kernel
