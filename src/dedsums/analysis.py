@@ -9,7 +9,6 @@ import math
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 from operator import mul, sub
 
@@ -24,7 +23,6 @@ from .modgroup import (
     coset_walk,
     iter_G_pairs,
     partial_quotient_max,
-    read_word,
     slash_matrix,
     slash_vector,
 )
@@ -182,8 +180,12 @@ def gamma1_h_table(ctx: SumContext, progress=None) -> list[tuple[list[int], int]
     and P the Gamma_psi rep, with v_r = h(Q_r).  The generator on the Gamma_1
     edge r -s-> t is Q_r w Q_t^-1, w the label of pi(r) -s-> pi(t), so its h
     is (v_r|w + h_w - v_t)|Q_t^-1.  Slash matrices are built only for the
-    Gamma_psi generators and their inverses; the tree walk carries Q_r^-1
-    as an integer 4-tuple, and the last slash is one :func:`slash_vector`.
+    Gamma_psi generators and their inverses.  The relator walks and the
+    tree walk read each letter straight off the Gamma_psi ``edges`` and
+    ``back`` tables: the tree keeps pi(r), Q_r^-1 (an integer 4-tuple) and
+    v_r in three lists by Gamma_1 coset, an edge reading I copies its
+    parent's, a labelled one costs one mat-vec and one 4-tuple product, and
+    the last slash is one :func:`slash_vector`.
     ``progress(i, total)`` is called as each Gamma_1 generator's h is known.
     """
     if not ctx.quadratic:
@@ -208,32 +210,47 @@ def gamma1_h_table(ctx: SumContext, progress=None) -> list[tuple[list[int], int]
         return [sum(map(mul, acc, col)) + x for col, x in zip(forward, h_u)]
 
     zero = [0] * (k - 1)
-    for start in range(len(psi.tree)):
-        for relator in RELATORS:
-            end, read = read_word(psi, relator, start)
-            if end != start or any(reduce(lambda acc, u: step(acc, *u), read, zero)):
+    edges, back = psi.edges, psi.back
+    for start in range(len(back)):
+        for relator in RELATORS:  # S and T letters only
+            coset, acc = start, zero
+            for x in relator:
+                coset, label = edges[2 * coset + x]
+                if label >= 0:
+                    acc = step(acc, label, False)
+            if coset != start or any(acc):
                 raise dk.CertificateError(f"h breaks the relator {relator} at coset {start} of Gamma_psi")
     # reading u (u^-1) multiplies Q^-1 on the left by u^-1 (u), as 4-tuples
     left = [((g.d, -g.b, -g.c, g.a), (g.a, g.b, g.c, g.d)) for g in psi.generators]
     gamma1 = coset_walk(n)
-    walked = [(0, (1, 0, 0, 1), zero)]  # (pi(r), Q_r^-1, v_r) per Gamma_1 coset r
+    # pi(r), Q_r^-1 and v_r per Gamma_1 coset r, each tree letter read off the Gamma_psi edges
+    place, inv, v = [0], [(1, 0, 0, 1)], [zero]
     for parent, letter in gamma1.tree[1:]:
-        coset, read = read_word(psi, (letter,), walked[parent][0])
-        _, (e, f, g, h), acc = walked[parent]
-        for label, inverse in read:
-            acc = step(acc, label, inverse)
-            a, b, c, d = left[label][inverse]
-            e, f, g, h = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-        walked.append((coset, (e, f, g, h), acc))
+        coset = place[parent]
+        if letter < 2:
+            coset, label = edges[2 * coset + letter]
+        else:
+            coset = back[coset]
+            label = edges[2 * coset + 1][1]
+        place.append(coset)
+        if label < 0:
+            inv.append(inv[parent])
+            v.append(v[parent])
+            continue
+        inverse = letter == 2
+        v.append(step(v[parent], label, inverse))
+        a, b, c, d = left[label][inverse]
+        e, f, g, h = inv[parent]
+        inv.append((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
     table: list[tuple[list[int], int]] = []
     for i, (t, g) in enumerate(gamma1.edges):
         if g != len(table):
             continue  # I, or a generator met on an earlier edge (labels number first meetings)
-        (place, _, acc), (_, inv, v_t) = walked[i // 2], walked[t]
-        w = psi.edges[2 * place + i % 2][1]
+        acc = v[i // 2]
+        w = edges[2 * place[i // 2] + i % 2][1]
         if w >= 0:
             acc = step(acc, w, False)
-        nums = slash_vector(list(map(sub, acc, v_t)), inv)
+        nums = slash_vector(list(map(sub, acc, v[t])), inv[t])
         common = gcd(den, *nums)
         table.append(([x // common for x in nums], den // common))
         if progress:
@@ -253,12 +270,13 @@ def containment_m(
     the polynomial space at m and the image of S-tilde on the whole group is
     contained in (m/q1)*Z.  It is taken from the integer vectors
     (nums, den) of :func:`gamma1_h_table`: with L the lcm of the den,
-    m = gcd(q1^(n+1) nums[n] L/den)/L, one Fraction in all.  Each h then
-    becomes one Poly, which must pass :func:`poly_space_member` at m, else
-    CertificateError.  ``generators`` may list the Schreier generators in
-    any order, matched to them by their entries before any fit; any other
-    list, and a pair that is not quadratic (the check of
-    :func:`gamma1_h_table`), raise ValueError.
+    m = gcd(q1^(n+1) nums[n] L/den)/L, one Fraction in all.  Each h must
+    lie in the polynomial space at m, the test of :func:`poly_space_member`
+    taken on the integers nums, den and those of m, else CertificateError;
+    only then is it one Poly, for the report.  ``generators`` may list the
+    Schreier generators in any order, matched to them by their entries
+    before any fit; any other list, and a pair that is not quadratic (the
+    check of :func:`gamma1_h_table`), raise ValueError.
     """
     schreier = coset_walk(ctx.n).generators
     if generators is None:
@@ -275,13 +293,15 @@ def containment_m(
     den = lcm(*(d for _, d in table))
     scaled = (x * q1 ** (n + 1) * (den // d) for nums, d in table for n, x in enumerate(nums))
     m = Fraction(gcd(*scaled), den)
+    # q1^(n+1) x/d lies in m*Z, m = top/bottom, where q1^(n+1) bottom x is a multiple of top d
+    top, bottom = m.as_integer_ratio()
+    powers = [q1 ** (n + 1) * bottom for n in range(k - 1)]
     polys = []
     for gen, i in zip(generators, order):
         nums, d = table[i]
-        h = Poly(k, [Fraction(x, d) for x in nums])
-        if not poly_space_member(h, m, q1):
+        if any(x and (not top or x * p % (top * d)) for x, p in zip(nums, powers)):
             raise dk.CertificateError(f"h at {gen} lies outside the polynomial space at m = {m}")
-        polys.append((gen, h))
+        polys.append((gen, Poly(k, [Fraction(x, d) for x in nums])))
     return ContainmentReport(pair=pair, k=k, polynomials=polys, m=m, bound=m / q1)
 
 

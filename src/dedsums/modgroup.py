@@ -103,16 +103,6 @@ def fricke_apply(n: int, cusp: Cusp) -> Cusp:
     return Cusp(-cusp.q, n * cusp.p)
 
 
-def cocycle_j(gamma: Mat2, cusp: Cusp) -> Fraction:
-    """j(gamma, a) = c*a + d at a finite cusp; the pole a = gamma^-1(inf) is an error."""
-    if cusp.is_infinity():
-        raise ValueError("cocycle j needs a finite cusp")
-    val = Fraction(gamma.c * cusp.p, cusp.q) + gamma.d
-    if val == 0:
-        raise ValueError("cusp is the pole gamma^-1(inf) of the cocycle")
-    return val
-
-
 # -- G_j(N) families and cusp nodes ---------------------------------------
 
 
@@ -205,23 +195,6 @@ def coset_walk(n: int, kernel: tuple[int, ...] = (1,)) -> CosetWalk:
     for r in range(len(queue)):
         back[edges[2 * r + 1][0]] = r
     return CosetWalk(tuple(Mat2(*u) for u in gens), tuple(edges), tuple(back), tuple(tree))
-
-
-def read_word(walk: CosetWalk, letters, start: int) -> tuple[int, list]:
-    """The letters (0 = S, 1 = T, 2 = T^-1) walked from coset ``start`` of
-    ``walk``: the end coset t and the generators read, as (label, inverse)
-    pairs, edges that read I dropped.  If they read u_1^e_1 ... u_L^e_L,
-    then rep(start) w = u_1^e_1 ... u_L^e_L rep(t)."""
-    coset, read = start, []
-    for x in letters:
-        if x < 2:
-            coset, label = walk.edges[2 * coset + x]
-        else:
-            coset = walk.back[coset]
-            label = walk.edges[2 * coset + 1][1]
-        if label >= 0:
-            read.append((label, x == 2))
-    return coset, read
 
 
 def gamma1_generators(n: int) -> list[Mat2]:

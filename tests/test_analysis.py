@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dedsums import analysis, dedekind as dk
+from dedsums import analysis, dedekind as dk, modgroup
 from dedsums.analysis import (
     containment_m,
     context_for,
@@ -223,34 +223,38 @@ def test_containment_refuses_a_wrong_generator_list_before_any_fit(monkeypatch):
 
 
 def test_containment_membership_failure_raises_certificate_error(monkeypatch):
-    # the membership certificate is an explicit check, not an assert that -O strips
-    monkeypatch.setattr(analysis, "poly_space_member", lambda *args: False)
-    with pytest.raises(dk.CertificateError):
+    # the membership certificate is an explicit check on the integer vectors,
+    # not an assert that -O strips; with m twice the gcd of the generators'
+    # scaled coefficients, some generator lies outside the space at m
+    monkeypatch.setattr(analysis, "Fraction", lambda x, y=1: Fraction(2 * x, y))
+    with pytest.raises(dk.CertificateError, match="outside the polynomial space at m = 12"):
         containment_m(context_for(("chi3", "chi3"), 2))
 
 
 # every table pair of level <= 25 at its least weight and at one more, both
-# parities of k >= 3 among them
+# parities of k >= 3 among them, each generator checked; and three levels
+# past 25: psi != 1 at N = 28, k = 9 at N = 32, and every 7th of the 730
+# generators at N = 49
 COCYCLE_CELLS = [
-    (pair, k)
+    (pair, k, 1)
     for pairs, weights in (
         (analysis.TABLE1_PAIRS + analysis.TABLE2_PAIRS, (2, 4, 6)),
         (analysis.TABLE3_PAIRS, (3, 5, 7)),
     )
     for i, pair in enumerate(p for p in pairs if context_for(p, weights[0]).n <= 25)
     for k in (weights[0], weights[1 + i % 2])
-]
+] + [(("chi4", "chi7"), 4, 1), (("chi8a", "chi4"), 9, 1), (("chi7", "chi7"), 4, 7)]
 
 
 @pytest.mark.parametrize(
-    "pair,k", COCYCLE_CELLS, ids=[f"{p[0]},{p[1]},{k}" for p, k in COCYCLE_CELLS]
+    "pair,k,stride", COCYCLE_CELLS, ids=[f"{p[0]},{p[1]},{k}" for p, k, _ in COCYCLE_CELLS]
 )
-def test_cocycle_table_matches_direct_fits(pair, k):
+def test_cocycle_table_matches_direct_fits(pair, k, stride):
     ctx = context_for(pair, k)
     table = analysis.gamma1_h_table(ctx)
     gens = gamma1_generators(ctx.n)
     assert len(table) == len(gens)
-    for gen, (nums, den) in zip(gens, table):
+    for gen, (nums, den) in list(zip(gens, table))[::stride]:
         assert den > 0 and math.gcd(den, *nums) == 1, gen
         assert Poly(k, [Fraction(x, den) for x in nums]) == dk.h_interpolate(ctx, gen), gen
 
@@ -284,6 +288,21 @@ def test_h_table_builds_slash_matrices_only_for_the_psi_generators(monkeypatch):
     table = analysis.gamma1_h_table(context_for(("chi5", "chi5"), 4))
     assert len(table) == 197
     assert len(built) == 34
+
+
+def test_h_table_reads_no_word_per_coset(monkeypatch):
+    # the relator walks and the 599 tree steps at N = 25 read the Gamma_psi
+    # edge table in place; one read_word call per relator walk and per tree
+    # step made 659 calls
+    calls = []
+    for module in (analysis, modgroup):
+        original = getattr(module, "read_word", None)
+        monkeypatch.setattr(
+            module, "read_word", lambda *args, f=original: calls.append(args) or f(*args), raising=False
+        )
+    table = analysis.gamma1_h_table(context_for(("chi5", "chi5"), 4))
+    assert len(table) == 197
+    assert len(calls) <= 60
 
 
 # Corrupts the first fit, that of the first Schreier generator of Gamma_psi:

@@ -161,7 +161,8 @@ def test_contain_command():
 def test_contain_failed_certificate_exit_code(monkeypatch):
     from dedsums import analysis
 
-    monkeypatch.setattr(analysis, "poly_space_member", lambda *args: False)
+    # m twice the gcd of the generators' scaled coefficients: the membership check fails
+    monkeypatch.setattr(analysis, "Fraction", lambda x, y=1: Fraction(2 * x, y))
     code, _, err = run_cli("contain", "--pair", "chi3,chi3", "--k", "2")
     assert code == cli.EXIT_CHECK_FAILED
     assert "certificate" in err

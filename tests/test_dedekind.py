@@ -26,7 +26,6 @@ from dedsums.modgroup import (
     Cusp,
     Mat2,
     Poly,
-    cocycle_j,
     cusp_apply,
     iter_G_pairs,
     random_gamma0,
@@ -655,7 +654,8 @@ def field_h_eval(ctx: SumContext, gamma: Mat2, cusp: Cusp) -> CyclotomicElement:
     image = cusp_apply(gamma, cusp)
     if image.is_infinity():
         return base
-    return base - dk.shat(ctx, image) * cocycle_j(gamma, cusp) ** (ctx.k - 2)
+    j = Fraction(gamma.c * cusp.p, cusp.q) + gamma.d  # j(gamma, a) = c a + d
+    return base - dk.shat(ctx, image) * j ** (ctx.k - 2)
 
 
 @pytest.mark.parametrize(
@@ -695,7 +695,7 @@ H_EVAL_WEIGHTS = [
 )
 def test_h_eval_on_integers_matches_the_cusp_formula(tags, k):
     # h_eval maps the cusp and takes j(gamma, a)^(k-2) from the integers of
-    # gamma and a; field_h_eval writes it with cusp_apply and cocycle_j.  At
+    # gamma and a; field_h_eval writes it with cusp_apply and j = c a + d.  At
     # the pole gamma^-1(inf) the value is S-hat there
     ctx = ctx_for(*tags, k)
     rng = random.Random(8000 + 10 * ctx.n + k)
@@ -1086,7 +1086,6 @@ def assign_order():
         (lambda: dk.sum_S_matrix(ctx_for("chi5", "chi5", 4), OFF_GAMMA0), ValueError, "not in Gamma_0"),
         (lambda: dk.h_eval(ctx_for("chi5", "chi5", 4), OFF_GAMMA0, Cusp(1, 25)), ValueError, "not in Gamma_0"),
         (lambda: dk.h_eval(ctx_for("chi5", "chi5", 4), Mat2(1, 1, 0, 1), Cusp.infinity()), ValueError, "away from"),
-        (lambda: cocycle_j(Mat2(1, 1, 0, 1), Cusp.infinity()), ValueError, "finite cusp"),
         (lambda: SumContext(CHI5, CHI5, 0), ValueError, "k must be >= 2"),
         (lambda: dk.classical_s(1, 0), ValueError, "k must be positive"),
         (lambda: Poly(1, []), ValueError, "weight must be >= 2"),
@@ -1107,7 +1106,7 @@ def assign_order():
     ],
     ids=[
         "bound-statistics-non-quadratic", "sweep-sums-non-quadratic", "sum-S-matrix-off-gamma0",
-        "h-eval-off-gamma0", "h-eval-at-infinity", "cocycle-j-at-infinity", "context-k-below-2",
+        "h-eval-off-gamma0", "h-eval-at-infinity", "context-k-below-2",
         "classical-s-k-0", "poly-weight-1", "poly-coefficient-count", "poly-sum-across-weights",
         "euler-phi-0", "cyclotomic-polynomial-0", "bernoulli-number-negative", "periodic-bernoulli-0",
         "cyclotomic-coefficient-count", "cyclotomic-assignment", "cyclotomic-negative-power",

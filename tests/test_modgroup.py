@@ -20,7 +20,6 @@ from dedsums.modgroup import (
     Mat2,
     Poly,
     RELATORS,
-    cocycle_j,
     coset_walk,
     cusp_apply,
     g_witness,
@@ -32,7 +31,6 @@ from dedsums.modgroup import (
     partial_quotient_max,
     partial_quotients,
     random_gamma0,
-    read_word,
 )
 
 
@@ -101,8 +99,20 @@ def test_cusp_action_is_associative():
         assert cusp_apply(g1, cusp_apply(g2, cusp)) == cusp_apply(g1 * g2, cusp)
 
 
+def cocycle_j(gamma: Mat2, cusp: Cusp) -> Fraction:
+    """j(gamma, a) = c*a + d at a finite cusp; the pole a = gamma^-1(inf) is an error."""
+    if cusp.is_infinity():
+        raise ValueError("cocycle j needs a finite cusp")
+    val = Fraction(gamma.c * cusp.p, cusp.q) + gamma.d
+    if val == 0:
+        raise ValueError("cusp is the pole gamma^-1(inf) of the cocycle")
+    return val
+
+
 def test_cocycle_j():
     assert cocycle_j(MAT_T, Cusp(5, 7)) == 1
+    with pytest.raises(ValueError, match="finite cusp"):
+        cocycle_j(MAT_T, Cusp.infinity())
     assert cocycle_j(Mat2(26, 1, 25, 1), Cusp(0, 1)) == 1
     with pytest.raises(ValueError):
         cocycle_j(MAT_S, Cusp(0, 1))  # 0 is S^-1(inf)
@@ -289,6 +299,23 @@ def rep(walk, coset):
     for letter in reversed(letters):
         out = out * letter
     return out
+
+
+def read_word(walk, letters, start):
+    """The letters (0 = S, 1 = T, 2 = T^-1) walked from coset ``start`` of
+    ``walk``: the end coset t and the generators read, as (label, inverse)
+    pairs, edges that read I dropped.  If they read u_1^e_1 ... u_L^e_L,
+    then rep(start) w = u_1^e_1 ... u_L^e_L rep(t)."""
+    coset, read = start, []
+    for x in letters:
+        if x < 2:
+            coset, label = walk.edges[2 * coset + x]
+        else:
+            coset = walk.back[coset]
+            label = walk.edges[2 * coset + 1][1]
+        if label >= 0:
+            read.append((label, x == 2))
+    return coset, read
 
 
 def product(walk, read):
