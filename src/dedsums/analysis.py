@@ -9,13 +9,14 @@ import math
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul, sub
 
 from . import dedekind as dk
 from .characters import named_character
 from .dedekind import SumContext
-from .exactnum import Record, rational_gcd_set
+from .exactnum import Record, _numerators, rational_gcd_set
 from .modgroup import (
     RELATORS,
     Mat2,
@@ -153,50 +154,47 @@ def divisibility_tables(j: int, jobs: int = 1, progress=None) -> list[Divisibili
     return tables
 
 
+def _in_poly_space(nums, den: int, m: Fraction, q: int) -> bool:
+    """Whether q^(n+1) nums[n]/den lies in m*Z for every n: with m = top/bottom,
+    q^(n+1) bottom nums[n] is a multiple of top den."""
+    top, bottom = m.as_integer_ratio()
+    step = top * den
+    return not any(x and (not top or x * q ** (n + 1) * bottom % step) for n, x in enumerate(nums))
+
+
 def poly_space_member(p: Poly, m: Fraction, q: int) -> bool:
-    """Membership in the space where q^(n+1) a_n lies in m*Z for all n, at p's weight."""
-    for n, a_n in enumerate(p.coeffs):
-        if a_n == 0:
-            continue
-        if m == 0:
-            return False
-        # a_n q^(n+1) / m is an integer
-        if a_n.numerator * q ** (n + 1) * m.denominator % (a_n.denominator * m.numerator):
-            return False
-    return True
+    """Membership in the space where q^(n+1) a_n lies in m*Z for all n, at p's
+    weight: :func:`_in_poly_space` on p's numerators over their common denominator."""
+    return _in_poly_space(*_numerators(p.coeffs), m, q)
 
 
-def gamma1_h_table(ctx: SumContext, progress=None) -> list[tuple[list[int], int]]:
+def gamma1_h_table(ctx: SumContext, progress=None) -> tuple[list[list[int]], int]:
     """h on every Schreier generator of Gamma_1(N), in generator order, as
-    (nums, den): coefficients nums[i]/den, den > 0, gcd(den, *nums) = 1.
+    (rows, den): the coefficients of the i-th h are rows[i][n]/den, all over
+    the one den > 0, reduced as a whole: gcd(den, every entry) = 1.
 
     h is a cocycle, h_(g1 g2) = h_g1|g2 + h_g2, on Gamma_psi = ker psi, the
-    group of :func:`coset_walk` at the kernel K of psi on the units.  Each
-    Schreier generator of Gamma_psi is fitted by ``_h_fit``, all over one
-    denominator, and every relator of SL2(Z) walked from every Gamma_psi
-    coset must close and fold, acc <- acc|u + h_u, to 0, else
-    CertificateError.  Walked through the Gamma_psi graph, the BFS tree of
-    Gamma_1(N) writes each Gamma_1 coset rep as Q_r P_pi(r), Q_r in Gamma_psi
-    and P the Gamma_psi rep, with v_r = h(Q_r).  The generator on the Gamma_1
-    edge r -s-> t is Q_r w Q_t^-1, w the label of pi(r) -s-> pi(t), so its h
-    is (v_r|w + h_w - v_t)|Q_t^-1.  Slash matrices are built only for the
-    Gamma_psi generators and their inverses.  The relator walks and the
-    tree walk read each letter straight off the Gamma_psi ``edges`` and
-    ``back`` tables: the tree keeps pi(r), Q_r^-1 (an integer 4-tuple) and
-    v_r in three lists by Gamma_1 coset, an edge reading I copies its
-    parent's, a labelled one costs one mat-vec and one 4-tuple product, and
-    the last slash is one :func:`slash_vector`.
+    group of :func:`coset_walk` at the kernel K of psi on the units, the d
+    of exponent 0 in ``ctx.psi_exponents``.  Each Schreier generator of
+    Gamma_psi is fitted by ``_h_fit``, all over one denominator, and every
+    relator of SL2(Z) walked from every Gamma_psi coset must close and fold,
+    acc <- acc|u + h_u, to 0, else CertificateError.  Walked through the
+    Gamma_psi graph, the BFS tree of Gamma_1(N) writes each Gamma_1 coset
+    rep as Q_r P_pi(r), Q_r in Gamma_psi and P the Gamma_psi rep, with
+    v_r = h(Q_r).  The generator on the Gamma_1 edge r -s-> t is Q_r w Q_t^-1,
+    w the label of pi(r) -s-> pi(t), so its h is (v_r|w + h_w - v_t)|Q_t^-1.
+    Slash matrices are built only for the Gamma_psi generators and their
+    inverses.  The relator walks and the tree walk read each letter straight
+    off the Gamma_psi ``edges`` and ``back`` tables: the tree keeps pi(r),
+    Q_r^-1 (an integer 4-tuple) and v_r in three lists by Gamma_1 coset, an
+    edge reading I copies its parent's, a labelled one costs one mat-vec and
+    one 4-tuple product, and the last slash is one :func:`slash_vector`.
     ``progress(i, total)`` is called as each Gamma_1 generator's h is known.
     """
     if not ctx.quadratic:
         raise ValueError("the containment computation requires a quadratic pair")
     k, n = ctx.k, ctx.n
-    # psi(u) = chi1(u) chi2(u) is 1 where the two sign exponents agree
-    kernel = tuple(
-        u for u in range(1, n)
-        if gcd(u, n) == 1 and ctx.chi1.value_exponent(u) == ctx.chi2.value_exponent(u)
-    )
-    psi = coset_walk(n, kernel)
+    psi = coset_walk(n, tuple(d for d, e in enumerate(ctx.psi_exponents) if e == 0))
     fits = [dk._h_fit(ctx, g) for g in psi.generators]
     den = lcm(*(d for _, d in fits))
     fitted = [[x * (den // d) for x in nums] for nums, d in fits]
@@ -242,20 +240,19 @@ def gamma1_h_table(ctx: SumContext, progress=None) -> list[tuple[list[int], int]
         a, b, c, d = left[label][inverse]
         e, f, g, h = inv[parent]
         inv.append((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
-    table: list[tuple[list[int], int]] = []
+    rows: list[list[int]] = []
     for i, (t, g) in enumerate(gamma1.edges):
-        if g != len(table):
+        if g != len(rows):
             continue  # I, or a generator met on an earlier edge (labels number first meetings)
         acc = v[i // 2]
         w = edges[2 * place[i // 2] + i % 2][1]
         if w >= 0:
             acc = step(acc, w, False)
-        nums = slash_vector(list(map(sub, acc, v[t])), inv[t])
-        common = gcd(den, *nums)
-        table.append(([x // common for x in nums], den // common))
+        rows.append(slash_vector(list(map(sub, acc, v[t])), inv[t]))
         if progress:
-            progress(len(table), len(gamma1.generators))
-    return table
+            progress(len(rows), len(gamma1.generators))
+    common = gcd(den, *chain.from_iterable(rows))
+    return [[x // common for x in row] for row in rows], den // common
 
 
 def containment_m(
@@ -268,11 +265,10 @@ def containment_m(
 
     m is the gcd of all q1^(n+1) a_n over the generators, so every h lies in
     the polynomial space at m and the image of S-tilde on the whole group is
-    contained in (m/q1)*Z.  It is taken from the integer vectors
-    (nums, den) of :func:`gamma1_h_table`: with L the lcm of the den,
-    m = gcd(q1^(n+1) nums[n] L/den)/L, one Fraction in all.  Each h must
-    lie in the polynomial space at m, the test of :func:`poly_space_member`
-    taken on the integers nums, den and those of m, else CertificateError;
+    contained in (m/q1)*Z.  It is taken from the integer rows over the one
+    den of :func:`gamma1_h_table`: m = gcd(q1^(n+1) rows[i][n])/den, one
+    Fraction in all.  Each h must lie in the polynomial space at m, the
+    integer test :func:`_in_poly_space` on its row, else CertificateError;
     only then is it one Poly, for the report.  ``generators`` may list the
     Schreier generators in any order, matched to them by their entries
     before any fit; any other list, and a pair that is not quadratic (the
@@ -288,20 +284,14 @@ def containment_m(
             raise ValueError(
                 f"generators must be the Schreier generators of Gamma_1({ctx.n}), in any order"
             )
-    table = gamma1_h_table(ctx, progress)
+    rows, den = gamma1_h_table(ctx, progress)
     k, q1 = ctx.k, ctx.q1
-    den = lcm(*(d for _, d in table))
-    scaled = (x * q1 ** (n + 1) * (den // d) for nums, d in table for n, x in enumerate(nums))
-    m = Fraction(gcd(*scaled), den)
-    # q1^(n+1) x/d lies in m*Z, m = top/bottom, where q1^(n+1) bottom x is a multiple of top d
-    top, bottom = m.as_integer_ratio()
-    powers = [q1 ** (n + 1) * bottom for n in range(k - 1)]
+    m = Fraction(gcd(*(x * q1 ** (n + 1) for row in rows for n, x in enumerate(row))), den)
     polys = []
     for gen, i in zip(generators, order):
-        nums, d = table[i]
-        if any(x and (not top or x * p % (top * d)) for x, p in zip(nums, powers)):
+        if not _in_poly_space(rows[i], den, m, q1):
             raise dk.CertificateError(f"h at {gen} lies outside the polynomial space at m = {m}")
-        polys.append((gen, Poly(k, [Fraction(x, d) for x in nums])))
+        polys.append((gen, Poly(k, [Fraction(x, den) for x in rows[i]])))
     return ContainmentReport(pair=pair, k=k, polynomials=polys, m=m, bound=m / q1)
 
 

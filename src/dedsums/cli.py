@@ -5,12 +5,12 @@ plot-data emission.
 Structured output (CSV/JSON) goes to stdout; progress chatter stays on
 stderr so piped output is clean.  Exit codes: 0 success, 1 failed checks,
 2 usage errors, 3 parity violations, 4 domain errors (an oracle series that
-cannot reach its tolerance is one).  Every usage error, argparse's own
-included, is one ``bad option:`` line on stderr with exit 2, before any
-work: each option's domain is its argparse type, and ``--matrix`` text is
-parsed here, not in the library.  A reader that closes the pipe early
-(``| head``) is not an error: the rest of stdout goes to the null device and
-the exit code is 0.
+cannot reach its tolerance is one, and so is an exact value past the float
+range).  Every usage error, argparse's own included, is one ``bad option:``
+line on stderr with exit 2, before any work: each option's domain is its
+argparse type, and ``--matrix`` text is parsed here, not in the library.
+A reader that closes the pipe early (``| head``) is not an error: the rest
+of stdout goes to the null device and the exit code is 0.
 """
 
 from __future__ import annotations
@@ -327,6 +327,9 @@ def main(argv=None) -> int:
         return EXIT_CHECK_FAILED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except OverflowError as exc:  # an exact value past the float range, as at --oracle or plotdata
+        print(f"error: past the float range: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

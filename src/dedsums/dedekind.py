@@ -127,16 +127,28 @@ class SumContext(Record):
     def swap(self) -> "SumContext":
         return SumContext(self.chi2, self.chi1, self.k)
 
+    @cached_property
+    def psi_exponents(self) -> tuple:
+        """e(d) with psi(d) = chi1(d) conj(chi2(d)) = zeta_m^e(d), m the
+        value_order, for every d mod N, in [0, m); None off the units."""
+        m, e1, e2 = self.value_order, self.chi1.value_exponents, self.chi2.value_exponents
+        s1, s2 = m // self.o1, m // self.o2
+        pairs = ((e1[d % self.q1], e2[d % self.q2]) for d in range(self.n))
+        return tuple(None if None in e else (e[0] * s1 - e[1] * s2) % m for e in pairs)
+
     def psi(self, gamma: Mat2) -> CyclotomicElement:
-        """psi(gamma) = chi1(d) * conj(chi2(d)) on Gamma_0(N), the root of
-        unity of :func:`chars.central_exponent`."""
-        return CyclotomicElement.root_of_unity(*chars.central_exponent(self.chi1, self.chi2, gamma))
+        """psi(gamma) = chi1(d) * conj(chi2(d)) on Gamma_0(N), zeta_m^e(d) with
+        e(d) from :attr:`psi_exponents`; ValueError off Gamma_0(N)."""
+        if not in_gamma0(gamma, self.n):
+            raise ValueError(f"matrix is not in Gamma_0({self.n})")
+        return CyclotomicElement.root_of_unity(self.value_order, self.psi_exponents[gamma.d % self.n])
 
     def psi_is_one(self, gamma: Mat2) -> bool:
-        """psi(gamma) == 1, read off its exponent: zeta_m^e = 1 exactly when
-        m | e.  ValueError off Gamma_0(N), as :meth:`psi` raises."""
-        m, e = chars.central_exponent(self.chi1, self.chi2, gamma)
-        return e % m == 0
+        """psi(gamma) == 1, read off its exponent in :attr:`psi_exponents`:
+        it builds no root of unity.  ValueError off Gamma_0(N), as :meth:`psi` raises."""
+        if not in_gamma0(gamma, self.n):
+            raise ValueError(f"matrix is not in Gamma_0({self.n})")
+        return self.psi_exponents[gamma.d % self.n] == 0
 
 
 def _validate_units(ctx: SumContext, c: int, units: Collection[int]) -> list[int]:

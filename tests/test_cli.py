@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dedsums import cli
 from dedsums.modgroup import Mat2
@@ -486,6 +486,10 @@ ARGV = st.one_of(
 
 @settings(max_examples=100, deadline=None)
 @given(argv=ARGV)
+# exact values past the float range, at --oracle and in plotdata's float column
+@example(argv=["sum", "--pair", "chi3,chi3", "--k", "262", "--a", "1", "--c", "9", "--oracle"])
+@example(argv=["plotdata", "--pair", "chi3,chi3", "--k", "262", "--j", "2"])
+@example(argv=["sum", "--pair", "5:1,5:1", "--k", "400", "--a", "1", "--c", "25", "--oracle"])
 def test_every_input_ends_in_a_documented_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -647,6 +647,20 @@ def test_psi_is_one_matches_the_field_value(tag1, tag2, k, seed, size, shift):
     assert str(fast.value) == str(field.value)
 
 
+@pytest.mark.parametrize("tag1,tag2,k", [("5:1", "5:1", 4), ("7:1", "5:2", 3), ("13:1", "11:1", 4)])
+def test_psi_kernel_is_where_the_values_multiply_to_one(tag1, tag2, k):
+    # psi of order above 2: d is in ker psi exactly when chi1(d) conj(chi2(d)) = 1
+    ctx = ctx_for(tag1, tag2, k)
+    m = ctx.value_order
+    for d, e in enumerate(ctx.psi_exponents):
+        if gcd(d, ctx.n) != 1:
+            assert e is None, d
+            continue
+        value = ctx.chi1(d).embed(m) * ctx.chi2(d).conj().embed(m)
+        assert (e == 0) == (value == 1), d
+        assert value == CyclotomicElement.root_of_unity(m, e), d
+
+
 def field_h_eval(ctx: SumContext, gamma: Mat2, cusp: Cusp) -> CyclotomicElement:
     """Reference: h_gamma(a) = S-hat(a) - S-hat(gamma a) j(gamma, a)^(k-2) in
     cyclotomic arithmetic; S-hat(inf) = 0 drops the slash term at the pole."""

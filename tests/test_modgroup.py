@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dedsums
-from dedsums.analysis import TABLE1_PAIRS, TABLE2_PAIRS, TABLE3_PAIRS
+from dedsums.analysis import TABLE1_PAIRS, TABLE2_PAIRS, TABLE3_PAIRS, context_for
 from dedsums.characters import named_character
 from dedsums.exactnum import CyclotomicElement
 from dedsums.modgroup import (
@@ -202,6 +202,14 @@ def psi_kernel(pair):
     return n, tuple(
         u for u in range(1, n) if gcd(u, n) == 1 and chi1.value_exponent(u) == chi2.value_exponent(u)
     )
+
+
+@pytest.mark.parametrize("pair", TABLE1_PAIRS + TABLE2_PAIRS + TABLE3_PAIRS, ids=",".join)
+def test_psi_exponents_give_the_sign_exponent_kernel(pair):
+    # the h-table's Gamma_psi is read off ctx.psi_exponents; each table
+    # pair at the least weight of its parity
+    ctx = context_for(pair, 3 if pair in TABLE3_PAIRS else 2)
+    assert (ctx.n, tuple(d for d, e in enumerate(ctx.psi_exponents) if e == 0)) == psi_kernel(pair)
 
 
 # (level, kernel of psi) over the table pairs, each once, and the first pair with it
