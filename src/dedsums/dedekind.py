@@ -120,8 +120,9 @@ class SumContext(Record):
 
     @cached_property
     def pieces_memo(self) -> dict:
-        """:func:`_twisted_pieces` by (c, degree), and the outer weight
-        tables of :func:`_mixed_sum` by (c, -r), filled by the sums."""
+        """The kernel of S_r by (c, r), filled by :func:`_mixed_sum`: the
+        twisted pieces of degree k-r, the outer weight s_r B_r(j/c) and the
+        joint scale s_r s."""
         return {}
 
     def swap(self) -> "SumContext":
@@ -318,26 +319,22 @@ def _mixed_sum(ctx: SumContext, a: int, c: int, r: int) -> CyclotomicElement:
     conj(chi1)(n) conj(chi2)(j) B_r({j/c}) B_{k-r}({a j/c + n/q1}), 1 <= r < k,
     for a reduced mod c and the pair validated; S_1 is S.
 
-    The kernel over the twisted pieces of degree k-r, kept in
-    ``ctx.pieces_memo`` under (c, k-r), with the outer weight s_r B_r(j/c)
-    tabulated from :func:`bernoulli.scaled_int_poly`, kept there under
-    (c, -r) for r >= 2.  The value is kept in ``ctx.sum_memo`` under
-    (a, c, r).
+    The kernel over the twisted pieces of degree k-r and the outer weight
+    s_r B_r(j/c), tabulated from :func:`bernoulli.scaled_int_poly`, both kept
+    in ``ctx.pieces_memo`` under (c, r) with the joint scale s_r s.  The
+    value is kept in ``ctx.sum_memo`` under (a, c, r).
     """
     value = ctx.sum_memo.get((a, c, r))
     if value is None:
-        degree = ctx.k - r
-        entry = ctx.pieces_memo.get((c, degree))
+        entry = ctx.pieces_memo.get((c, r))
         if entry is None:
-            entry = ctx.pieces_memo[c, degree] = _twisted_pieces(ctx, c, degree)
-        pieces, scale = entry
-        ints, weight_scale = scaled_int_poly(r, c)
-        # s_1 B_1(j/c) = 2j - c: a range stands in for the table at r = 1
-        weight = range(-c, c, 2) if r == 1 else ctx.pieces_memo.get((c, -r))
-        if weight is None:
-            weight = ctx.pieces_memo[c, -r] = _tabulate(ints, (c - 1) // 2)
-        acc = _accumulate(ctx, a, c, pieces, weight)
-        value = ctx.sum_memo[a, c, r] = _combine(ctx, acc, weight_scale * scale)
+            pieces, scale = _twisted_pieces(ctx, c, ctx.k - r)
+            ints, weight_scale = scaled_int_poly(r, c)
+            # s_1 B_1(j/c) = 2j - c: a range stands in for the table at r = 1
+            weight = range(-c, c, 2) if r == 1 else _tabulate(ints, (c - 1) // 2)
+            entry = ctx.pieces_memo[c, r] = (pieces, weight, weight_scale * scale)
+        pieces, weight, denom = entry
+        value = ctx.sum_memo[a, c, r] = _combine(ctx, _accumulate(ctx, a, c, pieces, weight), denom)
     return value
 
 
@@ -405,9 +402,7 @@ def h_eval(ctx: SumContext, gamma: Mat2, cusp: Cusp) -> CyclotomicElement:
     """h_gamma(a) = S-hat(a) - j(gamma, a)^(k-2) S-hat(gamma a), exactly.
 
     gamma a and j(gamma, a)^(k-2) are taken from the integers of gamma and
-    a = p/q: one Cusp for the image, one Fraction for the power.  When both
-    S-hat values are rational (always for a quadratic pair) they are
-    combined as Fractions and the result is wrapped once.
+    a = p/q: one Cusp for the image, one Fraction for the power.
     """
     if not in_gamma0(gamma, ctx.n):
         raise ValueError(f"matrix is not in Gamma_0({ctx.n})")
@@ -421,10 +416,7 @@ def h_eval(ctx: SumContext, gamma: Mat2, cusp: Cusp) -> CyclotomicElement:
         # a is the pole gamma^-1(inf), where S-hat(inf) = 0: the slash term drops out
         return base
     jpow = Fraction(j_num ** (ctx.k - 2), q ** (ctx.k - 2))
-    top = shat(ctx, Cusp(gamma.a * p + gamma.b * q, j_num))
-    if base.is_rational() and top.is_rational():
-        return CyclotomicElement.from_rational(base.coeffs[0] - top.coeffs[0] * jpow, base.order)
-    return base - top * jpow
+    return base - shat(ctx, Cusp(gamma.a * p + gamma.b * q, j_num)) * jpow
 
 
 def _node_unit(an: int, c: int, n: int) -> int:

@@ -46,14 +46,6 @@ class Mat2(Record):
     def __str__(self):
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
-    @classmethod
-    def identity(cls) -> "Mat2":
-        return cls(1, 0, 0, 1)
-
-
-MAT_S = Mat2(0, -1, 1, 0)
-MAT_T = Mat2(1, 1, 0, 1)
-
 
 def in_gamma0(gamma: Mat2, n: int) -> bool:
     return gamma.c % n == 0
@@ -158,9 +150,10 @@ def coset_walk(n: int, kernel: tuple[int, ...] = (1,)) -> CosetWalk:
     of its orbit is keyed to it, so each later edge is one lookup of its
     own row.  The BFS labels each S and T edge r -> r x as it crosses it by
     the Schreier generator rep(r) x rep(r x)^-1, numbered in order of first
-    appearance.  Certified: the cosets times |K| are the index of
-    Gamma_1(N), and every generator has N | c and d mod N in K.  The walk
-    runs on integer tuples; only the generators become Mat2s.
+    appearance, and keeps the coset of r T^-1 as back[r]: its T edge enters
+    r.  Certified: the cosets times |K| are the index of Gamma_1(N), and
+    every generator has N | c and d mod N in K.  The walk runs on integer
+    tuples; only the generators become Mat2s.
     """
     if n < 5:
         raise ValueError("coset keying by bottom row needs N >= 5 (so -I is not in Gamma_1)")
@@ -169,7 +162,7 @@ def coset_walk(n: int, kernel: tuple[int, ...] = (1,)) -> CosetWalk:
     queue = [(1, 0, 0, 1)]  # the reps in index order, read as they are appended
     tree = [(-1, -1)]
     gens: dict[tuple[int, int, int, int], int] = {}
-    edges = []
+    edges, back = [], []
     for r, (a, b, c, d) in enumerate(queue):
         # r S, r T and r T^-1; the S and T edges are labelled
         for x, g in enumerate(((b, -a, d, -c), (a, a + b, c, c + d), (a, b - a, c, d - c))):
@@ -186,14 +179,13 @@ def coset_walk(n: int, kernel: tuple[int, ...] = (1,)) -> CosetWalk:
                 u = (g[0] * rd - g[1] * rc, g[1] * ra - g[0] * rb,
                      g[2] * rd - g[3] * rc, g[3] * ra - g[2] * rb)
                 edges.append((target, -1 if u == (1, 0, 0, 1) else gens.setdefault(u, len(gens))))
+            else:
+                back.append(entry[0])
     if len(queue) * len(kernel) != gamma1_index(n):
         raise CertificateError(f"{len(queue)} cosets times |K| = {len(kernel)} is not the index")
     for u in gens:
         if u[2] % n or u[3] % n not in kernel:
             raise CertificateError(f"Schreier generator {u} is not in the group at level {n}")
-    back = [0] * len(queue)
-    for r in range(len(queue)):
-        back[edges[2 * r + 1][0]] = r
     return CosetWalk(tuple(Mat2(*u) for u in gens), tuple(edges), tuple(back), tuple(tree))
 
 

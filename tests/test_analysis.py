@@ -162,20 +162,26 @@ def test_containment_runs_each_distinct_sum_once(monkeypatch):
     # them.  The 12 fits with c != 0 all sit at |c| = 25: each takes S_1, S_2
     # and S_3 at its own (a, c) and asks sum_S for the two sums at its
     # certificate node.  The context's memo runs the kernel once per distinct
-    # (a mod c, c, r), 36 times, over the 3 (c, degree) of c = 25.  The fits
-    # reach the table as the integer vectors of _h_fit; the Poly view
-    # h_interpolate is never built
-    calls = {"h_interpolate": 0, "_h_fit": 0, "sum_S": 0, "_accumulate": 0, "_twisted_pieces": 0}
+    # (a mod c, c, r), 36 times, over one pieces_memo entry per (c, r) of
+    # c = 25: its pieces and its weight take one scaled polynomial each, 6
+    # in all.  The fits reach the table as the integer vectors of _h_fit;
+    # the Poly view h_interpolate is never built
+    calls = {
+        "h_interpolate": 0, "_h_fit": 0, "sum_S": 0, "_accumulate": 0, "_twisted_pieces": 0, "scaled_int_poly": 0
+    }
     for name in calls:
         def counted(*args, name=name, original=getattr(dk, name)):
             calls[name] += 1
             return original(*args)
 
         monkeypatch.setattr(dk, name, counted)
-    report = containment_m(context_for(("chi5", "chi5"), 4))
+    ctx = context_for(("chi5", "chi5"), 4)
+    report = containment_m(ctx)
     assert calls == {
-        "h_interpolate": 0, "_h_fit": 17, "sum_S": 24, "_accumulate": 36, "_twisted_pieces": 3
+        "h_interpolate": 0, "_h_fit": 17, "sum_S": 24, "_accumulate": 36, "_twisted_pieces": 3,
+        "scaled_int_poly": 6,
     }
+    assert set(ctx.pieces_memo) == {(25, 1), (25, 2), (25, 3)}
     assert len(report.polynomials) == 197
     assert report.m == 6
     text = "\n".join(f"{g} {','.join(map(str, h.coeffs))}" for g, h in report.polynomials)

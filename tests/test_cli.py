@@ -91,7 +91,7 @@ def test_hpoly_malformed_matrix_is_usage_error(matrix):
 
 
 @pytest.mark.parametrize(
-    "m", [Mat2.identity(), Mat2(26, 1, 25, 1), Mat2(-24, 1, -25, 1), Mat2(0, -1, 1, 0), Mat2(-50, -1, -49, -1)]
+    "m", [Mat2(1, 0, 0, 1), Mat2(26, 1, 25, 1), Mat2(-24, 1, -25, 1), Mat2(0, -1, 1, 0), Mat2(-50, -1, -49, -1)]
 )
 def test_matrix_text_round_trips(m):
     assert cli._matrix(str(m)) == m

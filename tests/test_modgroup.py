@@ -15,8 +15,6 @@ from dedsums.characters import named_character
 from dedsums.exactnum import CyclotomicElement
 from dedsums.modgroup import (
     Cusp,
-    MAT_S,
-    MAT_T,
     Mat2,
     Poly,
     RELATORS,
@@ -33,12 +31,16 @@ from dedsums.modgroup import (
     random_gamma0,
 )
 
+IDENTITY = Mat2(1, 0, 0, 1)
+MAT_S = Mat2(0, -1, 1, 0)
+MAT_T = Mat2(1, 1, 0, 1)
+
 
 def test_det_enforced():
     with pytest.raises(ValueError):
         Mat2(1, 2, 3, 4)
     m = Mat2(2, 3, 1, 2)
-    assert m * m.inverse() == Mat2.identity()
+    assert m * m.inverse() == IDENTITY
 
 
 def test_membership_predicates():
@@ -190,7 +192,7 @@ def test_coset_bfs_runs_once_per_level():
     # each call hands out a new list; changing one leaves the next intact
     expected = list(gens)
     gens.reverse()
-    gens.append(Mat2.identity())
+    gens.append(IDENTITY)
     assert gamma1_generators(25) == expected
     assert coset_walk.cache_info().misses == 3
 
@@ -227,9 +229,9 @@ def mat2_walk(n, kernel=(1,)):
     def key(g):
         return min((u * g.c % n, u * g.d % n) for u in kernel)
 
-    reps = {key(Mat2.identity()): Mat2.identity()}
+    reps = {key(IDENTITY): IDENTITY}
     tree = [(-1, -1)]
-    queue = deque([Mat2.identity()])
+    queue = deque([IDENTITY])
     parent = 0
     while queue:
         r = queue.popleft()
@@ -247,7 +249,7 @@ def mat2_walk(n, kernel=(1,)):
         for x in (MAT_S, MAT_T):
             g = r * x
             u = g * reps[key(g)].inverse()
-            label = -1 if u == Mat2.identity() else gens.setdefault(u, len(gens))
+            label = -1 if u == IDENTITY else gens.setdefault(u, len(gens))
             edges.append((position[key(g)], label))
     back = [None] * len(reps)
     for i in range(len(reps)):
@@ -303,7 +305,7 @@ def rep(walk, coset):
     while coset:
         coset, x = walk.tree[coset]
         letters.append((MAT_S, MAT_T, MAT_T.inverse())[x])
-    out = Mat2.identity()
+    out = IDENTITY
     for letter in reversed(letters):
         out = out * letter
     return out
@@ -327,7 +329,7 @@ def read_word(walk, letters, start):
 
 
 def product(walk, read):
-    out = Mat2.identity()
+    out = IDENTITY
     for label, inverse in read:
         g = walk.generators[label]
         out = out * (g.inverse() if inverse else g)
@@ -349,7 +351,7 @@ def test_relator_walks_multiply_to_the_identity(n, kernel):
         for word in WORDS:
             end, read = read_word(walk, word, start)
             assert end == start, (n, start, word)
-            assert product(walk, read) == Mat2.identity(), (n, start, word)
+            assert product(walk, read) == IDENTITY, (n, start, word)
     # any word: rep(start) w = (the labels read) rep(end)
     rng = random.Random(n)
     for _ in range(20):
@@ -372,7 +374,7 @@ def test_gamma1_generators_need_n_at_least_5():
 
 def test_poly_slash_identity():
     p = Poly(4, [Fraction(2), Fraction(-1, 3), Fraction(5)])
-    assert p.slash(Mat2.identity()) == p
+    assert p.slash(IDENTITY) == p
 
 
 def test_poly_slash_quadratic_expansion():
